@@ -41,6 +41,7 @@ from .posterior import (
     EigenfunctionSample,
     PosteriorSummary,
     PseudoinverseDiag,
+    condition,
     posterior_covariance,
     regularized_pseudoinverse,
     sample_posterior,

@@ -10,26 +10,14 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .kernel import KernelSpec
 from .matrixcase import fd_theorem_suite
-from .operators import (
-    Const,
-    ConstraintSite,
-    Lam,
-    LinearOperatorSpec,
-    Neg,
-    OperatorTermSpec,
-    Prod,
-    Quot,
-    Sum,
-    assemble_blocks,
-)
+from .operators import CoeffExpr, Lam, assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
     posterior_covariance,
@@ -45,9 +33,8 @@ from .problems import (
 )
 from .scan import (
     SCAN_RCOND,
-    HyperSchedule,
-    LambdaGrid,
     ScanError,
+    TooFewPointsError,
     detect_peaks,
     fit_decay_slope,
     refine_peak,
@@ -60,147 +47,81 @@ EXIT_CONFIG = 2
 
 REFINE_ITERATIONS = 20
 
+SPECTRUM_COLUMNS = (
+    "lambda", "trace_J", "skipped", "rank", "sv_max", "sv_min_kept", "reason"
+)
+
 
 # -- serialization ----------------------------------------------------------
 
-def coeff_to_obj(expr):
-    if isinstance(expr, Const):
-        return {"const": expr.value}
-    if isinstance(expr, Lam):
+# A problem serializes field by field from its dataclasses, omitting None
+# fields.  A coefficient becomes {"<class name, lowercased>": argument}, the
+# argument a list for two-field classes; Lam becomes the string "lambda".
+
+COEFF_TYPES = get_args(CoeffExpr)
+COEFF_TAGS = {cls.__name__.lower(): cls for cls in COEFF_TYPES if cls is not Lam}
+
+
+def _encode(value):
+    if isinstance(value, Lam):
         return "lambda"
-    if isinstance(expr, Neg):
-        return {"neg": coeff_to_obj(expr.arg)}
-    if isinstance(expr, Sum):
-        return {"sum": [coeff_to_obj(expr.left), coeff_to_obj(expr.right)]}
-    if isinstance(expr, Prod):
-        return {"prod": [coeff_to_obj(expr.left), coeff_to_obj(expr.right)]}
-    if isinstance(expr, Quot):
-        return {"quot": [coeff_to_obj(expr.num), coeff_to_obj(expr.den)]}
-    raise TypeError(f"not a coefficient expression: {expr!r}")
+    if isinstance(value, COEFF_TYPES):
+        args = [_encode(getattr(value, f.name)) for f in dataclasses.fields(value)]
+        return {type(value).__name__.lower(): args[0] if len(args) == 1 else args}
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if getattr(value, f.name) is not None
+        }
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def coeff_from_obj(obj):
+def _decode(tp, obj):
+    """Build a value of type `tp` from its JSON form, guided by type hints."""
+    if obj is None:
+        return None
+    args = get_args(tp)
+    if get_origin(tp) is Union:
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            return _decode(members[0], obj)
+        return _decode_coeff(obj)
+    if get_origin(tp) is tuple:
+        types = [args[0]] * len(obj) if args[-1] is Ellipsis else args
+        return tuple(_decode(t, v) for t, v in zip(types, obj, strict=True))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(obj, dict):
+            raise TypeError(f"{tp.__name__} needs an object, got {obj!r}")
+        hints = get_type_hints(tp)
+        unknown = sorted(obj.keys() - hints.keys())
+        if unknown:
+            raise TypeError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
+        return tp(**{k: _decode(hints[k], v) for k, v in obj.items()})
+    return tp(obj)
+
+
+def _decode_coeff(obj):
     if obj == "lambda":
         return Lam()
     if isinstance(obj, dict) and len(obj) == 1:
-        key, val = next(iter(obj.items()))
-        if key == "const":
-            return Const(float(val))
-        if key == "neg":
-            return Neg(coeff_from_obj(val))
-        if key == "sum":
-            return Sum(coeff_from_obj(val[0]), coeff_from_obj(val[1]))
-        if key == "prod":
-            return Prod(coeff_from_obj(val[0]), coeff_from_obj(val[1]))
-        if key == "quot":
-            return Quot(coeff_from_obj(val[0]), coeff_from_obj(val[1]))
+        tag, arg = next(iter(obj.items()))
+        cls = COEFF_TAGS.get(tag)
+        if cls is not None:
+            hints = list(get_type_hints(cls).values())
+            vals = [arg] if len(hints) == 1 else arg
+            return cls(*(_decode(t, v) for t, v in zip(hints, vals, strict=True)))
     raise ValueError(f"malformed coefficient expression: {obj!r}")
 
 
-def operator_to_obj(op: LinearOperatorSpec):
-    return {
-        "terms": [
-            {"deriv_order": t.deriv_order, "coeff": coeff_to_obj(t.coeff)}
-            for t in op.terms
-        ]
-    }
-
-
-def operator_from_obj(obj) -> LinearOperatorSpec:
-    return LinearOperatorSpec(
-        tuple(
-            OperatorTermSpec(int(t["deriv_order"]), coeff_from_obj(t["coeff"]))
-            for t in obj["terms"]
-        )
-    )
-
-
 def problem_to_obj(p: ProblemSpec) -> dict:
-    obj = {
-        "problem_id": p.problem_id,
-        "domain": list(p.domain),
-        "mode": p.mode,
-        "interior_op": operator_to_obj(p.interior_op),
-        "boundary": [
-            {
-                "location": s.location,
-                "operator": operator_to_obj(s.operator),
-                "rhs": s.rhs,
-            }
-            for s in p.boundary
-        ],
-        "N": p.N,
-        "N_t": p.N_t,
-        "jitter": p.jitter,
-        "rhs_const": p.rhs_const,
-    }
-    if p.schedule is not None:
-        obj["schedule"] = {
-            "C": p.schedule.C,
-            "p": p.schedule.p,
-            "variance": p.schedule.variance,
-        }
-    if p.grid is not None:
-        grid = {
-            "kind": p.grid.kind,
-            "lo": p.grid.lo,
-            "hi": p.grid.hi,
-            "count": p.grid.count,
-        }
-        if p.grid.root is not None:
-            grid["root"] = p.grid.root
-        obj["grid"] = grid
-    if p.fixed_kernel is not None:
-        obj["fixed_kernel"] = {
-            "variance": p.fixed_kernel.variance,
-            "length_scale": p.fixed_kernel.length_scale,
-        }
-    if p.rhs_table is not None:
-        obj["rhs_table"] = list(p.rhs_table)
-    return obj
+    return _encode(p)
 
 
 def problem_from_obj(obj: dict) -> ProblemSpec:
-    kwargs = {
-        "problem_id": obj["problem_id"],
-        "domain": tuple(obj["domain"]),
-        "mode": obj["mode"],
-        "interior_op": operator_from_obj(obj["interior_op"]),
-        "boundary": tuple(
-            ConstraintSite(
-                float(s["location"]),
-                operator_from_obj(s["operator"]),
-                float(s.get("rhs", 0.0)),
-            )
-            for s in obj["boundary"]
-        ),
-        "N": int(obj["N"]),
-        "N_t": int(obj["N_t"]),
-        "jitter": float(obj["jitter"]),
-        "rhs_const": float(obj.get("rhs_const", 0.0)),
-    }
-    if "schedule" in obj:
-        s = obj["schedule"]
-        kwargs["schedule"] = HyperSchedule(
-            C=float(s["C"]), p=float(s["p"]), variance=float(s["variance"])
-        )
-    if "grid" in obj:
-        g = obj["grid"]
-        kwargs["grid"] = LambdaGrid(
-            kind=g["kind"],
-            lo=float(g["lo"]),
-            hi=float(g["hi"]),
-            count=int(g["count"]),
-            root=float(g["root"]) if "root" in g else None,
-        )
-    if "fixed_kernel" in obj:
-        k = obj["fixed_kernel"]
-        kwargs["fixed_kernel"] = KernelSpec(
-            variance=float(k["variance"]), length_scale=float(k["length_scale"])
-        )
-    if obj.get("rhs_table") is not None:
-        kwargs["rhs_table"] = tuple(float(v) for v in obj["rhs_table"])
-    return ProblemSpec(**kwargs)
+    return _decode(ProblemSpec, obj)
 
 
 # -- config resolution ------------------------------------------------------
@@ -258,21 +179,14 @@ def _fmt(x) -> str:
 def write_spectrum_csv(path, scan) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["lambda", "trace_J", "skipped", "rank", "sv_max", "sv_min_kept"])
+        w.writerow(SPECTRUM_COLUMNS)
         for pt in scan.points:
             if pt.skipped:
-                w.writerow([_fmt(pt.lam), "", "true", "", "", ""])
+                w.writerow([_fmt(pt.lam), "", "true", "", "", "", pt.reason])
             else:
-                w.writerow(
-                    [
-                        _fmt(pt.lam),
-                        _fmt(pt.J),
-                        "false",
-                        pt.diag.rank,
-                        _fmt(pt.diag.sv_max),
-                        _fmt(pt.diag.sv_min_kept),
-                    ]
-                )
+                d = pt.diag
+                w.writerow([_fmt(pt.lam), _fmt(pt.J), "false", d.rank,
+                            _fmt(d.sv_max), _fmt(d.sv_min_kept), ""])
 
 
 def read_spectrum_csv(path):
@@ -297,12 +211,15 @@ def cmd_scan(args) -> int:
     if problem.mode != "eigen":
         raise ConfigError(f"problem {problem.problem_id!r} is not scannable (bvp mode)")
     rcond = args.rcond if args.rcond is not None else SCAN_RCOND
+    out = _out_dir(args)
     try:
         scan = scan_spectrum(problem, jobs=args.jobs, rcond=rcond)
-    except ScanError as exc:
+        # written before detection so skip reasons survive a failed detection
+        write_spectrum_csv(out / "spectrum.csv", scan)
+        peaks = detect_peaks(scan, prominence_decades=2.0)
+    except (ScanError, TooFewPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    peaks = detect_peaks(scan, prominence_decades=2.0)
     n_lams = len(scan.points)
     refined = [
         refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
@@ -334,8 +251,6 @@ def cmd_scan(args) -> int:
             rec["relative_error"] = abs(p.lam_hat - nearest) / abs(nearest)
         peak_objs.append(rec)
 
-    out = _out_dir(args)
-    write_spectrum_csv(out / "spectrum.csv", scan)
     doc = {
         "problem": problem.problem_id,
         "grid": problem_to_obj(problem)["grid"],
@@ -457,9 +372,7 @@ def _add_problem_flags(p):
     p.add_argument("problem", nargs="?", help="preset id (see list-problems)")
     p.add_argument("--problem", dest="problem_flag", help="preset id")
     p.add_argument("--config", help="JSON problem config file")
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--desk", action="store_true", help="desk-scale grids (default)")
-    scale.add_argument(
+    p.add_argument(
         "--paper-scale", action="store_true", help="full published grid sizes"
     )
     p.add_argument("--jitter", type=float, default=None)
@@ -477,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="sweep the λ grid and report peaks")
     _add_problem_flags(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=os.cpu_count())
+    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_sample = sub.add_parser("sample", help="draw posterior samples at one λ")

@@ -10,6 +10,7 @@ of vectorized evaluations per λ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -112,7 +113,7 @@ class OperatorTermSpec:
 class LinearOperatorSpec:
     """A sum of derivative terms with distinct orders."""
 
-    terms: tuple
+    terms: tuple[OperatorTermSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -144,21 +145,26 @@ class ConstraintSite:
 class AssembledBlocks:
     """Covariance blocks for one λ.
 
-    K_tt is the plain kernel on the test grid, K_tC the cross-covariance
-    with the operator applied to the second argument, K_CC the operator
-    applied to both arguments at the constraint sites.  Constraint rows
-    are ordered interior-first, then boundary sites; rhs stacks the same
-    way.
+    K_tC is the cross-covariance between the test grid and the constraint
+    sites with the operator applied to the second argument, K_CC the
+    operator applied to both arguments at the constraint sites.  Constraint
+    rows are ordered interior-first, then boundary sites; rhs stacks the
+    same way.  The test-grid kernel K_tt is built on first access, since
+    only the full covariance needs it.
     """
 
     lam: float
-    K_tt: np.ndarray
+    spec: KernelSpec
     K_tC: np.ndarray
     K_CC: np.ndarray
     rhs: np.ndarray
     n_interior: int
     x_test: np.ndarray
     x_constraint: np.ndarray
+
+    @functools.cached_property
+    def K_tt(self) -> np.ndarray:
+        return gram(self.spec, (0, 0), self.x_test, self.x_test)
 
     @property
     def constraint_count(self) -> int:
@@ -217,7 +223,6 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
 
     ident = identity_op()
     m = xi.size + len(sites)
-    K_tt = gram(spec, (0, 0), xt, xt)
     K_tC = np.empty((xt.size, m))
     K_CC = np.empty((m, m))
 
@@ -249,7 +254,7 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     )
     return AssembledBlocks(
         lam=float(lam),
-        K_tt=K_tt,
+        spec=spec,
         K_tC=K_tC,
         K_CC=K_CC,
         rhs=rhs,

@@ -5,7 +5,8 @@ Conditioning the zero-mean GP prior on the assembled constraint rows gives
     cov  = K_tt - K_tC (K_CC + jitter I)^+ K_tC^T
     mean = K_tC (K_CC + jitter I)^+ rhs
 
-with a regularized Moore-Penrose pseudoinverse.  For eigenproblems the rhs
+with a regularized Moore-Penrose pseudoinverse, held as the square-root
+factor U of the downdate (see `condition`).  For eigenproblems the rhs
 is zero, the mean vanishes identically, and all information sits in the
 covariance: its trace J(λ) stays near zero away from eigenvalues and peaks
 when λ hits one.
@@ -68,7 +69,7 @@ def _truncated_eigh(M, jitter: float, rcond: float):
     """Eigendecompose M + jitter*I and mark the kept directions.
 
     The rcond cut applies after the jitter shift and compares magnitudes
-    against the largest one.  Returns (w, V, keep, diagnostics).
+    against the largest one.  Returns (w, V, keep).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -79,25 +80,24 @@ def _truncated_eigh(M, jitter: float, rcond: float):
         raise ValueError(f"rcond must be positive, got {rcond}")
     if not np.all(np.isfinite(M)):
         raise DecompositionError("matrix has non-finite entries")
-    n = M.shape[0]
-    A = M + jitter * np.eye(n) if jitter else M
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(M + jitter * np.eye(len(M)) if jitter else M)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("eigendecomposition returned non-finite values")
     sv = np.abs(w)
-    sv_max = float(sv.max()) if n else 0.0
-    if sv_max == 0.0:
-        keep = np.zeros(n, dtype=bool)
-    else:
-        keep = sv >= rcond * sv_max
-    diag = PseudoinverseDiag(
+    # sv > 0 keeps nothing of an all-zero matrix, where the relative cut is 0
+    keep = (sv >= rcond * sv.max(initial=0.0)) & (sv > 0)
+    return w, V, keep
+
+
+def _diagnostics(w, keep, jitter: float) -> PseudoinverseDiag:
+    sv = np.abs(w)
+    return PseudoinverseDiag(
         rank=int(keep.sum()),
-        sv_max=sv_max,
+        sv_max=float(sv.max(initial=0.0)),
         sv_min_kept=float(sv[keep].min()) if keep.any() else 0.0,
-        truncated_count=int(n - keep.sum()),
+        truncated_count=int(w.size - keep.sum()),
         jitter_used=float(jitter),
     )
-    return w, V, keep, diag
 
 
 def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCOND):
@@ -107,12 +107,31 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     whose magnitude falls below rcond * max|eigenvalue| are zeroed.  The
     rcond cut applies after the jitter shift.  Returns (pinv, diagnostics).
     """
-    w, V, keep, diag = _truncated_eigh(M, jitter, rcond)
+    w, V, keep = _truncated_eigh(M, jitter, rcond)
     inv = np.zeros(w.size)
     inv[keep] = 1.0 / w[keep]
     P = (V * inv) @ V.T
     P = 0.5 * (P + P.T)
-    return P, diag
+    return P, _diagnostics(w, keep, jitter)
+
+
+def condition(blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND):
+    """Square-root factor of the downdate; the core every posterior reads.
+
+    With the kept eigenpairs (w, V) of K_CC + jitter I, W = V / sqrt(w) and
+    U = K_tC W give K_tC (K_CC + jitter I)^+ K_tC^T = U U^T.  U has O(1)
+    entries, so the downdate escapes the 1/w_min roundoff amplification of
+    an explicit pseudoinverse.  Kept directions also need w > 0: negative
+    eigenvalues of the shifted Gram are roundoff with no real square root.
+    Since k(x, x) = variance, the trace is J = N_t * variance - ||U||_F^2.
+    Returns (U, W, J, diagnostics).
+    """
+    w, V, keep = _truncated_eigh(blocks.K_CC, jitter, rcond)
+    keep &= w > 0
+    W = V[:, keep] / np.sqrt(w[keep])
+    U = blocks.K_tC @ W
+    J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
+    return U, W, J, _diagnostics(w, keep, jitter)
 
 
 def posterior_covariance(
@@ -120,33 +139,17 @@ def posterior_covariance(
 ) -> PosteriorSummary:
     """Condition the prior on the assembled constraint rows.
 
-    The downdate K_tC (K_CC + jitter I)^+ K_tC^T is evaluated in square-root
-    form: with eigenpairs (w_k, v_k) of the shifted Gram, the columns
-    u_k = K_tC v_k / sqrt(w_k) have O(1) entries, so K_tt - U U^T loses far
-    less to roundoff than the triple product with an explicit pseudoinverse,
-    whose 1/w_min amplification otherwise leaks indefiniteness of order
-    1e-7 * trace into the result.  Kept directions additionally need w > 0
-    here; negative eigenvalues of the shifted Gram are roundoff artifacts
-    and have no real square root.
+    cov = K_tt - U U^T and mean = U W^T rhs, with (U, W, J) from
+    `condition`; trace_J is the core's J.
     """
-    w, V, keep, diag = _truncated_eigh(blocks.K_CC, jitter, rcond)
-    keep = keep & (w > 0)
-    diag = dataclasses.replace(
-        diag,
-        rank=int(keep.sum()),
-        sv_min_kept=float(w[keep].min()) if keep.any() else 0.0,
-        truncated_count=int(w.size - keep.sum()),
-    )
-    Vr = V[:, keep] / np.sqrt(w[keep])
-    U = blocks.K_tC @ Vr
+    U, W, J, diag = condition(blocks, jitter, rcond)
     cov = blocks.K_tt - U @ U.T
     cov = 0.5 * (cov + cov.T)
-    mean = U @ (Vr.T @ blocks.rhs)
     return PosteriorSummary(
         lam=blocks.lam,
-        trace_J=float(np.trace(cov)),
+        trace_J=J,
         cov=cov,
-        mean=mean,
+        mean=U @ (W.T @ blocks.rhs),
         diag=diag,
         blocks=blocks,
     )

@@ -41,10 +41,10 @@ class ProblemSpec:
     """A fully specified scan or BVP problem on a 1D interval."""
 
     problem_id: str
-    domain: tuple
+    domain: tuple[float, float]
     mode: str
     interior_op: LinearOperatorSpec
-    boundary: tuple
+    boundary: tuple[ConstraintSite, ...]
     N: int
     N_t: int
     jitter: float
@@ -52,7 +52,7 @@ class ProblemSpec:
     grid: LambdaGrid = None
     fixed_kernel: KernelSpec = None
     rhs_const: float = 0.0
-    rhs_table: tuple = None
+    rhs_table: tuple[float, ...] = None
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))

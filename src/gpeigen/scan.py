@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import assemble_blocks
-from .posterior import PseudoinverseDiag, posterior_covariance
+from .posterior import PseudoinverseDiag, condition
+# unused here, but bench/spans.py patches gpeigen.scan.posterior_covariance
+from .posterior import posterior_covariance  # noqa: F401
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,12 +146,12 @@ def length_scale(schedule: HyperSchedule, lam: float, N: int) -> float:
 def evaluate_trace(problem, lam: float, rcond: float = SCAN_RCOND):
     """J(λ) and pseudoinverse diagnostics for a single grid point.
 
-    The trace is clipped at zero: tiny negatives are round-off from the
-    covariance subtraction, and downstream log processing needs J >= 0.
+    Forms no N_t x N_t matrix.  J is clipped at zero: tiny negatives are
+    round-off, and downstream log processing needs J >= 0.
     """
     blocks = assemble_blocks(problem, lam)
-    summary = posterior_covariance(blocks, problem.jitter, rcond)
-    return max(summary.trace_J, 0.0), summary.diag
+    _, _, J, diag = condition(blocks, problem.jitter, rcond)
+    return max(J, 0.0), diag
 
 
 def _scan_one(args) -> ScanPoint:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through in-process main() calls."""
 
+import csv
 import json
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestScan:
         assert code == EXIT_VERIFY
         assert "error:" in capsys.readouterr().err
 
+    def test_skip_reason_written_to_csv(self, tmp_path):
+        # the middle grid point lands on the loaded-string pole at λ = κ = 1
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": "loaded-string",
+                "N": 40,
+                "N_t": 40,
+                "grid": {"kind": "linear", "lo": 0.5, "hi": 1.5, "count": 3},
+            },
+        )
+        code = main(["scan", "--config", cfg, "--jobs", "1",
+                     "--out-dir", str(tmp_path)])
+        # two evaluated points are too few to detect peaks in
+        assert code == EXIT_VERIFY
+        with open(tmp_path / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["skipped"] for r in rows] == ["false", "true", "false"]
+        assert "PoleError" in rows[1]["reason"]
+        assert rows[0]["reason"] == rows[2]["reason"] == ""
+
     def test_rejects_bvp_problem(self, capsys):
         assert main(["scan", "poisson-demo"]) == EXIT_CONFIG
 
@@ -174,6 +196,12 @@ class TestScan:
         assert main(["scan", "--config", cfg]) == EXIT_CONFIG
         assert "bad config" in capsys.readouterr().err
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": "laplace", "jiter": 1e-6})
+        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad config" in err and "jiter" in err
+
 
 class TestProblemSerialization:
     @pytest.mark.parametrize(
@@ -183,3 +211,27 @@ class TestProblemSerialization:
         prob = g.build_preset(preset)
         again = problem_from_obj(json.loads(json.dumps(problem_to_obj(prob))))
         assert again == prob
+
+    def test_json_format_is_pinned(self):
+        # literal dicts: any change here breaks existing config files
+        obj = problem_to_obj(g.loaded_string())
+        assert obj["boundary"][1] == {
+            "location": 1.0,
+            "operator": {
+                "terms": [
+                    {"deriv_order": 1, "coeff": {"const": 1.0}},
+                    {
+                        "deriv_order": 0,
+                        "coeff": {
+                            "quot": [
+                                {"prod": [{"const": 1.0}, "lambda"]},
+                                {"sum": ["lambda", {"neg": {"const": 1.0}}]},
+                            ]
+                        },
+                    },
+                ]
+            },
+            "rhs": 0.0,
+        }
+        grid = problem_to_obj(g.laplace_dirichlet())["grid"]
+        assert grid == {"kind": "log", "lo": 1.0, "hi": 1000.0, "count": 300}

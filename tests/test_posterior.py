@@ -8,11 +8,13 @@ from gpeigen.operators import assemble_blocks
 from gpeigen.posterior import (
     DEFAULT_RCOND,
     DecompositionError,
+    condition,
     regularized_pseudoinverse,
     posterior_covariance,
     sample_posterior,
     solve_bvp,
 )
+from gpeigen.scan import evaluate_trace
 
 
 def random_psd(rng, n, rank=None):
@@ -90,17 +92,39 @@ class TestRegularizedPseudoinverse:
 
 
 class TestPosteriorCovariance:
-    def test_eigen_posterior_basics(self):
-        prob = g.laplace_dirichlet()
-        blocks = assemble_blocks(prob, 42.0)
-        summary = posterior_covariance(blocks, prob.jitter)
-        assert summary.lam == 42.0
+    @pytest.mark.parametrize(
+        "preset,lam", [("laplace", 42.0), ("cantilever", 500.0), ("loaded-string", 42.0)]
+    )
+    def test_eigen_posterior_basics(self, preset, lam):
+        prob = g.build_preset(preset)
+        blocks = assemble_blocks(prob, lam)
+        rcond = DEFAULT_RCOND
+        summary = posterior_covariance(blocks, prob.jitter, rcond)
+        assert summary.lam == lam
         assert summary.cov.shape == (prob.N_t, prob.N_t)
         assert np.array_equal(summary.cov, summary.cov.T)
-        assert np.isclose(summary.trace_J, np.trace(summary.cov))
+        # the scan reads the same core: J agrees exactly, and the factor's
+        # trace agrees with the formed covariance to roundoff
+        J, diag = evaluate_trace(prob, lam, rcond)
+        assert J == max(summary.trace_J, 0.0)
+        assert diag == summary.diag
+        prior_trace = prob.N_t * prob.schedule.variance
+        assert abs(summary.trace_J - np.trace(summary.cov)) <= 1e-12 * prior_trace
         # zero rhs means the mean vanishes exactly, not just approximately
         assert np.all(summary.mean == 0.0)
         assert summary.x_test.shape == (prob.N_t,)
+
+    def test_trace_needs_no_test_gram(self):
+        prob = g.laplace_dirichlet()
+        blocks = assemble_blocks(prob, 42.0)
+        U, W, J, diag = condition(blocks, prob.jitter)
+        assert "K_tt" not in blocks.__dict__
+        assert U.shape == (prob.N_t, diag.rank)
+        assert W.shape == (blocks.constraint_count, diag.rank)
+        assert np.array_equal(U, blocks.K_tC @ W)
+        # the full covariance builds the test Gram once and caches it
+        posterior_covariance(blocks, prob.jitter)
+        assert blocks.__dict__["K_tt"] is blocks.K_tt
 
     def test_posterior_nearly_psd(self):
         prob = g.laplace_dirichlet()
