@@ -244,6 +244,7 @@ def cmd_scan(args) -> int:
             "J_peak": p.J_peak,
             "grid_index": p.grid_index,
             "refined": p.refined,
+            "evaluations": p.evaluations,
         }
         if refs:
             nearest = min(refs, key=lambda r: abs(r - p.lam_hat))
@@ -255,6 +256,11 @@ def cmd_scan(args) -> int:
         "problem": problem.problem_id,
         "grid": problem_to_obj(problem)["grid"],
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
+        "rcond": rcond,
+        "evaluations": {
+            "sweep": n_lams,
+            "refine": sum(p.evaluations for p in refined),
+        },
         "peaks": peak_objs,
     }
     if len([p for p in refined if p.J_peak > 0]) >= 2:

@@ -6,6 +6,13 @@ rational boundary coefficient with a pole).  Applying an operator pair to
 the two kernel arguments reduces to signed radial-profile derivatives, so
 the covariance blocks for a whole problem can be assembled with a handful
 of vectorized evaluations per λ.
+
+The kernel is stationary, so a block between two uniform grids with a
+common step is Toeplitz in i - j.  Such a block (both grids with at least
+two points, each equal to its own ``linspace`` to a few ulps, steps equal
+to a few ulps) is evaluated on its n + n2 - 1 lags, its first column and
+first row, and expanded from them.  Every other block (a non-uniform grid,
+differing steps, a single boundary site) is evaluated densely on all pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import numpy as np
 from .kernel import (
     MAX_DERIV_ORDER,
     KernelSpec,
-    gram,
     radial_profile_derivatives,
 )
 
@@ -164,7 +170,8 @@ class AssembledBlocks:
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
-        return gram(self.spec, (0, 0), self.x_test, self.x_test)
+        ident, x = identity_op(), self.x_test
+        return _block(ident, ident, self.spec, self.lam, x, x).copy()
 
     @property
     def constraint_count(self) -> int:
@@ -198,6 +205,36 @@ def apply_bilinear(
     return out if out.ndim else float(out)
 
 
+def _ulps(a, b) -> float:
+    """Roundoff tolerance for values of magnitude up to max(|a|, |b|)."""
+    return 4 * np.spacing(max(abs(a), abs(b)))
+
+
+def _uniform_step(x: np.ndarray):
+    """The step of x if it is its own linspace to a few ulps, else None."""
+    if x.size < 2:
+        return None
+    if np.max(np.abs(x - np.linspace(x[0], x[-1], x.size))) > _ulps(x[0], x[-1]):
+        return None
+    return (x[-1] - x[0]) / (x.size - 1)
+
+
+def _block(op_left, op_right, spec, lam, x, x2) -> np.ndarray:
+    """apply_bilinear over all pairs (x[i], x2[j]) of two 1-d grids.
+
+    On two uniform grids with a common step the block is Toeplitz, so it is
+    evaluated on its first column and first row only (n + n2 - 1 lags,
+    bitwise equal to the dense entries there) and row i is read from the
+    lag values as a window; the result is then a read-only view.
+    """
+    h, h2 = _uniform_step(x), _uniform_step(x2)
+    if h is None or h2 is None or abs(h - h2) > _ulps(h, h2):
+        return apply_bilinear(op_left, op_right, spec, lam, x[:, None], x2[None, :])
+    r = np.concatenate([x[::-1] - x2[0], x[0] - x2[1:]])
+    vals = apply_bilinear(op_left, op_right, spec, lam, r, 0.0)
+    return np.lib.stride_tricks.sliding_window_view(vals, x2.size)[::-1]
+
+
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     """Build all covariance blocks for `problem` at the given λ.
 
@@ -228,16 +265,14 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
 
     col = 0
     for pts, op in groups:
-        K_tC[:, col : col + pts.size] = apply_bilinear(
-            ident, op, spec, lam, xt[:, None], pts[None, :]
-        )
+        K_tC[:, col : col + pts.size] = _block(ident, op, spec, lam, xt, pts)
         col += pts.size
     row = 0
     for pts_i, op_i in groups:
         col = 0
         for pts_j, op_j in groups:
-            K_CC[row : row + pts_i.size, col : col + pts_j.size] = apply_bilinear(
-                op_i, op_j, spec, lam, pts_i[:, None], pts_j[None, :]
+            K_CC[row : row + pts_i.size, col : col + pts_j.size] = _block(
+                op_i, op_j, spec, lam, pts_i, pts_j
             )
             col += pts_j.size
         row += pts_i.size

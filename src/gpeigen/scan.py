@@ -103,6 +103,7 @@ class PeakRecord:
     J_peak: float
     grid_index: int
     refined: bool = False
+    evaluations: int = 0  # λ-evaluations refinement spent on this peak
 
 
 @dataclass
@@ -227,7 +228,8 @@ def refine_peak(
     """Golden-section maximization of J between the peak's grid neighbors.
 
     Runs until the bracket width drops below (neighbor gap) / 2**iterations
-    and returns the best λ evaluated, never worse than the input peak.
+    and returns the best λ evaluated, never worse than the input peak, with
+    the number of J evaluations spent (0 when iterations is 0).
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -238,15 +240,18 @@ def refine_peak(
     a, b = float(lams[gi - 1]), float(lams[gi + 1])
     target = (b - a) / 2.0**iterations
     best_lam, best_J = peak.lam_hat, peak.J_peak
+    evaluations = 0
     if iterations > 0:
         x1 = b - GOLDEN * (b - a)
         x2 = a + GOLDEN * (b - a)
         f1 = evaluate_trace(problem, x1, rcond)[0]
         f2 = evaluate_trace(problem, x2, rcond)[0]
+        evaluations = 2
         for lam, J in ((x1, f1), (x2, f2)):
             if J > best_J:
                 best_lam, best_J = lam, J
         while b - a > target:
+            evaluations += 1
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + GOLDEN * (b - a)
@@ -264,6 +269,7 @@ def refine_peak(
         J_peak=float(best_J),
         grid_index=gi,
         refined=True,
+        evaluations=evaluations,
     )
 
 

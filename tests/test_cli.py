@@ -16,6 +16,7 @@ from gpeigen.cli import (
     read_spectrum_csv,
 )
 import gpeigen as g
+from gpeigen.scan import SCAN_RCOND
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -127,8 +128,11 @@ class TestScan:
         assert len(doc["peaks"]) >= 2
         for rec in doc["peaks"]:
             assert rec["refined"]
+            assert rec["evaluations"] == 31
             assert min(abs(rec["lambda_hat"] - r) / r for r in refs) <= 0.05
             assert rec["relative_error"] <= 0.05
+        assert doc["rcond"] == SCAN_RCOND
+        assert doc["evaluations"] == {"sweep": 24, "refine": 31 * len(doc["peaks"])}
 
     def test_desk_scan_recovers_laplace_spectrum(self, tmp_path):
         code = main(["scan", "laplace", "--jobs", "4", "--out-dir", str(tmp_path)])

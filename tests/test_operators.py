@@ -1,12 +1,14 @@
 """Coefficient expressions, operator specs, and block assembly."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gpeigen as g
-from gpeigen.kernel import MAX_DERIV_ORDER, KernelSpec, kernel_mixed_derivative
+from gpeigen import operators
+from gpeigen.kernel import MAX_DERIV_ORDER, KernelSpec, gram, kernel_mixed_derivative
 from gpeigen.operators import (
     Const,
     GridError,
@@ -153,17 +155,65 @@ class TestAssembleBlocks:
         blocks = assemble_blocks(g.laplace_dirichlet(), 33.0)
         assert np.array_equal(blocks.K_CC, blocks.K_CC.T)
 
-    def test_interior_block_matches_bilinear(self):
-        prob = g.laplace_dirichlet()
-        lam = 15.0
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (g.laplace_dirichlet(), 15.0),
+            (g.cantilever(), 100.0),
+            (g.loaded_string(), 100.0),
+            # N != N_t: the interior K_tC block has two different steps
+            (dataclasses.replace(g.laplace_dirichlet(), N=40, N_t=57), 15.0),
+            (g.poisson_bvp_demo(), 0.0),
+        ],
+        ids=["laplace", "cantilever", "loaded-string", "dense-tc", "poisson-demo"],
+    )
+    def test_interior_block_matches_bilinear(self, case):
+        # lag-assembled blocks against dense evaluation on all pairs
+        prob, lam = case
         blocks = assemble_blocks(prob, lam)
         spec = prob.kernel_at(lam)
-        xc = prob.collocation_grid()
-        raw = apply_bilinear(
-            prob.interior_op, prob.interior_op, spec, lam, xc[:, None], xc[None, :]
+        xt, xc = prob.test_grid(), prob.collocation_grid()
+        op = prob.interior_op
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        raw = apply_bilinear(op, op, spec, lam, xc[:, None], xc[None, :])
+        assert close(blocks.K_CC[: prob.N, : prob.N], 0.5 * (raw + raw.T))
+        want_tc = apply_bilinear(identity_op(), op, spec, lam, xt[:, None], xc[None, :])
+        assert close(blocks.K_tC[:, : prob.N], want_tc)
+        assert close(blocks.K_tt, gram(spec, (0, 0), xt, xt))
+        assert blocks.K_tt.flags.owndata and blocks.K_tt.flags.c_contiguous
+        assert blocks.K_tt.flags.writeable
+
+    def test_block_structure_follows_the_grids(self):
+        spec = KernelSpec(variance=1.0, length_scale=0.3)
+        op = g.LinearOperatorSpec(
+            (OperatorTermSpec(2, Const(-1.0)), OperatorTermSpec(0, Neg(Lam())))
         )
-        want = 0.5 * (raw + raw.T)
-        assert np.allclose(blocks.K_CC[: prob.N, : prob.N], want, rtol=1e-12)
+        x = np.linspace(0.0, 1.0, 9)
+        shifted = x[:6] + 0.3  # common step, other origin: still Toeplitz
+        want = apply_bilinear(op, op, spec, 3.0, shifted[:, None], x[None, :])
+        got = operators._block(op, op, spec, 3.0, shifted, x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        moved = x.copy()
+        moved[4] += 1e-9  # far above roundoff: evaluated on all pairs
+        want = apply_bilinear(op, op, spec, 3.0, moved[:, None], x[None, :])
+        assert np.array_equal(operators._block(op, op, spec, 3.0, moved, x), want)
+
+    def test_uniform_grids_evaluate_only_lags(self, monkeypatch):
+        # Toeplitz blocks cost n + n2 - 1 radial points, not n * n2
+        seen = []
+        inner = operators.radial_profile_derivatives
+
+        def counted(spec, n_max, r):
+            seen.append(r.size)
+            return inner(spec, n_max, r)
+
+        monkeypatch.setattr(operators, "radial_profile_derivatives", counted)
+        prob = g.laplace_dirichlet("paper")
+        assemble_blocks(prob, 50.0)
+        assert sum(seen) <= 8 * (prob.N + prob.N_t)
 
     def test_cross_block_column_for_boundary_row(self):
         prob = g.cantilever()

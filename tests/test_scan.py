@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gpeigen as g
+import gpeigen.scan
 from gpeigen.scan import (
     SCAN_RCOND,
     HyperSchedule,
@@ -180,6 +181,21 @@ class TestRefinePeak:
         assert out.lam_hat == raw.lam_hat
         assert out.J_peak == raw.J_peak
         assert out.refined
+        assert out.evaluations == 0
+
+    def test_counts_its_evaluations(self, laplace_desk, monkeypatch):
+        # 2 initial points plus 29 golden steps shrink the bracket by 2**-20
+        calls = []
+        inner = gpeigen.scan.evaluate_trace
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(gpeigen.scan, "evaluate_trace", counted)
+        out = refine_peak(laplace_desk.problem, laplace_desk.peaks[0], iterations=20)
+        assert out.evaluations == len(calls) == 31
+        assert all(p.evaluations == 31 for p in laplace_desk.refined)
 
     def test_rejects_negative_iterations(self, laplace_desk):
         with pytest.raises(ValueError):
