@@ -17,7 +17,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .matrixcase import fd_theorem_suite
-from .operators import CoeffExpr, Lam, assemble_blocks
+from .operators import CoeffExpr, Lam, PoleError, assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
     posterior_covariance,
@@ -160,8 +160,24 @@ def resolve_problem(args) -> ProblemSpec:
     else:
         raise ConfigError("need --problem or --config")
     if getattr(args, "jitter", None) is not None:
-        problem = dataclasses.replace(problem, jitter=args.jitter)
+        try:
+            problem = dataclasses.replace(problem, jitter=args.jitter)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return problem
+
+
+def _rcond(args, default: float) -> float:
+    if args.rcond is None:
+        return default
+    if not args.rcond > 0:  # also rejects nan
+        raise ConfigError(f"rcond must be positive, got {args.rcond}")
+    return args.rcond
+
+
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
 
 
 def _out_dir(args) -> Path:
@@ -210,7 +226,9 @@ def cmd_scan(args) -> int:
     problem = resolve_problem(args)
     if problem.mode != "eigen":
         raise ConfigError(f"problem {problem.problem_id!r} is not scannable (bvp mode)")
-    rcond = args.rcond if args.rcond is not None else SCAN_RCOND
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be positive, got {args.jobs}")
+    rcond = _rcond(args, SCAN_RCOND)
     out = _out_dir(args)
     try:
         scan = scan_spectrum(problem, jobs=args.jobs, rcond=rcond)
@@ -285,8 +303,14 @@ def cmd_sample(args) -> int:
         raise ConfigError("sampling needs an eigen-mode problem")
     if args.lam is None:
         raise ConfigError("sample needs --lambda")
-    rcond = args.rcond if args.rcond is not None else DEFAULT_RCOND
-    blocks = assemble_blocks(problem, args.lam)
+    if args.count < 1:
+        raise ConfigError(f"count must be positive, got {args.count}")
+    _check_seed(args)
+    rcond = _rcond(args, DEFAULT_RCOND)
+    try:
+        blocks = assemble_blocks(problem, args.lam)
+    except (ValueError, PoleError) as exc:
+        raise ConfigError(f"cannot condition at lambda = {args.lam}: {exc}") from exc
     summary = posterior_covariance(blocks, problem.jitter, rcond)
     samples = sample_posterior(summary, args.count, args.seed)
 
@@ -320,6 +344,7 @@ def cmd_sample(args) -> int:
 def cmd_fd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
+    _check_seed(args)
     report = fd_theorem_suite(trials=args.trials, seed=args.seed)
     print(f"{'trial':>5} {'dim':>3} {'off_ratio':>10} {'on_trace':>10} "
           f"{'sample_res':>10} {'factor_err':>10} result")

@@ -13,6 +13,20 @@ two points, each equal to its own ``linspace`` to a few ulps, steps equal
 to a few ulps) is evaluated on its n + n2 - 1 lags, its first column and
 first row, and expanded from them.  Every other block (a non-uniform grid,
 differing steps, a single boundary site) is evaluated densely on all pairs.
+
+`assemble_blocks` also decides, from the problem's structure alone, whether
+the constraint rows are symmetric under the reflection x -> c - x, where c
+is the smallest plus the largest constraint location.  The interior grid
+must be its own reversal to a few ulps under an interior operator with only
+even-order terms, and every boundary site must pair with a site at its
+reflected location with an identical even-order operator (a site at the
+midpoint pairs with itself).  Then k(c - x, c - y) = k(x, y) and even-order
+derivatives keep their sign under the reflection, so K_CC is unchanged by
+permuting its rows and columns with the row involution of the reflection,
+which is recorded as `AssembledBlocks.mirror`; `posterior` uses it to
+eigendecompose K_CC as two half-size problems.  K_CC is never inspected
+numerically for this: its entries carry the grid's ulp-level asymmetry
+amplified by r / l^2, so a tolerance test would flip from one λ to the next.
 """
 
 from __future__ import annotations
@@ -156,7 +170,9 @@ class AssembledBlocks:
     operator applied to both arguments at the constraint sites.  Constraint
     rows are ordered interior-first, then boundary sites; rhs stacks the
     same way.  The test-grid kernel K_tt is built on first access, since
-    only the full covariance needs it.
+    only the full covariance needs it.  `mirror` is the row involution of
+    the reflection that leaves the constraint rows invariant (see the
+    module docstring), or None when there is none.
     """
 
     lam: float
@@ -167,6 +183,7 @@ class AssembledBlocks:
     n_interior: int
     x_test: np.ndarray
     x_constraint: np.ndarray
+    mirror: np.ndarray = None
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
@@ -235,6 +252,40 @@ def _block(op_left, op_right, spec, lam, x, x2) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, x2.size)[::-1]
 
 
+def _even_order(op: LinearOperatorSpec) -> bool:
+    return all(t.deriv_order % 2 == 0 for t in op.terms)
+
+
+def _mirror(xi: np.ndarray, interior_op, sites):
+    """Row involution of the reflection that maps the constraint rows onto
+    themselves, or None; rows ordered as in `assemble_blocks`."""
+    locs = np.concatenate([xi, [s.location for s in sites]])
+    lo, hi = locs.min(), locs.max()
+    c, tol = lo + hi, _ulps(lo, hi)
+    if xi.size and (
+        not _even_order(interior_op) or np.max(np.abs(xi + xi[::-1] - c)) > tol
+    ):
+        return None
+    n = xi.size
+    perm = np.arange(n + len(sites))
+    perm[:n] = perm[:n][::-1]
+    unpaired = list(range(len(sites)))
+    while unpaired:
+        s = sites[unpaired[0]]
+        twins = [
+            j
+            for j in unpaired
+            if abs(sites[j].location - (c - s.location)) <= tol
+            and sites[j].operator == s.operator
+        ]
+        if not _even_order(s.operator) or not twins:
+            return None
+        i, j = unpaired[0], twins[0]  # i == j for a site at the midpoint
+        perm[n + i], perm[n + j] = n + j, n + i
+        unpaired = [k for k in unpaired if k not in (i, j)]
+    return perm
+
+
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     """Build all covariance blocks for `problem` at the given λ.
 
@@ -296,4 +347,5 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         n_interior=int(xi.size),
         x_test=xt,
         x_constraint=x_constraint,
+        mirror=_mirror(xi, problem.interior_op, sites),
     )

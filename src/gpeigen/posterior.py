@@ -69,12 +69,7 @@ class EigenfunctionSample:
     residual: float
 
 
-def _truncated_eigh(M, jitter: float, rcond: float):
-    """Eigendecompose M + jitter*I and mark the kept directions.
-
-    The rcond cut applies after the jitter shift and compares magnitudes
-    against the largest one.  Returns (w, V, keep).
-    """
+def _checked(M, jitter: float, rcond: float) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -84,13 +79,21 @@ def _truncated_eigh(M, jitter: float, rcond: float):
         raise ValueError(f"rcond must be positive, got {rcond}")
     if not np.all(np.isfinite(M)):
         raise DecompositionError("matrix has non-finite entries")
+    return M
+
+
+def _eigh(M, jitter: float):
     w, V = np.linalg.eigh(M + jitter * np.eye(len(M)) if jitter else M)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("eigendecomposition returned non-finite values")
+    return w, V
+
+
+def _keep(w, rcond: float) -> np.ndarray:
+    """The rcond cut: magnitudes against the largest one, after the shift."""
     sv = np.abs(w)
     # sv > 0 keeps nothing of an all-zero matrix, where the relative cut is 0
-    keep = (sv >= rcond * sv.max(initial=0.0)) & (sv > 0)
-    return w, V, keep
+    return (sv >= rcond * sv.max(initial=0.0)) & (sv > 0)
 
 
 def _diagnostics(w, keep, jitter: float) -> PseudoinverseDiag:
@@ -111,7 +114,8 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     whose magnitude falls below rcond * max|eigenvalue| are zeroed.  The
     rcond cut applies after the jitter shift.  Returns (pinv, diagnostics).
     """
-    w, V, keep = _truncated_eigh(M, jitter, rcond)
+    w, V = _eigh(_checked(M, jitter, rcond), jitter)
+    keep = _keep(w, rcond)
     inv = np.zeros(w.size)
     inv[keep] = 1.0 / w[keep]
     P = (V * inv) @ V.T
@@ -119,14 +123,50 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     return P, _diagnostics(w, keep, jitter)
 
 
-def _kept_eigh(K_CC, jitter: float, rcond: float):
-    """`_truncated_eigh` with the kept set narrowed to w > 0.
+def _mirror_eigh(K, mirror, jitter: float):
+    """Eigenpairs of K + jitter*I for K invariant under the row involution
+    `mirror` (K[mirror][:, mirror] == K), from two half-size problems.
 
-    Negative eigenvalues of the shifted Gram are roundoff with no real
-    square root, so neither the downdate nor the likelihood can use them.
+    With rows paired p <-> q = mirror[p] and fixed rows f, the orthogonal
+    basis (e_p + e_q)/sqrt2, e_f, (e_p - e_q)/sqrt2 makes K block diagonal
+    (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288): an even
+    half [[A + B, C], [C^T, K_ff]] and an odd half A - B, built from the
+    averaged mirrored entries below.  Returns (w, V) like `eigh`, the even
+    eigenpairs first, with V in the original row order.
     """
-    w, V, keep = _truncated_eigh(K_CC, jitter, rcond)
-    return w, V, keep & (w > 0)
+    rows = np.arange(len(mirror))
+    p, f = rows[mirror > rows], rows[mirror == rows]
+    q = mirror[p]
+    A = 0.5 * (K[np.ix_(p, p)] + K[np.ix_(q, q)])
+    K_pq = K[np.ix_(p, q)]
+    B = 0.5 * (K_pq + K_pq.T)  # K_qp, as K is symmetric
+    C = np.sqrt(0.5) * (K[np.ix_(p, f)] + K[np.ix_(q, f)])
+    w_even, Y_even = _eigh(np.block([[A + B, C], [C.T, K[np.ix_(f, f)]]]), jitter)
+    w_odd, Y_odd = _eigh(A - B, jitter)
+    n = w_even.size
+    V = np.zeros((len(K), len(K)))  # odd vectors vanish on fixed rows
+    V[p, :n] = V[q, :n] = np.sqrt(0.5) * Y_even[: p.size]
+    V[f, :n] = Y_even[p.size :]
+    V[p, n:] = np.sqrt(0.5) * Y_odd
+    V[q, n:] = -V[p, n:]
+    return np.concatenate([w_even, w_odd]), V
+
+
+def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
+    """Eigenpairs (w, V) of K_CC + jitter*I and the kept set.
+
+    The kept set is the rcond cut narrowed to w > 0: negative eigenvalues
+    of the shifted Gram are roundoff with no real square root, so neither
+    the downdate nor the likelihood can use them.  With a `blocks.mirror`
+    the eigenpairs come from `_mirror_eigh`, and the one cut applies to the
+    union of both halves' eigenvalues.  Returns (w, V, keep).
+    """
+    K = _checked(blocks.K_CC, jitter, rcond)
+    if blocks.mirror is None:
+        w, V = _eigh(K, jitter)
+    else:
+        w, V = _mirror_eigh(K, blocks.mirror, jitter)
+    return w, V, _keep(w, rcond) & (w > 0)
 
 
 def condition(blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND):
@@ -138,8 +178,15 @@ def condition(blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCO
     an explicit pseudoinverse.  Kept directions also need w > 0 (see
     `_kept_eigh`).  Since k(x, x) = variance, the trace is
     J = N_t * variance - ||U||_F^2.  Returns (U, W, J, diagnostics).
+
+    When `blocks.mirror` is set (a problem symmetric under reflection, see
+    `operators`), K_CC is split into its even and odd halves and each is
+    eigendecomposed at half the size; the eigenpairs are those of K_CC
+    averaged with its mirror image, which differs from K_CC only by the
+    roundoff of assembly.  W's columns are then the kept even directions
+    followed by the kept odd ones, and everything else is unchanged.
     """
-    w, V, keep = _kept_eigh(blocks.K_CC, jitter, rcond)
+    w, V, keep = _kept_eigh(blocks, jitter, rcond)
     W = V[:, keep] / np.sqrt(w[keep])
     U = blocks.K_tC @ W
     J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
@@ -156,7 +203,7 @@ def neg_log_marginal_likelihood(
     eigenvalues w, the value is 0.5 sum(a^2 / w) + 0.5 sum(log w)
     + 0.5 r log(2 pi).
     """
-    w, V, keep = _kept_eigh(blocks.K_CC, jitter, rcond)
+    w, V, keep = _kept_eigh(blocks, jitter, rcond)
     w = w[keep]
     a = V[:, keep].T @ blocks.rhs
     quad, logdet = np.sum(a * a / w), np.sum(np.log(w))

@@ -64,7 +64,7 @@ class ProblemSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.N_t < 2:
             raise ValueError(f"N_t must be at least 2, got {self.N_t}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:  # also rejects nan
             raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
         if self.mode == "eigen":
             if self.N < 1:

@@ -52,6 +52,10 @@ class TestListAndVerify:
         assert main(["fd-verify", "--trials", "0"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_fd_verify_rejects_negative_seed(self, capsys):
+        assert main(["fd-verify", "--trials", "2", "--seed", "-1"]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBvpDemo:
     def test_single_nf_output(self, tmp_path, capsys):
@@ -107,8 +111,48 @@ class TestSample:
     def test_rejects_bvp_problem(self, capsys):
         assert main(["sample", "poisson-demo", "--lambda", "1.0"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda", "10.0", "--count", "0"],
+            # the length-scale schedule needs lambda > 0
+            ["--lambda", "-5"],
+            ["--lambda", "10.0", "--rcond", "-1"],
+            ["--lambda", "10.0", "--seed", "-1"],
+        ],
+        ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed"],
+    )
+    def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
+        code = main(["sample", "laplace", *flags, "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not (tmp_path / "samples.csv").exists()
+
 
 class TestScan:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "0"],
+            ["--jobs", "-3"],
+            ["--rcond", "-1"],
+            ["--rcond", "0"],
+            ["--rcond", "nan"],
+            ["--jitter", "-1"],
+        ],
+        ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
+             "jitter-negative"],
+    )
+    def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
+        # refused before the sweep: no λ is evaluated, no spectrum written
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        code = main(["scan", "--config", cfg, *flags, "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_small_config_scan_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SCAN)
         code = main(["scan", "--config", cfg, "--jobs", "1",

@@ -215,6 +215,59 @@ class TestAssembleBlocks:
         assemble_blocks(prob, 50.0)
         assert sum(seen) <= 8 * (prob.N + prob.N_t)
 
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), 42.0),
+            (g.laplace_dirichlet("paper"), 42.0),
+            (g.poisson_bvp_demo(), 0.0),
+        ],
+        ids=["laplace", "laplace-paper", "poisson-demo"],
+    )
+    def test_symmetric_problems_get_a_mirror(self, prob, lam):
+        blocks = assemble_blocks(prob, lam)
+        m, n = blocks.mirror, prob.N
+        assert np.array_equal(m[m], np.arange(blocks.constraint_count))
+        assert np.array_equal(m[:n], np.arange(n)[::-1])
+        assert m[n:].tolist() == [n + 1, n]  # the sites at 0 and 1 swap
+        # the involution reflects the constraint locations and leaves K_CC
+        # unchanged up to the roundoff of assembly
+        xc = blocks.x_constraint
+        assert np.max(np.abs(xc[m] - (1.0 - xc))) <= 1e-15
+        K = blocks.K_CC
+        assert np.max(np.abs(K[np.ix_(m, m)] - K)) <= 1e-14 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize(
+        "prob", [g.cantilever(), g.loaded_string()], ids=["cantilever", "loaded-string"]
+    )
+    def test_asymmetric_boundaries_get_none(self, prob):
+        assert assemble_blocks(prob, 100.0).mirror is None
+
+    def test_odd_grid_fixes_its_middle_row(self):
+        prob = dataclasses.replace(g.laplace_dirichlet(), N=201)
+        m = assemble_blocks(prob, 42.0).mirror
+        assert np.flatnonzero(m == np.arange(m.size)).tolist() == [100]
+
+    def test_midpoint_site_pairs_with_itself(self):
+        prob = g.laplace_dirichlet()
+        middle = g.ConstraintSite(0.5, identity_op())
+        prob = dataclasses.replace(prob, boundary=prob.boundary + (middle,))
+        m = assemble_blocks(prob, 42.0).mirror
+        assert m[prob.N :].tolist() == [prob.N + 1, prob.N, prob.N + 2]
+
+    def test_one_sided_boundary_gets_none(self):
+        prob = g.laplace_dirichlet()
+        left_only = dataclasses.replace(prob, boundary=prob.boundary[:1])
+        assert assemble_blocks(left_only, 42.0).mirror is None
+
+    def test_first_order_interior_term_gets_none(self):
+        prob = g.laplace_dirichlet()
+        drift = g.LinearOperatorSpec(
+            prob.interior_op.terms + (OperatorTermSpec(1, Const(0.5)),)
+        )
+        prob = dataclasses.replace(prob, interior_op=drift)
+        assert assemble_blocks(prob, 42.0).mirror is None
+
     def test_cross_block_column_for_boundary_row(self):
         prob = g.cantilever()
         blocks = assemble_blocks(prob, 100.0)

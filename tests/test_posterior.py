@@ -1,14 +1,19 @@
 """Pseudoinverse, posterior conditioning, sampling, and the BVP path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gpeigen as g
-from gpeigen.operators import assemble_blocks
+from gpeigen.kernel import KernelSpec, gram
+from gpeigen.matrixcase import RCOND_EXACT, FiniteDimCase, fd_posterior_covariance
+from gpeigen.operators import AssembledBlocks, assemble_blocks
 from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
     DEFAULT_RCOND,
     DecompositionError,
+    _kept_eigh,
     condition,
     neg_log_marginal_likelihood,
     regularized_pseudoinverse,
@@ -149,6 +154,96 @@ class TestPosteriorCovariance:
         assert on.trace_J > 100.0 * off.trace_J
 
 
+def _odd_laplace():
+    return dataclasses.replace(g.laplace_dirichlet(), N=201)
+
+
+class TestMirrorSplit:
+    """The even/odd split of a mirror-symmetric K_CC against the full eigh."""
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), np.pi**2),
+            (g.laplace_dirichlet(), 4 * np.pi**2),
+            (g.laplace_dirichlet(), 50.0),
+            (g.laplace_dirichlet(), 400.0),
+            (_odd_laplace(), 4 * np.pi**2),
+            (g.poisson_bvp_demo(), 0.0),
+            # N_f = 9 gives the BVP's interior grid a fixed middle row
+            (dataclasses.replace(g.poisson_bvp_demo(), N=9), 0.0),
+        ],
+        ids=["laplace-pi2", "laplace-4pi2", "laplace-50", "laplace-400",
+             "laplace-odd", "poisson-demo", "poisson-odd"],
+    )
+    def test_split_matches_full_eigh(self, prob, lam):
+        blocks = assemble_blocks(prob, lam)
+        assert blocks.mirror is not None
+        full = dataclasses.replace(blocks, mirror=None)
+        U, W, J, diag = condition(blocks, prob.jitter)
+        U0, W0, J0, diag0 = condition(full, prob.jitter)
+        assert diag.rank == diag0.rank
+        assert diag.truncated_count == diag0.truncated_count
+        assert abs(diag.sv_max - diag0.sv_max) <= 1e-13 * diag0.sv_max
+        variance = blocks.spec.variance
+        assert abs(J - J0) <= 1e-6 * prob.N_t * variance
+        assert np.max(np.abs(U @ U.T - U0 @ U0.T)) <= 1e-6 * variance
+        assert np.array_equal(U, blocks.K_tC @ W)
+
+        nlml = neg_log_marginal_likelihood(blocks, prob.jitter)
+        nlml0 = neg_log_marginal_likelihood(full, prob.jitter)
+        if np.any(blocks.rhs):
+            assert abs(nlml - nlml0) <= 1e-9 * abs(nlml0)
+        else:
+            # with no data the value is 0.5 sum(log w) + const down to the
+            # rcond cut, so an eigenvalue error of delta (Weyl: at most the
+            # roundoff m eps sv_max of either path) moves it by delta / 2w
+            w, _, keep = _kept_eigh(full, prob.jitter, DEFAULT_RCOND)
+            delta = w.size * np.finfo(float).eps * diag0.sv_max
+            assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (w[keep] - delta))
+
+    def test_eigenpairs_in_row_order(self):
+        prob = _odd_laplace()
+        blocks = assemble_blocks(prob, 50.0)
+        w, V, _ = _kept_eigh(blocks, prob.jitter, DEFAULT_RCOND)
+        assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+        K = blocks.K_CC + prob.jitter * np.eye(blocks.constraint_count)
+        assert np.max(np.abs(K @ V - V * w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_ground_truth_against_matrixcase(self, n):
+        # A = L - λI with L the Dirichlet second difference and K an SE Gram
+        # on a symmetric uniform grid: both commute with the reversal, so
+        # A K A^T is centrosymmetric and the split applies exactly
+        x = np.linspace(0.0, 1.0, n)
+        L = (n + 1) ** 2 * (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        spec = KernelSpec(variance=1.0, length_scale=0.1)
+        K = gram(spec, (0, 0), x, x)
+        ev = np.linalg.eigvalsh(L)
+        on = [ev[0], ev[1], ev[-1]]  # even, odd and the top eigenvector
+        off = [0.5 * (ev[0] + ev[1]), 0.5 * (ev[3] + ev[4])]
+        for lam in on + off:
+            case = FiniteDimCase(L, K, lam)
+            A = case.system_matrix()
+            M = A @ K @ A.T
+            blocks = AssembledBlocks(
+                lam=lam,
+                spec=spec,
+                K_tC=K @ A.T,
+                K_CC=0.5 * (M + M.T),
+                rhs=np.zeros(n),
+                n_interior=n,
+                x_test=x,
+                x_constraint=x,
+                mirror=np.arange(n)[::-1],
+            )
+            U, _, J, diag = condition(blocks, 0.0, RCOND_EXACT)
+            want = fd_posterior_covariance(case)
+            assert diag.rank == (n - 1 if lam in on else n)
+            assert np.max(np.abs(K - U @ U.T - want)) <= 1e-12 * np.max(K)
+            assert abs(J - np.trace(want)) <= 1e-12 * n
+
+
 @pytest.fixture(scope="module")
 def peak_summary():
     prob = g.laplace_dirichlet()
@@ -254,6 +349,14 @@ class TestSolveBvp:
         assert neg_log_marginal_likelihood(
             summary.blocks, prob.jitter
         ) < neg_log_marginal_likelihood(at_preset, prob.jitter)
+
+    def test_fit_unchanged_by_the_mirror_split(self):
+        prob = g.poisson_bvp_demo()
+        summary = solve_bvp(prob, 8)
+        assert summary.blocks.mirror is not None
+        exact = -5.0 * summary.x_test**2 + 5.0 * summary.x_test
+        assert round(summary.blocks.spec.length_scale, 3) == 0.397
+        assert float(f"{np.max(np.abs(summary.mean - exact)):.3g}") == 6.29e-4
 
     def test_no_data_keeps_preset_kernel(self):
         prob = g.poisson_bvp_demo()
