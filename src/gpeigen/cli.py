@@ -11,15 +11,18 @@ import csv
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .matrixcase import fd_theorem_suite
 from .operators import CoeffExpr, Lam, PoleError, assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
+    DecompositionError,
     posterior_covariance,
     sample_posterior,
     solve_bvp,
@@ -223,6 +226,7 @@ def read_spectrum_csv(path):
 
 
 def cmd_scan(args) -> int:
+    t0 = time.perf_counter()
     problem = resolve_problem(args)
     if problem.mode != "eigen":
         raise ConfigError(f"problem {problem.problem_id!r} is not scannable (bvp mode)")
@@ -239,12 +243,17 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     n_lams = len(scan.points)
-    refined = [
-        refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
-        if 0 < p.grid_index < n_lams - 1
-        else p
-        for p in peaks
-    ]
+    # a peak whose refinement fails keeps its grid location and says why
+    refined, refine_errors = [], []
+    for p in peaks:
+        error = None
+        if 0 < p.grid_index < n_lams - 1:
+            try:
+                p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
+            except (PoleError, DecompositionError, ValueError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        refined.append(p)
+        refine_errors.append(error)
     scan.peaks = refined
 
     refs = []
@@ -256,7 +265,7 @@ def cmd_scan(args) -> int:
         pass
 
     peak_objs = []
-    for p in refined:
+    for p, error in zip(refined, refine_errors):
         rec = {
             "lambda_hat": p.lam_hat,
             "J_peak": p.J_peak,
@@ -264,6 +273,8 @@ def cmd_scan(args) -> int:
             "refined": p.refined,
             "evaluations": p.evaluations,
         }
+        if error is not None:
+            rec["refine_error"] = error
         if refs:
             nearest = min(refs, key=lambda r: abs(r - p.lam_hat))
             rec["nearest_reference"] = nearest
@@ -272,9 +283,12 @@ def cmd_scan(args) -> int:
 
     doc = {
         "problem": problem.problem_id,
+        "version": __version__,
         "grid": problem_to_obj(problem)["grid"],
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "rcond": rcond,
+        "jobs": args.jobs,
+        "refine_iterations": REFINE_ITERATIONS,
         "evaluations": {
             "sweep": n_lams,
             "refine": sum(p.evaluations for p in refined),
@@ -285,6 +299,7 @@ def cmd_scan(args) -> int:
         slope, intercept = fit_decay_slope(refined)
         doc["decay_slope"] = slope
         doc["decay_intercept"] = intercept
+    doc["wall_s"] = time.perf_counter() - t0
     with open(out / "peaks.json", "w") as fh:
         json.dump(doc, fh, indent=2)
 
@@ -293,6 +308,8 @@ def cmd_scan(args) -> int:
         line = f"  lambda = {rec['lambda_hat']:.6g}  J = {rec['J_peak']:.3e}"
         if "relative_error" in rec:
             line += f"  (ref {rec['nearest_reference']:.6g}, err {rec['relative_error']:.2%})"
+        if "refine_error" in rec:
+            line += f"  (not refined: {rec['refine_error']})"
         print(line)
     return EXIT_OK
 

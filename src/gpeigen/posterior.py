@@ -83,7 +83,10 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
 
 
 def _eigh(M, jitter: float):
-    w, V = np.linalg.eigh(M + jitter * np.eye(len(M)) if jitter else M)
+    if jitter:
+        M = M.copy()  # shift the diagonal in place; no identity matrix
+        M.flat[:: len(M) + 1] += jitter
+    w, V = np.linalg.eigh(M)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("eigendecomposition returned non-finite values")
     return w, V

@@ -44,7 +44,7 @@ def laplace_desk():
 @pytest.fixture(scope="session")
 def laplace_paper():
     # The full-size run is slow on one core, so only the dominant peaks
-    # get golden-section refinement; the rest stay at grid resolution.
+    # get Brent refinement; the rest stay at grid resolution.
     return _scan_and_refine(g.laplace_dirichlet(scale="paper"), refine_top=6)
 
 

@@ -10,12 +10,16 @@ from gpeigen.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
+    REFINE_ITERATIONS,
     main,
     problem_from_obj,
     problem_to_obj,
     read_spectrum_csv,
 )
 import gpeigen as g
+import gpeigen.cli
+import gpeigen.scan
+from gpeigen.operators import PoleError
 from gpeigen.scan import SCAN_RCOND
 
 
@@ -172,11 +176,52 @@ class TestScan:
         assert len(doc["peaks"]) >= 2
         for rec in doc["peaks"]:
             assert rec["refined"]
-            assert rec["evaluations"] == 31
+            assert 0 < rec["evaluations"] <= 31
+            assert "refine_error" not in rec
             assert min(abs(rec["lambda_hat"] - r) / r for r in refs) <= 0.05
             assert rec["relative_error"] <= 0.05
         assert doc["rcond"] == SCAN_RCOND
-        assert doc["evaluations"] == {"sweep": 24, "refine": 31 * len(doc["peaks"])}
+        assert doc["evaluations"] == {
+            "sweep": 24,
+            "refine": sum(rec["evaluations"] for rec in doc["peaks"]),
+        }
+        assert doc["version"] == g.__version__
+        assert doc["jobs"] == 1
+        assert doc["refine_iterations"] == REFINE_ITERATIONS
+        assert doc["wall_s"] > 0.0
+
+    def test_failed_refinement_keeps_grid_peak(self, tmp_path, monkeypatch, capsys):
+        # the second J evaluation after the sweep, inside the first peak's
+        # bracket, hits a pole: that peak stays at its grid point and says why
+        inner_scan, inner_eval = gpeigen.cli.scan_spectrum, gpeigen.scan.evaluate_trace
+        calls = []
+
+        def failing_eval(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise PoleError("coefficient denominator vanishes")
+            return inner_eval(*args, **kwargs)
+
+        def scan_then_fail(*args, **kwargs):
+            scan = inner_scan(*args, **kwargs)
+            monkeypatch.setattr(gpeigen.scan, "evaluate_trace", failing_eval)
+            return scan
+
+        monkeypatch.setattr(gpeigen.cli, "scan_spectrum", scan_then_fail)
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        code = main(["scan", "--config", cfg, "--jobs", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        first, *rest = doc["peaks"]
+        assert first["refine_error"].startswith("PoleError: ")
+        assert not first["refined"]
+        assert first["evaluations"] == 0
+        rows = read_spectrum_csv(tmp_path / "spectrum.csv")
+        assert first["lambda_hat"] == rows[first["grid_index"]][0]
+        assert rest and all(rec["refined"] for rec in rest)
+        assert all("refine_error" not in rec for rec in rest)
+        assert "not refined: PoleError" in capsys.readouterr().out
 
     def test_desk_scan_recovers_laplace_spectrum(self, tmp_path):
         code = main(["scan", "laplace", "--jobs", "4", "--out-dir", str(tmp_path)])

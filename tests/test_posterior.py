@@ -13,6 +13,7 @@ from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
     DEFAULT_RCOND,
     DecompositionError,
+    _eigh,
     _kept_eigh,
     condition,
     neg_log_marginal_likelihood,
@@ -156,6 +157,27 @@ class TestPosteriorCovariance:
 
 def _odd_laplace():
     return dataclasses.replace(g.laplace_dirichlet(), N=201)
+
+
+class TestEighJitter:
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), 50.0),
+            (g.cantilever(), 100.0),
+            (g.loaded_string(), 30.0),
+        ],
+        ids=["laplace", "cantilever", "loaded-string"],
+    )
+    def test_diagonal_shift_is_bitwise_the_identity_sum(self, prob, lam):
+        # the in-place diagonal shift must give exactly K + jitter*I
+        K = assemble_blocks(prob, lam).K_CC
+        before = K.copy()
+        w, V = _eigh(K, prob.jitter)
+        w0, V0 = np.linalg.eigh(K + prob.jitter * np.eye(len(K)))
+        assert np.array_equal(w, w0)
+        assert np.array_equal(V, V0)
+        assert np.array_equal(K, before)
 
 
 class TestMirrorSplit:
