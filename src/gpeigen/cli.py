@@ -22,7 +22,6 @@ from .matrixcase import fd_theorem_suite
 from .operators import CoeffExpr, Lam, PoleError, assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
-    DecompositionError,
     posterior_covariance,
     sample_posterior,
     solve_bvp,
@@ -35,6 +34,7 @@ from .problems import (
     references_in_window,
 )
 from .scan import (
+    EVALUATION_ERRORS,
     SCAN_RCOND,
     ScanError,
     TooFewPointsError,
@@ -208,23 +208,6 @@ def write_spectrum_csv(path, scan) -> None:
                             _fmt(d.sv_max), _fmt(d.sv_min_kept), ""])
 
 
-def read_spectrum_csv(path):
-    """Parse a spectrum CSV back into (lambda, trace_J, skipped) records."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            skipped = rec["skipped"] == "true"
-            rows.append(
-                (
-                    float(rec["lambda"]),
-                    None if skipped else float(rec["trace_J"]),
-                    skipped,
-                )
-            )
-    return rows
-
-
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     problem = resolve_problem(args)
@@ -243,19 +226,6 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     n_lams = len(scan.points)
-    # a peak whose refinement fails keeps its grid location and says why
-    refined, refine_errors = [], []
-    for p in peaks:
-        error = None
-        if 0 < p.grid_index < n_lams - 1:
-            try:
-                p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
-            except (PoleError, DecompositionError, ValueError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        refined.append(p)
-        refine_errors.append(error)
-    scan.peaks = refined
-
     refs = []
     try:
         refs = references_in_window(
@@ -264,8 +234,15 @@ def cmd_scan(args) -> int:
     except ValueError:
         pass
 
-    peak_objs = []
-    for p, error in zip(refined, refine_errors):
+    # a peak whose refinement fails keeps its grid location and says why
+    refined, peak_objs = [], []
+    for p in peaks:
+        error = None
+        try:
+            p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
+        except EVALUATION_ERRORS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        refined.append(p)
         rec = {
             "lambda_hat": p.lam_hat,
             "J_peak": p.J_peak,

@@ -27,7 +27,7 @@ DEFAULT_RCOND = 1e-12
 # solve_bvp fits the length scale inside [lo * l0, hi * l0], l0 the preset's
 BVP_LENGTH_BRACKET = (0.25, 5.0)
 
-NORMALIZATIONS = ("none", "sup_norm", "l2")
+NORMALIZATIONS = ("none", "sup_norm")
 
 
 class DecompositionError(RuntimeError):
@@ -54,7 +54,7 @@ class PosteriorSummary:
     cov: np.ndarray
     mean: np.ndarray
     diag: PseudoinverseDiag
-    blocks: AssembledBlocks = field(repr=False, default=None)
+    blocks: AssembledBlocks = field(repr=False)
 
     @property
     def x_test(self) -> np.ndarray:
@@ -64,7 +64,6 @@ class PosteriorSummary:
 @dataclass
 class EigenfunctionSample:
     values: np.ndarray
-    seed: int
     normalization: str
     residual: float
 
@@ -260,7 +259,7 @@ def sample_posterior(
 
     R = None
     blocks = summary.blocks
-    if blocks is not None and blocks.n_interior > 0:
+    if blocks.n_interior > 0:
         Ptt, _ = regularized_pseudoinverse(blocks.K_tt, 0.0, DEFAULT_RCOND)
         R = blocks.K_tC[:, : blocks.n_interior].T @ Ptt
 
@@ -277,15 +276,9 @@ def sample_posterior(
             peak = float(np.max(np.abs(raw)))
             if peak > 0:
                 values = raw / peak
-        elif normalization == "l2":
-            if nrm > 0:
-                values = raw / nrm
         out.append(
             EigenfunctionSample(
-                values=values,
-                seed=int(seed),
-                normalization=normalization,
-                residual=residual,
+                values=values, normalization=normalization, residual=residual
             )
         )
     return out

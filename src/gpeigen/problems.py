@@ -29,8 +29,6 @@ SCALES = {
     "paper": {"N": 500, "N_t": 500, "n_lambda": 500},
 }
 
-PROBLEM_IDS = ("laplace", "cantilever", "loaded-string", "poisson-demo")
-
 
 class BracketError(ValueError):
     """Root search exhausted its range before finding enough sign changes."""
@@ -52,7 +50,6 @@ class ProblemSpec:
     grid: LambdaGrid = None
     fixed_kernel: KernelSpec = None
     rhs_const: float = 0.0
-    rhs_table: tuple[float, ...] = None
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
@@ -81,10 +78,6 @@ class ProblemSpec:
                 raise ValueError(
                     f"boundary site at {site.location} outside domain {self.domain}"
                 )
-        if self.rhs_table is not None:
-            object.__setattr__(self, "rhs_table", tuple(self.rhs_table))
-            if len(self.rhs_table) != self.N:
-                raise ValueError("rhs_table length must equal N")
 
     def test_grid(self) -> np.ndarray:
         lo, hi = self.domain
@@ -102,8 +95,6 @@ class ProblemSpec:
         x = np.asarray(x, dtype=float)
         if self.mode == "eigen":
             return np.zeros_like(x)
-        if self.rhs_table is not None:
-            return np.asarray(self.rhs_table, dtype=float)
         return np.full_like(x, self.rhs_const)
 
     def kernel_at(self, lam: float) -> KernelSpec:

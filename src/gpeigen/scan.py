@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .operators import assemble_blocks
-from .posterior import PseudoinverseDiag, condition
+from .posterior import DecompositionError, PseudoinverseDiag, condition
 # unused here, but bench/spans.py patches gpeigen.scan.posterior_covariance
 from .posterior import posterior_covariance  # noqa: F401
 
@@ -30,6 +30,12 @@ from .posterior import posterior_covariance  # noqa: F401
 SCAN_RCOND = 1e-11
 
 GRID_KINDS = ("linear", "log", "power_root")
+
+# What a failed λ-evaluation may raise: ArithmeticError covers PoleError and
+# float overflow; ValueError covers the schedule's λ <= 0, KernelSpec,
+# GridError, UnsupportedOrderError and numpy.linalg.LinAlgError.  Anything
+# else is a programming error and propagates.
+EVALUATION_ERRORS = (ArithmeticError, ValueError, DecompositionError)
 
 
 class ScanError(RuntimeError):
@@ -107,11 +113,7 @@ class PeakRecord:
 
 @dataclass
 class SpectralScan:
-    problem_id: str
-    grid: LambdaGrid
-    schedule: HyperSchedule
     points: list
-    peaks: list = field(default_factory=list)
 
 
 def make_lambda_grid(grid: LambdaGrid) -> np.ndarray:
@@ -158,7 +160,7 @@ def _scan_one(args) -> ScanPoint:
     problem, lam, rcond = args
     try:
         J, diag = evaluate_trace(problem, lam, rcond)
-    except Exception as exc:
+    except EVALUATION_ERRORS as exc:
         return ScanPoint(
             lam=float(lam),
             J=0.0,
@@ -169,17 +171,18 @@ def _scan_one(args) -> ScanPoint:
     return ScanPoint(lam=float(lam), J=J, diag=diag)
 
 
-def scan_spectrum(problem, jobs: int = None, rcond: float = SCAN_RCOND) -> SpectralScan:
+def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> SpectralScan:
     """Evaluate J over the problem's λ grid.
 
     Serial by default (bitwise reproducible); jobs > 1 evaluates grid
     points in worker processes and gathers results in grid order.  Points
-    that fail (coefficient poles, degenerate assemblies) are marked
-    skipped with the reason; the scan fails only if every point does.
+    whose evaluation raises one of EVALUATION_ERRORS (coefficient poles,
+    degenerate assemblies) are marked skipped with the reason; the scan
+    fails only if every point does.
     """
     lams = make_lambda_grid(problem.grid)
     tasks = [(problem, lam, rcond) for lam in lams]
-    if jobs is not None and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (4 * jobs))
             points = list(pool.map(_scan_one, tasks, chunksize=chunk))
@@ -188,12 +191,7 @@ def scan_spectrum(problem, jobs: int = None, rcond: float = SCAN_RCOND) -> Spect
     if all(p.skipped for p in points):
         reasons = {p.reason for p in points}
         raise ScanError(f"all {len(points)} grid points failed: {sorted(reasons)}")
-    return SpectralScan(
-        problem_id=problem.problem_id,
-        grid=problem.grid,
-        schedule=problem.schedule,
-        points=points,
-    )
+    return SpectralScan(points=points)
 
 
 def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):

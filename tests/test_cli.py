@@ -14,13 +14,23 @@ from gpeigen.cli import (
     main,
     problem_from_obj,
     problem_to_obj,
-    read_spectrum_csv,
 )
 import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
 from gpeigen.scan import SCAN_RCOND
+
+
+def read_spectrum_csv(path):
+    """(lambda, trace_J, skipped) per row of a spectrum CSV."""
+    with open(path, newline="") as fh:
+        return [
+            (float(rec["lambda"]),
+             None if rec["skipped"] == "true" else float(rec["trace_J"]),
+             rec["skipped"] == "true")
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -289,11 +299,20 @@ class TestScan:
         assert main(["scan", "--config", cfg]) == EXIT_CONFIG
         assert "bad config" in capsys.readouterr().err
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"problem": "laplace", "jiter": 1e-6})
-        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"jiter": 1e-6}, "jiter"),
+            ({"N": 40, "N_t": 40, "rhs_table": [0.0] * 40}, "rhs_table"),
+        ],
+        ids=["jiter", "rhs_table"],
+    )
+    def test_unknown_config_key(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, {"problem": "laplace", **extra})
+        code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "bad config" in err and "jiter" in err
+        assert "bad config" in err and key in err
 
 
 class TestProblemSerialization:

@@ -1,7 +1,5 @@
 """Problem presets, validation, and reference eigenvalue oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -161,11 +159,6 @@ class TestProblemValidation:
         kw["boundary"] = (ConstraintSite(1.5, identity_op()),)
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
-
-    def test_rhs_table_length_checked(self):
-        prob = g.poisson_bvp_demo()
-        with pytest.raises(ValueError):
-            dataclasses.replace(prob, rhs_table=(1.0, 2.0))
 
 
 class TestReferenceOracles:

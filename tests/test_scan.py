@@ -99,12 +99,7 @@ def synthetic_scan(J_values, skipped=()):
                   skipped=(i in skipped), reason="x" if i in skipped else "")
         for i, J in enumerate(J_values)
     ]
-    return SpectralScan(
-        problem_id="synthetic",
-        grid=LambdaGrid("linear", 1.0, float(len(J_values)), len(J_values)),
-        schedule=None,
-        points=points,
-    )
+    return SpectralScan(points=points)
 
 
 class TestDetectPeaks:
@@ -268,6 +263,15 @@ class TestScanSpectrum:
         assert "PoleError" in mid.reason
         assert not scan.points[0].skipped
         assert not scan.points[2].skipped
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only evaluation errors mark a point skipped; a bug is not a reason
+        def broken(problem, lam):
+            raise TypeError("bug in assembly")
+
+        monkeypatch.setattr(gpeigen.scan, "assemble_blocks", broken)
+        with pytest.raises(TypeError, match="bug in assembly"):
+            scan_spectrum(small_laplace())
 
     def test_all_points_failing_raises(self):
         prob = g.laplace_dirichlet()
