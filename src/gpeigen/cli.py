@@ -35,6 +35,7 @@ from .problems import (
 )
 from .scan import (
     EVALUATION_ERRORS,
+    REFINE_RTOL,
     SCAN_RCOND,
     ScanError,
     TooFewPointsError,
@@ -51,7 +52,8 @@ EXIT_CONFIG = 2
 REFINE_ITERATIONS = 20
 
 SPECTRUM_COLUMNS = (
-    "lambda", "trace_J", "skipped", "rank", "sv_max", "sv_min_kept", "reason"
+    "lambda", "trace_J", "skipped", "rank", "truncated", "sv_max", "sv_min_kept",
+    "length_scale", "reason",
 )
 
 
@@ -201,11 +203,12 @@ def write_spectrum_csv(path, scan) -> None:
         w.writerow(SPECTRUM_COLUMNS)
         for pt in scan.points:
             if pt.skipped:
-                w.writerow([_fmt(pt.lam), "", "true", "", "", "", pt.reason])
+                w.writerow([_fmt(pt.lam), "", "true", "", "", "", "", "", pt.reason])
             else:
                 d = pt.diag
                 w.writerow([_fmt(pt.lam), _fmt(pt.J), "false", d.rank,
-                            _fmt(d.sv_max), _fmt(d.sv_min_kept), ""])
+                            d.truncated_count, _fmt(d.sv_max), _fmt(d.sv_min_kept),
+                            _fmt(pt.length_scale), ""])
 
 
 def cmd_scan(args) -> int:
@@ -258,14 +261,17 @@ def cmd_scan(args) -> int:
             rec["relative_error"] = abs(p.lam_hat - nearest) / abs(nearest)
         peak_objs.append(rec)
 
+    spec = problem_to_obj(problem)
     doc = {
         "problem": problem.problem_id,
         "version": __version__,
-        "grid": problem_to_obj(problem)["grid"],
+        "grid": spec["grid"],
+        "spec": spec,
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "rcond": rcond,
         "jobs": args.jobs,
         "refine_iterations": REFINE_ITERATIONS,
+        "refine_rtol": REFINE_RTOL,
         "evaluations": {
             "sweep": n_lams,
             "refine": sum(p.evaluations for p in refined),

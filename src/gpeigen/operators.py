@@ -14,6 +14,12 @@ to a few ulps) is evaluated on its n + n2 - 1 lags, its first column and
 first row, and expanded from them.  Every other block (a non-uniform grid,
 differing steps, a single boundary site) is evaluated densely on all pairs.
 
+Only the kernel and the operator coefficients change with λ, so the layout
+(each block's place and rule, their radial arguments, `mirror`) is cached,
+keyed on the grid values, the interior operator and the boundary sites.
+Each λ makes one `radial_profile_derivatives` call over those arguments
+and forms every block from it exactly as `apply_bilinear` would.
+
 `assemble_blocks` also decides, from the problem's structure alone, whether
 the constraint rows are symmetric under the reflection x -> c - x, where c
 is the smallest plus the largest constraint location.  The interior grid
@@ -187,8 +193,9 @@ class AssembledBlocks:
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
-        ident, x = identity_op(), self.x_test
-        return _block(ident, ident, self.spec, self.lam, x, x).copy()
+        r, toeplitz = _lags(self.x_test, self.x_test)
+        k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
+        return _expand(k, toeplitz, self.x_test.size).copy()
 
     @property
     def constraint_count(self) -> int:
@@ -212,14 +219,22 @@ def apply_bilinear(
     stack = radial_profile_derivatives(
         spec, op_left.max_order + op_right.max_order, r
     )
-    out = np.zeros_like(r)
-    for ti in op_left.terms:
-        ci = eval_coeff(ti.coeff, lam)
-        for tj in op_right.terms:
-            cj = eval_coeff(tj.coeff, lam)
-            sign = -1.0 if tj.deriv_order % 2 else 1.0
-            out = out + (ci * cj * sign) * stack[ti.deriv_order + tj.deriv_order]
+    out = _combine(_coeffs(op_left, lam), _coeffs(op_right, lam), stack)
     return out if out.ndim else float(out)
+
+
+def _coeffs(op: LinearOperatorSpec, lam: float):
+    return [(t.deriv_order, eval_coeff(t.coeff, lam)) for t in op.terms]
+
+
+def _combine(left, right, stack):
+    """sum_i sum_j c_i c_j (-1)^{d_j} stack[d_i + d_j], summed in term order."""
+    out = np.zeros_like(stack[0])
+    for di, ci in left:
+        for dj, cj in right:
+            sign = -1.0 if dj % 2 else 1.0
+            out = out + (ci * cj * sign) * stack[di + dj]
+    return out
 
 
 def _ulps(a, b) -> float:
@@ -236,20 +251,20 @@ def _uniform_step(x: np.ndarray):
     return (x[-1] - x[0]) / (x.size - 1)
 
 
-def _block(op_left, op_right, spec, lam, x, x2) -> np.ndarray:
-    """apply_bilinear over all pairs (x[i], x2[j]) of two 1-d grids.
-
-    On two uniform grids with a common step the block is Toeplitz, so it is
-    evaluated on its first column and first row only (n + n2 - 1 lags,
-    bitwise equal to the dense entries there) and row i is read from the
-    lag values as a window; the result is then a read-only view.
-    """
+def _lags(x: np.ndarray, x2: np.ndarray):
+    """Radial arguments of the block over all pairs (x[i], x2[j]), and whether
+    they are only its Toeplitz lags: first column bottom-up, then first row."""
     h, h2 = _uniform_step(x), _uniform_step(x2)
     if h is None or h2 is None or abs(h - h2) > _ulps(h, h2):
-        return apply_bilinear(op_left, op_right, spec, lam, x[:, None], x2[None, :])
-    r = np.concatenate([x[::-1] - x2[0], x[0] - x2[1:]])
-    vals = apply_bilinear(op_left, op_right, spec, lam, r, 0.0)
-    return np.lib.stride_tricks.sliding_window_view(vals, x2.size)[::-1]
+        return (x[:, None] - x2[None, :]).ravel(), False
+    return np.concatenate([x[::-1] - x2[0], x[0] - x2[1:]]), True
+
+
+def _expand(vals: np.ndarray, toeplitz: bool, width: int) -> np.ndarray:
+    """The block from its values at `_lags`, as a view of them."""
+    if toeplitz:
+        return np.lib.stride_tricks.sliding_window_view(vals, width)[::-1]
+    return vals.reshape(-1, width)
 
 
 def _even_order(op: LinearOperatorSpec) -> bool:
@@ -283,7 +298,35 @@ def _mirror(xi: np.ndarray, interior_op, sites):
         i, j = unpaired[0], twins[0]  # i == j for a site at the midpoint
         perm[n + i], perm[n + j] = n + j, n + i
         unpaired = [k for k in unpaired if k not in (i, j)]
+    perm.flags.writeable = False  # cached with the layout
     return perm
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
+    """(x_test, x_constraint, mirror, ops, blocks, r, n_max) for these grids
+    (float64 bytes), operators and sites.  A block is (left, right, rows, cols,
+    span of r, Toeplitz), indexing `ops`; left 0, the identity, is K_tC's."""
+    xt, xi = np.frombuffer(xt_bytes), np.frombuffer(xi_bytes)
+    groups = [(xi, interior_op)] if xi.size else []
+    groups += [(np.array([s.location], dtype=float), s.operator) for s in sites]
+    ops = (identity_op(),) + tuple(op for _, op in groups)
+    ends = np.cumsum([pts.size for pts, _ in groups]).tolist()
+    cols = [slice(e - pts.size, e) for e, (pts, _) in zip(ends, groups)]
+    blocks, lags, at = [], [], 0
+    bands = [(xt, slice(None))] + [(pts, c) for (pts, _), c in zip(groups, cols)]
+    for i, (x, rows) in enumerate(bands):
+        for j, (x2, _) in enumerate(groups):
+            r, toeplitz = _lags(x, x2)
+            blocks.append((i, j + 1, rows, cols[j], slice(at, at + r.size), toeplitz))
+            lags.append(r)
+            at += r.size
+    r = np.concatenate(lags)
+    x_constraint = np.concatenate([xi, [s.location for s in sites]])
+    mirror = _mirror(xi, interior_op, sites)
+    x_constraint.flags.writeable = False
+    n_max = max(ops[i].max_order + ops[j].max_order for i, j, *_ in blocks)
+    return xt, x_constraint, mirror, ops, tuple(blocks), r, n_max
 
 
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
@@ -302,31 +345,18 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         raise GridError("test grid is empty")
     if xi.size == 0 and not sites:
         raise GridError("no constraint rows to condition on")
+    x_test, x_constraint, mirror, ops, layout, r, n_max = _layout(
+        xt.tobytes(), xi.tobytes(), problem.interior_op, sites
+    )
 
-    groups = []
-    if xi.size:
-        groups.append((xi, problem.interior_op))
-    for s in sites:
-        groups.append((np.array([s.location], dtype=float), s.operator))
-
-    ident = identity_op()
-    m = xi.size + len(sites)
-    K_tC = np.empty((xt.size, m))
-    K_CC = np.empty((m, m))
-
-    col = 0
-    for pts, op in groups:
-        K_tC[:, col : col + pts.size] = _block(ident, op, spec, lam, xt, pts)
-        col += pts.size
-    row = 0
-    for pts_i, op_i in groups:
-        col = 0
-        for pts_j, op_j in groups:
-            K_CC[row : row + pts_i.size, col : col + pts_j.size] = _block(
-                op_i, op_j, spec, lam, pts_i, pts_j
-            )
-            col += pts_j.size
-        row += pts_i.size
+    coeffs = [_coeffs(op, lam) for op in ops]
+    stack = radial_profile_derivatives(spec, n_max, r)
+    K_tC = np.empty((xt.size, x_constraint.size))
+    K_CC = np.empty((x_constraint.size, x_constraint.size))
+    for left, right, rows, cols, span, toeplitz in layout:
+        vals = _combine(coeffs[left], coeffs[right], stack[:, span])
+        width = cols.stop - cols.start
+        (K_CC if left else K_tC)[rows, cols] = _expand(vals, toeplitz, width)
     K_CC = 0.5 * (K_CC + K_CC.T)
 
     rhs_parts = []
@@ -335,9 +365,6 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     rhs_parts.append(np.array([s.rhs for s in sites], dtype=float))
     rhs = np.concatenate(rhs_parts)
 
-    x_constraint = np.concatenate(
-        [xi, np.array([s.location for s in sites], dtype=float)]
-    )
     return AssembledBlocks(
         lam=float(lam),
         spec=spec,
@@ -345,7 +372,7 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         K_CC=K_CC,
         rhs=rhs,
         n_interior=int(xi.size),
-        x_test=xt,
+        x_test=x_test,
         x_constraint=x_constraint,
-        mirror=_mirror(xi, problem.interior_op, sites),
+        mirror=mirror,
     )

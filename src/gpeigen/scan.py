@@ -29,6 +29,10 @@ from .posterior import posterior_covariance  # noqa: F401
 # posterior can always pass rcond explicitly.
 SCAN_RCOND = 1e-11
 
+# Refinement's bracket width relative to λ: J is flat to roundoff over about
+# 2e-5 of λ near a desk peak, and the indicator's own bias is 0.2-1%.
+REFINE_RTOL = 1e-5
+
 GRID_KINDS = ("linear", "log", "power_root")
 
 # What a failed λ-evaluation may raise: ArithmeticError covers PoleError and
@@ -100,6 +104,7 @@ class ScanPoint:
     diag: PseudoinverseDiag
     skipped: bool = False
     reason: str = ""
+    length_scale: float = None  # of the kernel at lam; None when skipped
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ def _scan_one(args) -> ScanPoint:
             skipped=True,
             reason=f"{type(exc).__name__}: {exc}",
         )
-    return ScanPoint(lam=float(lam), J=J, diag=diag)
+    ell = problem.kernel_at(lam).length_scale
+    return ScanPoint(lam=float(lam), J=J, diag=diag, length_scale=ell)
 
 
 def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> SpectralScan:
@@ -226,12 +232,12 @@ def refine_peak(
 
     Minimizes -log10 J over the bracket with scipy's bounded Brent search
     (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
-    asking for xatol = (neighbor gap) / 2**iterations.  scipy's stopping
-    tolerance is xatol/3 + sqrt(eps) * |λ|, so the search ends at xatol or
-    at that relative floor of about 1.5e-8, whichever is larger; both lie
-    far below the indicator's own bias of 0.2-1%.  Near a desk-scale peak
-    J is flat to its roundoff (about 1e-8 relative) over some 1e-5 of λ, so
-    the maximizer is only defined to that width.  Returns the best λ
+    asking for xatol = max((neighbor gap) / 2**iterations, REFINE_RTOL *
+    λ_peak), so the search ends when its bracket is about REFINE_RTOL of
+    the peak's λ wide, or 2**-iterations of the gap if that is wider.  Near
+    a desk-scale peak J is flat to its roundoff (about 1e-8 relative) over
+    some 2e-5 of λ, so the maximizer is only defined to that width, and the
+    indicator's own bias of 0.2-1% lies far above it.  Returns the best λ
     evaluated, never worse than the input peak, with the number of J
     evaluations spent (0 when iterations is 0).  Evaluation errors
     propagate.
@@ -246,6 +252,7 @@ def refine_peak(
     best_lam, best_J = peak.lam_hat, peak.J_peak
     evaluations = 0
     if iterations > 0:
+        xatol = max((b - a) / 2.0**iterations, REFINE_RTOL * peak.lam_hat)
 
         def neg_log_J(lam):
             nonlocal best_lam, best_J
@@ -258,7 +265,7 @@ def refine_peak(
             neg_log_J,
             bounds=(a, b),
             method="bounded",
-            options={"xatol": (b - a) / 2.0**iterations},
+            options={"xatol": xatol},
         )
         evaluations = fit.nfev
     return PeakRecord(

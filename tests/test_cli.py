@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through in-process main() calls."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
-from gpeigen.scan import SCAN_RCOND
+from gpeigen.scan import REFINE_RTOL, SCAN_RCOND
 
 
 def read_spectrum_csv(path):
@@ -198,7 +199,20 @@ class TestScan:
         assert doc["version"] == g.__version__
         assert doc["jobs"] == 1
         assert doc["refine_iterations"] == REFINE_ITERATIONS
+        assert doc["refine_rtol"] == REFINE_RTOL
         assert doc["wall_s"] > 0.0
+        # the manifest carries the whole problem as scanned
+        scanned = dataclasses.replace(
+            g.laplace_dirichlet(), N=60, N_t=60,
+            grid=g.LambdaGrid("log", 5.0, 120.0, 24),
+        )
+        assert problem_from_obj(doc["spec"]) == scanned
+        with open(tmp_path / "spectrum.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        for rec in recs:
+            lam = float(rec["lambda"])
+            assert float(rec["length_scale"]) == scanned.kernel_at(lam).length_scale
+            assert int(rec["truncated"]) + int(rec["rank"]) == 62  # N + 2 rows
 
     def test_failed_refinement_keeps_grid_peak(self, tmp_path, monkeypatch, capsys):
         # the second J evaluation after the sweep, inside the first peak's
@@ -278,6 +292,7 @@ class TestScan:
             rows = list(csv.DictReader(fh))
         assert [r["skipped"] for r in rows] == ["false", "true", "false"]
         assert "PoleError" in rows[1]["reason"]
+        assert rows[1]["truncated"] == rows[1]["length_scale"] == ""
         assert rows[0]["reason"] == rows[2]["reason"] == ""
 
     def test_rejects_bvp_problem(self, capsys):

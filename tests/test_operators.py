@@ -192,14 +192,23 @@ class TestAssembleBlocks:
             (OperatorTermSpec(2, Const(-1.0)), OperatorTermSpec(0, Neg(Lam())))
         )
         x = np.linspace(0.0, 1.0, 9)
+
+        def block(x1, x2):
+            r, toeplitz = operators._lags(x1, x2)
+            vals = apply_bilinear(op, op, spec, 3.0, r, 0.0)
+            return operators._expand(vals, toeplitz, x2.size), toeplitz
+
         shifted = x[:6] + 0.3  # common step, other origin: still Toeplitz
         want = apply_bilinear(op, op, spec, 3.0, shifted[:, None], x[None, :])
-        got = operators._block(op, op, spec, 3.0, shifted, x)
+        got, toeplitz = block(shifted, x)
+        assert toeplitz
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         moved = x.copy()
         moved[4] += 1e-9  # far above roundoff: evaluated on all pairs
         want = apply_bilinear(op, op, spec, 3.0, moved[:, None], x[None, :])
-        assert np.array_equal(operators._block(op, op, spec, 3.0, moved, x), want)
+        got, toeplitz = block(moved, x)
+        assert not toeplitz
+        assert np.array_equal(got, want)
 
     def test_uniform_grids_evaluate_only_lags(self, monkeypatch):
         # Toeplitz blocks cost n + n2 - 1 radial points, not n * n2
@@ -214,6 +223,57 @@ class TestAssembleBlocks:
         prob = g.laplace_dirichlet("paper")
         assemble_blocks(prob, 50.0)
         assert sum(seen) <= 8 * (prob.N + prob.N_t)
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), 42.0),
+            (g.cantilever(), 100.0),
+            (g.loaded_string(), 100.0),
+            (g.poisson_bvp_demo(), 0.0),
+        ],
+        ids=["laplace", "cantilever", "loaded-string", "poisson-demo"],
+    )
+    def test_one_radial_stack_per_assembly(self, prob, lam, monkeypatch):
+        calls = []
+        inner = operators.radial_profile_derivatives
+
+        def counted(spec, n_max, r):
+            calls.append(r.size)
+            return inner(spec, n_max, r)
+
+        monkeypatch.setattr(operators, "radial_profile_derivatives", counted)
+        operators._layout.cache_clear()  # building the layout evaluates nothing
+        first = assemble_blocks(prob, lam)
+        assert len(calls) == 1
+        second = assemble_blocks(prob, 2.0 * lam + 1.0)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert first.K_tt is first.K_tt  # built once, on first access
+        assert len(calls) == 3
+        # the layout is shared, the blocks are not
+        assert not np.shares_memory(first.K_CC, second.K_CC)
+        assert not np.shares_memory(first.K_tC, second.K_tC)
+
+    def test_layout_is_decided_once(self, monkeypatch):
+        calls = []
+        for name in ("_uniform_step", "_mirror"):
+            inner = getattr(operators, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(operators, name, counted)
+        operators._layout.cache_clear()
+        laplace, demo = g.laplace_dirichlet(), g.poisson_bvp_demo()
+        assemble_blocks(laplace, 20.0)
+        assemble_blocks(demo, 0.0)
+        assert calls.count("_mirror") == 2 and "_uniform_step" in calls
+        calls.clear()
+        assemble_blocks(laplace, 70.0)
+        wider = KernelSpec(variance=1.0, length_scale=0.35)
+        assemble_blocks(dataclasses.replace(demo, fixed_kernel=wider), 0.0)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "prob,lam",

@@ -8,6 +8,7 @@ import pytest
 import gpeigen as g
 import gpeigen.scan
 from gpeigen.scan import (
+    REFINE_RTOL,
     SCAN_RCOND,
     HyperSchedule,
     InsufficientPeaksError,
@@ -210,6 +211,15 @@ class TestRefinePeak:
         assert out.evaluations == len(calls)
         assert 0 < out.evaluations <= 31
         assert all(0 < p.evaluations <= 31 for p in laplace_desk.refined)
+
+    def test_stops_at_relative_tolerance(self, laplace_desk):
+        # 2**-60 of the bracket asks for far less than J can resolve; the
+        # search stops at REFINE_RTOL of λ instead, near the 20-step result
+        i = len(laplace_desk.peaks) // 2
+        out = refine_peak(laplace_desk.problem, laplace_desk.peaks[i], iterations=60)
+        ref = laplace_desk.refined[i].lam_hat
+        assert 0 < out.evaluations <= 16
+        assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * ref
 
     def test_rejects_negative_iterations(self, laplace_desk):
         with pytest.raises(ValueError):
