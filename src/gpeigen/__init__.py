@@ -12,7 +12,6 @@ from .kernel import (
     DerivOrders,
     KernelSpec,
     UnsupportedOrderError,
-    eval_kernel,
     gram,
     kernel_mixed_derivative,
 )

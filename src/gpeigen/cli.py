@@ -1,6 +1,6 @@
 """Command-line front end: scan, sample, fd-verify, bvp-demo, list-problems.
 
-Exit codes: 0 success, 1 verification or scan failure, 2 config error.
+Exit codes: 0 success, 1 verification or scan failure, 2 bad input (ConfigError).
 CSV cells use repr() of Python floats, which round-trips doubles exactly.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .matrixcase import fd_theorem_suite
-from .operators import CoeffExpr, Lam, PoleError, assemble_blocks
+from .operators import CoeffExpr, Lam, assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
     posterior_covariance,
@@ -142,53 +142,37 @@ def resolve_problem(args) -> ProblemSpec:
     "problem" preset, its remaining keys override that preset field by
     field; otherwise it must spell out a complete problem.
     """
-    scale = "paper" if getattr(args, "paper_scale", False) else "desk"
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            obj = json.load(fh)
-        if "problem" in obj:
-            base = problem_to_obj(build_preset(obj.pop("problem"), scale))
-            base.update(obj)
-            obj = base
-        try:
+    scale = "paper" if args.paper_scale else "desk"
+    preset = args.problem_flag or args.problem
+    if not (args.config or preset):
+        raise ConfigError("need a preset id, --problem or --config")
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                obj = json.load(fh)
+            if "problem" in obj:
+                base = problem_to_obj(build_preset(obj.pop("problem"), scale))
+                base.update(obj)
+                obj = base
             problem = problem_from_obj(obj)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad config {path}: {exc}") from exc
-    elif getattr(args, "problem", None):
-        try:
-            problem = build_preset(args.problem, scale)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError("need --problem or --config")
-    if getattr(args, "jitter", None) is not None:
-        try:
-            problem = dataclasses.replace(problem, jitter=args.jitter)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        else:
+            problem = build_preset(preset, scale)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        where = f"bad config {args.config}: " if args.config else ""
+        raise ConfigError(f"{where}{exc}") from exc
+    if problem.mode != "eigen":
+        raise ConfigError(f"cannot {args.command} bvp-mode problem {problem.problem_id!r}")
+    if args.jitter is not None:
+        problem = dataclasses.replace(problem, jitter=args.jitter)
     return problem
 
 
-def _rcond(args, default: float) -> float:
-    if args.rcond is None:
-        return default
-    if not args.rcond > 0:  # also rejects nan
-        raise ConfigError(f"rcond must be positive, got {args.rcond}")
-    return args.rcond
-
-
-def _check_seed(args) -> None:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-
-
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out_dir", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from exc
+    return args.out_dir
 
 
 def _fmt(x) -> str:
@@ -214,14 +198,9 @@ def write_spectrum_csv(path, scan) -> None:
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     problem = resolve_problem(args)
-    if problem.mode != "eigen":
-        raise ConfigError(f"problem {problem.problem_id!r} is not scannable (bvp mode)")
-    if args.jobs < 1:
-        raise ConfigError(f"jobs must be positive, got {args.jobs}")
-    rcond = _rcond(args, SCAN_RCOND)
     out = _out_dir(args)
     try:
-        scan = scan_spectrum(problem, jobs=args.jobs, rcond=rcond)
+        scan = scan_spectrum(problem, jobs=args.jobs, rcond=args.rcond)
         # written before detection so skip reasons survive a failed detection
         write_spectrum_csv(out / "spectrum.csv", scan)
         peaks = detect_peaks(scan, prominence_decades=2.0)
@@ -242,7 +221,7 @@ def cmd_scan(args) -> int:
     for p in peaks:
         error = None
         try:
-            p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=rcond)
+            p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=args.rcond)
         except EVALUATION_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
         refined.append(p)
@@ -268,7 +247,7 @@ def cmd_scan(args) -> int:
         "grid": spec["grid"],
         "spec": spec,
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
-        "rcond": rcond,
+        "rcond": args.rcond,
         "jobs": args.jobs,
         "refine_iterations": REFINE_ITERATIONS,
         "refine_rtol": REFINE_RTOL,
@@ -299,22 +278,14 @@ def cmd_scan(args) -> int:
 
 def cmd_sample(args) -> int:
     problem = resolve_problem(args)
-    if problem.mode != "eigen":
-        raise ConfigError("sampling needs an eigen-mode problem")
-    if args.lam is None:
-        raise ConfigError("sample needs --lambda")
-    if args.count < 1:
-        raise ConfigError(f"count must be positive, got {args.count}")
-    _check_seed(args)
-    rcond = _rcond(args, DEFAULT_RCOND)
+    out = _out_dir(args)
     try:
         blocks = assemble_blocks(problem, args.lam)
-    except (ValueError, PoleError) as exc:
+        summary = posterior_covariance(blocks, problem.jitter, args.rcond)
+        samples = sample_posterior(summary, args.count, args.seed)
+    except EVALUATION_ERRORS as exc:
         raise ConfigError(f"cannot condition at lambda = {args.lam}: {exc}") from exc
-    summary = posterior_covariance(blocks, problem.jitter, rcond)
-    samples = sample_posterior(summary, args.count, args.seed)
 
-    out = _out_dir(args)
     xs = summary.x_test
     with open(out / "samples.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -342,9 +313,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fd_verify(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"trials must be positive, got {args.trials}")
-    _check_seed(args)
     report = fd_theorem_suite(trials=args.trials, seed=args.seed)
     print(f"{'trial':>5} {'dim':>3} {'off_ratio':>10} {'on_trace':>10} "
           f"{'sample_res':>10} {'factor_err':>10} result")
@@ -361,8 +329,6 @@ def cmd_fd_verify(args) -> int:
 
 
 def cmd_bvp_demo(args) -> int:
-    if args.nf is not None and args.nf < 0:
-        raise ConfigError(f"N_f must be nonnegative, got {args.nf}")
     problem = poisson_bvp_demo()
     out = _out_dir(args)
     for nf in [args.nf] if args.nf is not None else [0, 3, 8]:
@@ -399,20 +365,41 @@ def cmd_list_problems(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
-def _add_problem_flags(p):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers inherit it: main reports every refusal
+        raise ConfigError(message)
+
+
+def _number(convert, accept, name):
+    """Argument type refusing values that fail `accept` as "invalid <name>"."""
+    def parse(text):
+        if not accept(value := convert(text)):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
+
+
+POSITIVE_INT = _number(int, lambda v: v > 0, "positive int")
+NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "nonnegative int")
+POSITIVE_FLOAT = _number(float, lambda v: v > 0, "positive float")  # refuses nan
+NONNEGATIVE_FLOAT = _number(float, lambda v: v >= 0, "nonnegative float")
+
+
+def _add_problem_flags(p, rcond):
     p.add_argument("problem", nargs="?", help="preset id (see list-problems)")
     p.add_argument("--problem", dest="problem_flag", help="preset id")
     p.add_argument("--config", help="JSON problem config file")
     p.add_argument(
         "--paper-scale", action="store_true", help="full published grid sizes"
     )
-    p.add_argument("--jitter", type=float, default=None)
-    p.add_argument("--rcond", type=float, default=None)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--jitter", type=NONNEGATIVE_FLOAT, default=None)
+    p.add_argument("--rcond", type=POSITIVE_FLOAT, default=rcond)
+    p.add_argument("--out-dir", type=Path, default=Path("."))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpeigen",
         description="Eigenvalue scanning via the trace of a physics-informed "
         "GP posterior covariance",
@@ -420,25 +407,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="sweep the λ grid and report peaks")
-    _add_problem_flags(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=1)
+    _add_problem_flags(p_scan, SCAN_RCOND)
+    p_scan.add_argument("--jobs", type=POSITIVE_INT, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_sample = sub.add_parser("sample", help="draw posterior samples at one λ")
-    _add_problem_flags(p_sample)
-    p_sample.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_sample.add_argument("--count", type=int, default=5)
-    p_sample.add_argument("--seed", type=int, default=0)
+    _add_problem_flags(p_sample, DEFAULT_RCOND)
+    p_sample.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_sample.add_argument("--count", type=POSITIVE_INT, default=5)
+    p_sample.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p_sample.set_defaults(func=cmd_sample)
 
     p_fd = sub.add_parser("fd-verify", help="finite-dimensional dichotomy check")
-    p_fd.add_argument("--trials", type=int, default=100)
-    p_fd.add_argument("--seed", type=int, default=0)
+    p_fd.add_argument("--trials", type=POSITIVE_INT, default=100)
+    p_fd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p_fd.set_defaults(func=cmd_fd_verify)
 
     p_bvp = sub.add_parser("bvp-demo", help="source-term demo problem")
-    p_bvp.add_argument("--nf", type=int, default=None)
-    p_bvp.add_argument("--out-dir", default=None)
+    p_bvp.add_argument("--nf", type=NONNEGATIVE_INT, default=None)
+    p_bvp.add_argument("--out-dir", type=Path, default=Path("."))
     p_bvp.set_defaults(func=cmd_bvp_demo)
 
     p_list = sub.add_parser("list-problems", help="show built-in presets")
@@ -449,10 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "problem_flag", None):
-        args.problem = args.problem_flag
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,13 +89,6 @@ def radial_profile_derivatives(spec: KernelSpec, n_max: int, r) -> np.ndarray:
     return out
 
 
-def eval_kernel(spec: KernelSpec, x, x2):
-    """Evaluate k(x, x2); symmetric in its arguments, broadcasts like numpy."""
-    r = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    val = spec.variance * np.exp(-0.5 * (r * r) / spec.length_scale**2)
-    return val if isinstance(val, np.ndarray) and val.ndim else float(val)
-
-
 def kernel_mixed_derivative(spec: KernelSpec, orders, x, x2):
     """Evaluate d^a/dx^a d^b/dx2^b k(x, x2).
 

@@ -163,20 +163,16 @@ def cantilever(scale: str = "desk") -> ProblemSpec:
     )
 
 
-def loaded_string(M: float = 1.0, kappa: float = 1.0, scale: str = "desk") -> ProblemSpec:
+def loaded_string(scale: str = "desk") -> ProblemSpec:
     """-u'' = λu, u(0) = 0, u'(1) + λκM/(λ-κ) u(1) = 0.
 
-    The λ-rational boundary coefficient makes this a nonlinear eigenvalue
-    problem with a pole at λ = κ.
+    The λ-rational boundary coefficient, with κ = M = 1, makes this a
+    nonlinear eigenvalue problem with a pole at λ = κ.
     """
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     s = _scale_params(scale)
     load_coeff = Quot(
-        Prod(Const(kappa * M), Lam()),
-        Sum(Lam(), Neg(Const(kappa))),
+        Prod(Const(1.0), Lam()),
+        Sum(Lam(), Neg(Const(1.0))),
     )
     right_op = LinearOperatorSpec(
         (OperatorTermSpec(1, Const(1.0)), OperatorTermSpec(0, load_coeff))
@@ -240,12 +236,12 @@ def cantilever_characteristic(alpha: float) -> float:
     return np.cosh(alpha) * np.cos(alpha) + 1.0
 
 
-def loaded_string_characteristic(lam: float, M: float = 1.0, kappa: float = 1.0) -> float:
-    """√λ cos√λ + (λκM/(λ-κ)) sin√λ, the u = sin(√λ x) boundary residual."""
-    if lam == kappa:
-        raise ZeroDivisionError("characteristic function has a pole at lambda = kappa")
+def loaded_string_characteristic(lam: float) -> float:
+    """√λ cos√λ + (λ/(λ-1)) sin√λ: the u = sin(√λ x) residual at κ = M = 1."""
+    if lam == 1.0:
+        raise ZeroDivisionError("characteristic function has a pole at lambda = 1")
     u = np.sqrt(lam)
-    return u * np.cos(u) + (lam * kappa * M / (lam - kappa)) * np.sin(u)
+    return u * np.cos(u) + (lam / (lam - 1.0)) * np.sin(u)
 
 
 def _sign_change_roots(fn, grid, count: int, xtol: float):
@@ -291,9 +287,8 @@ def reference_eigenvalues(problem_id: str, count: int):
         return [a**4 for a in alphas]
     if pid == "loaded-string":
         # search in u = √λ on two segments so no bracket cell straddles the
-        # pole at u = √κ, where the sign flip is not a root
-        kappa = 1.0
-        pole_u = np.sqrt(kappa)
+        # pole at u = √κ = 1, where the sign flip is not a root
+        pole_u = 1.0
         hi = (count + 3) * np.pi
         us = []
         for seg in (

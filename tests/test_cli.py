@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +40,12 @@ def read_spectrum_csv(path):
 
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
 
 
 SMALL_SCAN = {
@@ -127,21 +135,29 @@ class TestSample:
         assert main(["sample", "poisson-demo", "--lambda", "1.0"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, named",
         [
-            ["--lambda", "10.0", "--count", "0"],
+            (["--lambda", "10.0", "--count", "0"], "--count"),
             # the length-scale schedule needs lambda > 0
-            ["--lambda", "-5"],
-            ["--lambda", "10.0", "--rcond", "-1"],
-            ["--lambda", "10.0", "--seed", "-1"],
+            (["--lambda", "-5"], "lambda"),
+            (["--lambda", "10.0", "--rcond", "-1"], "--rcond"),
+            (["--lambda", "10.0", "--seed", "-1"], "--seed"),
+            # K_CC is not finite this far out
+            (["--lambda", "1e200"], "lambda"),
+            # a later --out-dir overrides the default one
+            (["--lambda", "10.0", "--out-dir", "FILE"], "blocker"),
         ],
-        ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed"],
+        ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed",
+             "lambda-1e200", "out-dir-is-file"],
     )
-    def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
-        code = main(["sample", "laplace", *flags, "--out-dir", str(tmp_path)])
+    def test_rejects_bad_arguments(self, tmp_path, capsys, flags, named):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        flags = [str(blocker) if f == "FILE" else f for f in flags]
+        code = main(["sample", "laplace", "--out-dir", str(tmp_path), *flags])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert named in line
         assert not (tmp_path / "samples.csv").exists()
 
 
@@ -155,17 +171,19 @@ class TestScan:
             ["--rcond", "0"],
             ["--rcond", "nan"],
             ["--jitter", "-1"],
+            ["--jobs", "abc"],
+            ["--bogus"],
         ],
         ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
-             "jitter-negative"],
+             "jitter-negative", "jobs-abc", "unknown-flag"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
         # refused before the sweep: no λ is evaluated, no spectrum written
         cfg = write_config(tmp_path, SMALL_SCAN)
         code = main(["scan", "--config", cfg, *flags, "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        [line] = error_lines(capsys.readouterr().err)
+        assert flags[0] in line
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_small_config_scan_roundtrip(self, tmp_path, capsys):
@@ -309,10 +327,24 @@ class TestScan:
     def test_config_file_missing(self, capsys):
         assert main(["scan", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
-    def test_malformed_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"mode": "eigen"})
-        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
-        assert "bad config" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "content",
+        [{"mode": "eigen"}, "{", {"problem": "helmholtz"}],
+        ids=["incomplete", "invalid-json", "unknown-preset"],
+    )
+    def test_malformed_config(self, tmp_path, capsys, content):
+        cfg = write_config(tmp_path, content)
+        code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        [line] = error_lines(capsys.readouterr().err)
+        assert "bad config" in line and cfg in line
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "-h"])
+        assert exc.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -328,6 +360,26 @@ class TestScan:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad config" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "laplace", "--jobs", "abc"], ["sample", "laplace", "--lambda", "1e200"]],
+    ids=["jobs-abc", "lambda-1e200"],
+)
+def test_console_exit_code(tmp_path, argv):
+    # the exit status a shell sees, which in-process main() calls cannot show
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpeigen.cli", *argv, "--out-dir", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert len(error_lines(proc.stderr)) == 1
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestProblemSerialization:

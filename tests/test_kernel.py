@@ -9,7 +9,6 @@ from gpeigen.kernel import (
     DerivOrders,
     KernelSpec,
     UnsupportedOrderError,
-    eval_kernel,
     gram,
     kernel_mixed_derivative,
     radial_profile_derivatives,
@@ -124,7 +123,7 @@ class TestMixedDerivative:
 class TestEvalKernelAndGram:
     def test_eval_kernel_peak(self):
         spec = KernelSpec(variance=1.7, length_scale=0.4)
-        assert np.isclose(eval_kernel(spec, np.array(0.3), np.array(0.3)), 1.7)
+        assert np.isclose(kernel_mixed_derivative(spec, (0, 0), 0.3, 0.3), 1.7)
 
     def test_gram_matches_pointwise(self):
         spec = KernelSpec(variance=1.0, length_scale=0.3)

@@ -70,12 +70,6 @@ class TestPresets:
         assert prob.schedule == HyperSchedule(C=1000.0, p=0.25, variance=1.0)
         assert len(prob.boundary) == 4
 
-    def test_loaded_string_parameter_validation(self):
-        with pytest.raises(ValueError):
-            g.loaded_string(M=0.0)
-        with pytest.raises(ValueError):
-            g.loaded_string(kappa=-1.0)
-
     def test_kernel_at_follows_schedule(self):
         prob = g.laplace_dirichlet()
         spec = prob.kernel_at(4.0)
