@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -132,7 +133,11 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
 # -- config resolution ------------------------------------------------------
 
 class ConfigError(ValueError):
-    pass
+    """Bad input; `usage` is the usage line of the parser that refused it."""
+
+    def __init__(self, message, usage=None):
+        super().__init__(message)
+        self.usage = usage
 
 
 def resolve_problem(args) -> ProblemSpec:
@@ -140,12 +145,20 @@ def resolve_problem(args) -> ProblemSpec:
 
     A config file is JSON mirroring the problem fields.  If it names a
     "problem" preset, its remaining keys override that preset field by
-    field; otherwise it must spell out a complete problem.
+    field; otherwise it must spell out a complete problem.  A config file
+    with a preset id or --problem, or --problem naming another preset than
+    the positional one, is refused rather than one of them ignored.
     """
     scale = "paper" if args.paper_scale else "desk"
     preset = args.problem_flag or args.problem
     if not (args.config or preset):
         raise ConfigError("need a preset id, --problem or --config")
+    if args.config and preset:
+        raise ConfigError(f"--config {args.config} conflicts with preset {preset!r}")
+    if args.problem_flag and args.problem and args.problem_flag != args.problem:
+        raise ConfigError(
+            f"--problem {args.problem_flag!r} conflicts with preset {args.problem!r}"
+        )
     try:
         if args.config:
             with open(args.config) as fh:
@@ -280,9 +293,11 @@ def cmd_sample(args) -> int:
     problem = resolve_problem(args)
     out = _out_dir(args)
     try:
-        blocks = assemble_blocks(problem, args.lam)
-        summary = posterior_covariance(blocks, problem.jitter, args.rcond)
-        samples = sample_posterior(summary, args.count, args.seed)
+        # an overflowing kernel is refused as non-finite K_CC, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = assemble_blocks(problem, args.lam)
+            summary = posterior_covariance(blocks, problem.jitter, args.rcond)
+            samples = sample_posterior(summary, args.count, args.seed)
     except EVALUATION_ERRORS as exc:
         raise ConfigError(f"cannot condition at lambda = {args.lam}: {exc}") from exc
 
@@ -367,7 +382,7 @@ def cmd_list_problems(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # subparsers inherit it: main reports every refusal
-        raise ConfigError(message)
+        raise ConfigError(message, self.format_usage())
 
 
 def _number(convert, accept, name):
@@ -384,6 +399,7 @@ POSITIVE_INT = _number(int, lambda v: v > 0, "positive int")
 NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "nonnegative int")
 POSITIVE_FLOAT = _number(float, lambda v: v > 0, "positive float")  # refuses nan
 NONNEGATIVE_FLOAT = _number(float, lambda v: v >= 0, "nonnegative float")
+FINITE_FLOAT = _number(float, math.isfinite, "finite float")
 
 
 def _add_problem_flags(p, rcond):
@@ -413,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw posterior samples at one λ")
     _add_problem_flags(p_sample, DEFAULT_RCOND)
-    p_sample.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_sample.add_argument("--lambda", dest="lam", type=FINITE_FLOAT, required=True)
     p_sample.add_argument("--count", type=POSITIVE_INT, default=5)
     p_sample.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p_sample.set_defaults(func=cmd_sample)
@@ -441,7 +457,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(exc.usage or parser.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -15,10 +15,11 @@ first row, and expanded from them.  Every other block (a non-uniform grid,
 differing steps, a single boundary site) is evaluated densely on all pairs.
 
 Only the kernel and the operator coefficients change with λ, so the layout
-(each block's place and rule, their radial arguments, `mirror`) is cached,
-keyed on the grid values, the interior operator and the boundary sites.
-Each λ makes one `radial_profile_derivatives` call over those arguments
-and forms every block from it exactly as `apply_bilinear` would.
+(each block's place and rule, their radial arguments, `mirror` and
+`mirror_test`) is cached, keyed on the grid values, the interior operator
+and the boundary sites.  Each λ makes one `radial_profile_derivatives` call
+over those arguments and forms every block from it exactly as
+`apply_bilinear` would.
 
 `assemble_blocks` also decides, from the problem's structure alone, whether
 the constraint rows are symmetric under the reflection x -> c - x, where c
@@ -33,6 +34,10 @@ which is recorded as `AssembledBlocks.mirror`; `posterior` uses it to
 eigendecompose K_CC as two half-size problems.  K_CC is never inspected
 numerically for this: its entries carry the grid's ulp-level asymmetry
 amplified by r / l^2, so a tolerance test would flip from one λ to the next.
+When the test grid is also its own reflection about the same c, its reversal
+is recorded as `AssembledBlocks.mirror_test`: K_tt and the posterior
+covariance are then unchanged by it, and `posterior` splits their
+eigendecompositions the same way.
 """
 
 from __future__ import annotations
@@ -178,7 +183,9 @@ class AssembledBlocks:
     same way.  The test-grid kernel K_tt is built on first access, since
     only the full covariance needs it.  `mirror` is the row involution of
     the reflection that leaves the constraint rows invariant (see the
-    module docstring), or None when there is none.
+    module docstring), or None when there is none; `mirror_test` is the
+    reversal of the test grid when `mirror` is set and the same reflection
+    maps the test grid onto itself, else None.
     """
 
     lam: float
@@ -190,6 +197,7 @@ class AssembledBlocks:
     x_test: np.ndarray
     x_constraint: np.ndarray
     mirror: np.ndarray = None
+    mirror_test: np.ndarray = None
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
@@ -302,11 +310,23 @@ def _mirror(xi: np.ndarray, interior_op, sites):
     return perm
 
 
+def _mirror_test(xt: np.ndarray, x_constraint: np.ndarray):
+    """Reversal of the test grid if the constraint rows' reflection maps it
+    onto itself to a few ulps, else None; call only when there is a `mirror`."""
+    lo, hi = x_constraint.min(), x_constraint.max()
+    if np.max(np.abs(xt + xt[::-1] - (lo + hi))) > _ulps(lo, hi):
+        return None
+    perm = np.arange(xt.size)[::-1]
+    perm.flags.writeable = False  # cached with the layout
+    return perm
+
+
 @functools.lru_cache(maxsize=16)
 def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
-    """(x_test, x_constraint, mirror, ops, blocks, r, n_max) for these grids
-    (float64 bytes), operators and sites.  A block is (left, right, rows, cols,
-    span of r, Toeplitz), indexing `ops`; left 0, the identity, is K_tC's."""
+    """(x_test, x_constraint, mirror, mirror_test, ops, blocks, r, n_max) for
+    these grids (float64 bytes), operators and sites.  A block is (left, right,
+    rows, cols, span of r, Toeplitz), indexing `ops`; left 0, the identity, is
+    K_tC's."""
     xt, xi = np.frombuffer(xt_bytes), np.frombuffer(xi_bytes)
     groups = [(xi, interior_op)] if xi.size else []
     groups += [(np.array([s.location], dtype=float), s.operator) for s in sites]
@@ -324,9 +344,10 @@ def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
     r = np.concatenate(lags)
     x_constraint = np.concatenate([xi, [s.location for s in sites]])
     mirror = _mirror(xi, interior_op, sites)
+    mirror_test = None if mirror is None else _mirror_test(xt, x_constraint)
     x_constraint.flags.writeable = False
     n_max = max(ops[i].max_order + ops[j].max_order for i, j, *_ in blocks)
-    return xt, x_constraint, mirror, ops, tuple(blocks), r, n_max
+    return xt, x_constraint, mirror, mirror_test, ops, tuple(blocks), r, n_max
 
 
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
@@ -345,7 +366,7 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         raise GridError("test grid is empty")
     if xi.size == 0 and not sites:
         raise GridError("no constraint rows to condition on")
-    x_test, x_constraint, mirror, ops, layout, r, n_max = _layout(
+    x_test, x_constraint, mirror, mirror_test, ops, layout, r, n_max = _layout(
         xt.tobytes(), xi.tobytes(), problem.interior_op, sites
     )
 
@@ -375,4 +396,5 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         x_test=x_test,
         x_constraint=x_constraint,
         mirror=mirror,
+        mirror_test=mirror_test,
     )

@@ -154,6 +154,22 @@ def _mirror_eigh(K, mirror, jitter: float):
     return np.concatenate([w_even, w_odd]), V
 
 
+def _sym_eigh(M, mirror, jitter: float = 0.0, ascending: bool = False):
+    """Eigenpairs (w, V) of the symmetric M + jitter*I: from `_mirror_eigh`
+    when the row involution `mirror` is set, else from one full `_eigh`.
+
+    The split lists the even eigenpairs first; `ascending` sorts them into
+    the full `eigh`'s order.  This is the one place that chooses the split.
+    """
+    if mirror is None:
+        return _eigh(M, jitter)
+    w, V = _mirror_eigh(M, mirror, jitter)
+    if ascending:
+        order = np.argsort(w, kind="stable")
+        w, V = w[order], V[:, order]
+    return w, V
+
+
 def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
     """Eigenpairs (w, V) of K_CC + jitter*I and the kept set.
 
@@ -163,11 +179,7 @@ def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
     the eigenpairs come from `_mirror_eigh`, and the one cut applies to the
     union of both halves' eigenvalues.  Returns (w, V, keep).
     """
-    K = _checked(blocks.K_CC, jitter, rcond)
-    if blocks.mirror is None:
-        w, V = _eigh(K, jitter)
-    else:
-        w, V = _mirror_eigh(K, blocks.mirror, jitter)
+    w, V = _sym_eigh(_checked(blocks.K_CC, jitter, rcond), blocks.mirror, jitter)
     return w, V, _keep(w, rcond) & (w > 0)
 
 
@@ -246,7 +258,16 @@ def sample_posterior(
     makes small negatives inevitable off-peak.  Each sample gets its own
     substream derived from (seed, index).  The residual diagnostic pushes
     the raw sample back through the joint cross-covariances to estimate
-    the operator values at the interior collocation sites.
+    the operator values at the interior collocation sites:
+    K_Ci^T K_tt^+ raw, with K_tt^+ applied from the kept eigenpairs (V, w)
+    of K_tt (the rcond cut of `regularized_pseudoinverse`) as
+    V (w^-1 (V^T raw)), never formed.
+
+    When `blocks.mirror_test` is set, both eigendecompositions (of cov and
+    of K_tt) are split into even and odd halves like K_CC (see
+    `_mirror_eigh`), and the covariance's eigenpairs are sorted ascending
+    as the full `eigh` returns them.  The samples of such a problem then
+    differ bitwise from a full `eigh`'s, not in distribution.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -254,14 +275,17 @@ def sample_posterior(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not np.all(np.isfinite(summary.cov)):
         raise DecompositionError("covariance has non-finite entries")
-    w, V = np.linalg.eigh(summary.cov)
+    blocks = summary.blocks
+    w, V = _sym_eigh(summary.cov, blocks.mirror_test, ascending=True)
     F = V * np.sqrt(np.clip(w, 0.0, None))
 
-    R = None
-    blocks = summary.blocks
+    K_Ci = None
     if blocks.n_interior > 0:
-        Ptt, _ = regularized_pseudoinverse(blocks.K_tt, 0.0, DEFAULT_RCOND)
-        R = blocks.K_tC[:, : blocks.n_interior].T @ Ptt
+        K_tt = _checked(blocks.K_tt, 0.0, DEFAULT_RCOND)
+        w_tt, V_tt = _sym_eigh(K_tt, blocks.mirror_test)
+        keep = _keep(w_tt, DEFAULT_RCOND)
+        V_tt, inv_tt = V_tt[:, keep], 1.0 / w_tt[keep]
+        K_Ci = blocks.K_tC[:, : blocks.n_interior]
 
     out = []
     for child in np.random.SeedSequence(seed).spawn(count):
@@ -269,8 +293,9 @@ def sample_posterior(
         raw = summary.mean + F @ xi
         nrm = float(np.linalg.norm(raw))
         residual = 0.0
-        if R is not None and nrm > 0:
-            residual = float(np.linalg.norm(R @ raw) / nrm)
+        if K_Ci is not None and nrm > 0:
+            pinv_raw = V_tt @ (inv_tt * (V_tt.T @ raw))
+            residual = float(np.linalg.norm(K_Ci.T @ pinv_raw) / nrm)
         values = raw
         if normalization == "sup_norm":
             peak = float(np.max(np.abs(raw)))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,80 @@ class TestSample:
         [line] = error_lines(capsys.readouterr().err)
         assert named in line
         assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_rejects_nonfinite_lambda_by_its_value(self, tmp_path, capfd, value):
+        # "--lambda=" lets argparse read "-inf" as a value, not a flag
+        argv = ["sample", "laplace", f"--lambda={value}", "--out-dir", str(tmp_path)]
+        code = main(argv)
+        assert code == EXIT_CONFIG
+        [line] = error_lines(capfd.readouterr().err)
+        assert "--lambda" in line and repr(value) in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflow_prints_only_the_refusal(self, tmp_path, capfd):
+        # the kernel overflows this far out; no numpy warning precedes the
+        # error (pytest would otherwise record a warning, not print it)
+        argv = ["sample", "laplace", "--lambda", "1e200", "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == EXIT_CONFIG
+        err = capfd.readouterr().err.splitlines()
+        assert err[0].startswith("error: cannot condition at lambda = 1e+200")
+        assert all(line.startswith(("usage:", " ")) for line in err[1:])
+        assert "Warning" not in "\n".join(err)
+
+
+class TestProblemConflicts:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scan", "cantilever", "--config", "CFG"], "'cantilever'"),
+            (["scan", "--problem", "cantilever", "--config", "CFG"], "'cantilever'"),
+            (["scan", "cantilever", "--problem", "laplace"], "'laplace'"),
+            (["sample", "cantilever", "--config", "CFG", "--lambda", "10.0"],
+             "'cantilever'"),
+        ],
+        ids=["config-and-preset", "config-and-problem-flag", "problem-flag-and-preset",
+             "sample-config-and-preset"],
+    )
+    def test_refuses_conflicting_inputs(self, tmp_path, capsys, argv, named):
+        # the config names laplace; neither input may be silently dropped
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        argv = [cfg if a == "CFG" else a for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
+        [line] = error_lines(capsys.readouterr().err)
+        assert "conflicts" in line and named in line
+        assert not out.exists()
+
+    def test_same_preset_twice_is_accepted(self, tmp_path):
+        argv = ["sample", "laplace", "--problem", "laplace", "--lambda", "10.0",
+                "--count", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["sample", "laplace", "--lambda", "10.0", "--count", "0"], "sample"),
+        (["scan", "laplace", "--jobs", "abc"], "scan"),
+        (["fd-verify", "--trials", "0"], "fd-verify"),
+        (["bvp-demo", "--nf", "-1"], "bvp-demo"),
+    ],
+    ids=["sample", "scan", "fd-verify", "bvp-demo"],
+)
+def test_refused_argument_prints_its_subcommand_usage(capsys, argv, command):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(error_lines(err)) == 1
+    assert f"usage: gpeigen {command} [-h]" in err
+
+
+def test_refused_command_prints_root_usage(capsys):
+    assert main(["bogus"]) == EXIT_CONFIG
+    assert "usage: gpeigen [-h] {scan,sample," in capsys.readouterr().err
 
 
 class TestScan:
@@ -378,7 +453,7 @@ def test_console_exit_code(tmp_path, argv):
     )
     assert proc.returncode == EXIT_CONFIG
     assert len(error_lines(proc.stderr)) == 1
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -296,12 +296,35 @@ class TestAssembleBlocks:
         assert np.max(np.abs(xc[m] - (1.0 - xc))) <= 1e-15
         K = blocks.K_CC
         assert np.max(np.abs(K[np.ix_(m, m)] - K)) <= 1e-14 * np.max(np.abs(K))
+        # the test grid is its own reflection too, so K_tt keeps its reversal
+        mt = blocks.mirror_test
+        assert np.array_equal(mt, np.arange(prob.N_t)[::-1])
+        assert not mt.flags.writeable
+        assert np.max(np.abs(blocks.x_test[mt] - (1.0 - blocks.x_test))) <= 1e-15
+        K = blocks.K_tt
+        assert np.max(np.abs(K[np.ix_(mt, mt)] - K)) <= 1e-14 * np.max(np.abs(K))
 
     @pytest.mark.parametrize(
         "prob", [g.cantilever(), g.loaded_string()], ids=["cantilever", "loaded-string"]
     )
     def test_asymmetric_boundaries_get_none(self, prob):
-        assert assemble_blocks(prob, 100.0).mirror is None
+        blocks = assemble_blocks(prob, 100.0)
+        assert blocks.mirror is None
+        assert blocks.mirror_test is None
+
+    def test_unreflected_test_grid_gets_no_test_mirror(self):
+        prob = g.laplace_dirichlet()
+        stub = SimpleNamespace(
+            kernel_at=prob.kernel_at,
+            test_grid=lambda: np.linspace(0.0, 0.9, 50),
+            collocation_grid=prob.collocation_grid,
+            boundary=prob.boundary,
+            interior_op=prob.interior_op,
+            rhs_at=prob.rhs_at,
+        )
+        blocks = assemble_blocks(stub, 42.0)
+        assert blocks.mirror is not None
+        assert blocks.mirror_test is None
 
     def test_odd_grid_fixes_its_middle_row(self):
         prob = dataclasses.replace(g.laplace_dirichlet(), N=201)

@@ -15,6 +15,7 @@ from gpeigen.posterior import (
     DecompositionError,
     _eigh,
     _kept_eigh,
+    _sym_eigh,
     condition,
     neg_log_marginal_likelihood,
     regularized_pseudoinverse,
@@ -332,6 +333,75 @@ class TestSamplePosterior:
         broken = dataclasses.replace(peak_summary, cov=bad_cov)
         with pytest.raises(DecompositionError):
             sample_posterior(broken, 1, seed=0)
+
+
+class TestSampleSplit:
+    """Both eigendecompositions of `sample_posterior` under the test mirror."""
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), np.pi**2),
+            (g.laplace_dirichlet(), 50.0),
+            (g.laplace_dirichlet("paper"), 4 * np.pi**2),
+            (g.laplace_dirichlet("paper"), 300.0),
+            (dataclasses.replace(g.laplace_dirichlet(), N_t=201), 4 * np.pi**2),
+            (g.poisson_bvp_demo(), 0.0),
+        ],
+        ids=["desk-pi2", "desk-50", "paper-4pi2", "paper-300", "odd-test-grid",
+             "poisson-demo"],
+    )
+    def test_split_eigenpairs_match_full_eigh(self, prob, lam):
+        summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+        mt = summary.blocks.mirror_test
+        assert mt is not None
+        variance = summary.blocks.spec.variance
+        for M in (summary.cov, summary.blocks.K_tt):
+            # the split decomposes M averaged with its mirror image.  K_tt is
+            # exactly symmetric; cov differs from its average by the roundoff
+            # of K_tt - U U^T, bounded on the prior's scale because off-peak
+            # it is a sizeable part of the tiny cov
+            avg = 0.5 * (M + M[np.ix_(mt, mt)])
+            assert np.max(np.abs(avg - M)) <= 1e-11 * variance
+            w, V = _sym_eigh(M, mt, ascending=True)
+            w0 = np.linalg.eigvalsh(avg)
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.max(np.abs(w - w0)) <= 1e-13 * np.max(np.abs(w0))
+            assert np.max(np.abs((V * w) @ V.T - avg)) <= 1e-12 * np.max(np.abs(avg))
+
+    def test_residual_matches_dense_pseudoinverse(self):
+        # a short length scale keeps K_tt well conditioned, so the factored
+        # residual and the dense pseudoinverse formula agree beyond roundoff
+        laplace = g.laplace_dirichlet()
+        prob = dataclasses.replace(
+            laplace, N=20, N_t=20, schedule=dataclasses.replace(laplace.schedule, C=6.0)
+        )
+        blocks = assemble_blocks(prob, np.pi**2)
+        assert blocks.mirror_test is not None
+        assert np.linalg.cond(blocks.K_tt) < 1e8
+        summary = posterior_covariance(blocks, prob.jitter)
+        Ptt, _ = regularized_pseudoinverse(blocks.K_tt, 0.0, DEFAULT_RCOND)
+        R = blocks.K_tC[:, : blocks.n_interior].T @ Ptt
+        for s in sample_posterior(summary, 4, seed=3, normalization="none"):
+            want = np.linalg.norm(R @ s.values) / np.linalg.norm(s.values)
+            assert abs(s.residual - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [(g.cantilever(), 500.0), (g.loaded_string(), 42.0)],
+        ids=["cantilever", "loaded-string"],
+    )
+    def test_unmirrored_samples_are_the_full_eigh_draws(self, prob, lam):
+        # no test mirror: one full eigh and F @ xi per sample, bit for bit
+        summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+        assert summary.blocks.mirror_test is None
+        w, V = np.linalg.eigh(summary.cov)
+        F = V * np.sqrt(np.clip(w, 0.0, None))
+        samples = sample_posterior(summary, 3, seed=7, normalization="none")
+        children = np.random.SeedSequence(7).spawn(3)
+        for s, child in zip(samples, children, strict=True):
+            xi = np.random.default_rng(child).standard_normal(w.size)
+            assert np.array_equal(s.values, summary.mean + F @ xi)
 
 
 class TestSolveBvp:
