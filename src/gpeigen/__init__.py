@@ -40,7 +40,6 @@ from .posterior import (
     EigenfunctionSample,
     PosteriorSummary,
     PseudoinverseDiag,
-    condition,
     posterior_covariance,
     regularized_pseudoinverse,
     sample_posterior,

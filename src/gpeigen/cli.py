@@ -90,10 +90,7 @@ def _decode(tp, obj):
     if obj is None:
         return None
     args = get_args(tp)
-    if get_origin(tp) is Union:
-        members = [a for a in args if a is not type(None)]
-        if len(members) == 1:
-            return _decode(members[0], obj)
+    if get_origin(tp) is Union:  # CoeffExpr, the only Union in a problem
         return _decode_coeff(obj)
     if get_origin(tp) is tuple:
         types = [args[0]] * len(obj) if args[-1] is Ellipsis else args
@@ -447,17 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list-problems", help="show built-in presets")
     p_list.set_defaults(func=cmd_list_problems)
 
+    for p in sub.choices.values():  # refusals after parsing show this usage
+        p.set_defaults(usage=p.format_usage)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    usage = parser.format_usage
     try:
         args = parser.parse_args(argv)
+        usage = args.usage
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(exc.usage or parser.format_usage(), end="", file=sys.stderr)
+        print(exc.usage or usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -6,15 +6,16 @@ Conditioning the zero-mean GP prior on the assembled constraint rows gives
     mean = K_tC (K_CC + jitter I)^+ rhs
 
 with a regularized Moore-Penrose pseudoinverse, held as the square-root
-factor U of the downdate (see `condition`).  For eigenproblems the rhs
-is zero, the mean vanishes identically, and all information sits in the
-covariance: its trace J(λ) stays near zero away from eigenvalues and peaks
-when λ hits one.
+factor U of the downdate (see `posterior_covariance`).  For eigenproblems
+the rhs is zero, the mean vanishes identically, and all information sits
+in the covariance: its trace J(λ) stays near zero away from eigenvalues
+and peaks when λ hits one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,18 +48,35 @@ class PseudoinverseDiag:
 
 @dataclass
 class PosteriorSummary:
-    """Posterior at the test points for one λ."""
+    """Posterior at the test points for one λ, held as the downdate factor.
 
-    lam: float
+    U and W are the square-root factors of `posterior_covariance`.  `cov`
+    and `mean` are formed on first read and cached, so a caller that reads
+    only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    """
+
     trace_J: float
-    cov: np.ndarray
-    mean: np.ndarray
     diag: PseudoinverseDiag
+    U: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
+
+    @property
+    def lam(self) -> float:
+        return self.blocks.lam
 
     @property
     def x_test(self) -> np.ndarray:
         return self.blocks.x_test
+
+    @functools.cached_property
+    def cov(self) -> np.ndarray:
+        cov = self.blocks.K_tt - self.U @ self.U.T
+        return 0.5 * (cov + cov.T)
+
+    @functools.cached_property
+    def mean(self) -> np.ndarray:
+        return self.U @ (self.W.T @ self.blocks.rhs)
 
 
 @dataclass
@@ -183,38 +201,14 @@ def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
     return w, V, _keep(w, rcond) & (w > 0)
 
 
-def condition(blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND):
-    """Square-root factor of the downdate; the core every posterior reads.
-
-    With the kept eigenpairs (w, V) of K_CC + jitter I, W = V / sqrt(w) and
-    U = K_tC W give K_tC (K_CC + jitter I)^+ K_tC^T = U U^T.  U has O(1)
-    entries, so the downdate escapes the 1/w_min roundoff amplification of
-    an explicit pseudoinverse.  Kept directions also need w > 0 (see
-    `_kept_eigh`).  Since k(x, x) = variance, the trace is
-    J = N_t * variance - ||U||_F^2.  Returns (U, W, J, diagnostics).
-
-    When `blocks.mirror` is set (a problem symmetric under reflection, see
-    `operators`), K_CC is split into its even and odd halves and each is
-    eigendecomposed at half the size; the eigenpairs are those of K_CC
-    averaged with its mirror image, which differs from K_CC only by the
-    roundoff of assembly.  W's columns are then the kept even directions
-    followed by the kept odd ones, and everything else is unchanged.
-    """
-    w, V, keep = _kept_eigh(blocks, jitter, rcond)
-    W = V[:, keep] / np.sqrt(w[keep])
-    U = blocks.K_tC @ W
-    J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
-    return U, W, J, _diagnostics(w, keep, jitter)
-
-
 def neg_log_marginal_likelihood(
     blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND
 ) -> float:
     """-log p(rhs) of the constraint values under the zero-mean prior.
 
     The Gaussian lives on the kept eigenvectors of K_CC + jitter I, the
-    same kept set `condition` uses: with a = V_kept^T rhs over the r kept
-    eigenvalues w, the value is 0.5 sum(a^2 / w) + 0.5 sum(log w)
+    same kept set `posterior_covariance` uses: with a = V_kept^T rhs over
+    the r kept eigenvalues w, the value is 0.5 sum(a^2 / w) + 0.5 sum(log w)
     + 0.5 r log(2 pi).
     """
     w, V, keep = _kept_eigh(blocks, jitter, rcond)
@@ -229,20 +223,26 @@ def posterior_covariance(
 ) -> PosteriorSummary:
     """Condition the prior on the assembled constraint rows.
 
-    cov = K_tt - U U^T and mean = U W^T rhs, with (U, W, J) from
-    `condition`; trace_J is the core's J.
+    With the kept eigenpairs (w, V) of K_CC + jitter I, W = V / sqrt(w) and
+    U = K_tC W give K_tC (K_CC + jitter I)^+ K_tC^T = U U^T.  U has O(1)
+    entries, so the downdate escapes the 1/w_min roundoff amplification of
+    an explicit pseudoinverse.  Kept directions also need w > 0 (see
+    `_kept_eigh`).  Since k(x, x) = variance, the trace is
+    J = N_t * variance - ||U||_F^2; the summary's cov = K_tt - U U^T and
+    mean = U W^T rhs are formed only when read.
+
+    When `blocks.mirror` is set (a problem symmetric under reflection, see
+    `operators`), K_CC is split into its even and odd halves and each is
+    eigendecomposed at half the size; the eigenpairs are those of K_CC
+    averaged with its mirror image, which differs from K_CC only by the
+    roundoff of assembly.  W's columns are then the kept even directions
+    followed by the kept odd ones, and everything else is unchanged.
     """
-    U, W, J, diag = condition(blocks, jitter, rcond)
-    cov = blocks.K_tt - U @ U.T
-    cov = 0.5 * (cov + cov.T)
-    return PosteriorSummary(
-        lam=blocks.lam,
-        trace_J=J,
-        cov=cov,
-        mean=U @ (W.T @ blocks.rhs),
-        diag=diag,
-        blocks=blocks,
-    )
+    w, V, keep = _kept_eigh(blocks, jitter, rcond)
+    W = V[:, keep] / np.sqrt(w[keep])
+    U = blocks.K_tC @ W
+    J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
+    return PosteriorSummary(J, _diagnostics(w, keep, jitter), U, W, blocks)
 
 
 def sample_posterior(

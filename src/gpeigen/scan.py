@@ -17,9 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .operators import assemble_blocks
-from .posterior import DecompositionError, PseudoinverseDiag, condition
-# unused here, but bench/spans.py patches gpeigen.scan.posterior_covariance
-from .posterior import posterior_covariance  # noqa: F401
+from .posterior import DecompositionError, PseudoinverseDiag, posterior_covariance
 
 # Truncation default for the scan stage. Looser than the posterior module's
 # 1e-12 on purpose: dropping the smallest kept directions widens the resonance
@@ -156,9 +154,8 @@ def evaluate_trace(problem, lam: float, rcond: float = SCAN_RCOND):
     Forms no N_t x N_t matrix.  J is clipped at zero: tiny negatives are
     round-off, and downstream log processing needs J >= 0.
     """
-    blocks = assemble_blocks(problem, lam)
-    _, _, J, diag = condition(blocks, problem.jitter, rcond)
-    return max(J, 0.0), diag
+    summary = posterior_covariance(assemble_blocks(problem, lam), problem.jitter, rcond)
+    return max(summary.trace_J, 0.0), summary.diag
 
 
 def _scan_one(args) -> ScanPoint:

@@ -204,8 +204,10 @@ class TestProblemConflicts:
         argv = [cfg if a == "CFG" else a for a in argv]
         out = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
-        [line] = error_lines(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        [line] = error_lines(err)
         assert "conflicts" in line and named in line
+        assert f"usage: gpeigen {argv[0]} [-h]" in err
         assert not out.exists()
 
     def test_same_preset_twice_is_accepted(self, tmp_path):
@@ -221,14 +223,26 @@ class TestProblemConflicts:
         (["scan", "laplace", "--jobs", "abc"], "scan"),
         (["fd-verify", "--trials", "0"], "fd-verify"),
         (["bvp-demo", "--nf", "-1"], "bvp-demo"),
+        # refused after parsing, by the subcommand itself
+        (["scan", "cantilever", "--config", "config.json"], "scan"),
+        (["scan", "poisson-demo"], "scan"),
+        (["sample", "laplace", "--lambda", "1e200"], "sample"),
+        (["scan", "laplace", "--out-dir", "blocker"], "scan"),
     ],
-    ids=["sample", "scan", "fd-verify", "bvp-demo"],
+    ids=["sample", "scan", "fd-verify", "bvp-demo", "config-and-preset",
+         "bvp-problem", "lambda-1e200", "out-dir-is-file"],
 )
-def test_refused_argument_prints_its_subcommand_usage(capsys, argv, command):
+def test_refused_argument_prints_its_subcommand_usage(
+    tmp_path, monkeypatch, capsys, argv, command
+):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, SMALL_SCAN)
+    (tmp_path / "blocker").write_text("")
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(error_lines(err)) == 1
     assert f"usage: gpeigen {command} [-h]" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
 
 def test_refused_command_prints_root_usage(capsys):
@@ -261,9 +275,19 @@ class TestScan:
         assert flags[0] in line
         assert not (tmp_path / "spectrum.csv").exists()
 
-    def test_small_config_scan_roundtrip(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL_SCAN)
-        code = main(["scan", "--config", cfg, "--jobs", "1",
+    @pytest.mark.parametrize(
+        "extra, flags, changed",
+        [
+            ({}, [], {}),
+            ({}, ["--jitter", "2e-08"], {"jitter": 2e-8}),
+            # an id with no reference eigenvalues: peaks carry no error
+            ({"problem_id": "my-laplace"}, [], {"problem_id": "my-laplace"}),
+        ],
+        ids=["preset", "jitter-flag", "no-oracle"],
+    )
+    def test_small_config_scan_roundtrip(self, tmp_path, capsys, extra, flags, changed):
+        cfg = write_config(tmp_path, {**SMALL_SCAN, **extra})
+        code = main(["scan", "--config", cfg, "--jobs", "1", *flags,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         rows = read_spectrum_csv(tmp_path / "spectrum.csv")
@@ -274,7 +298,7 @@ class TestScan:
         assert all(J >= 0.0 for _, J, _ in rows)
 
         doc = json.loads((tmp_path / "peaks.json").read_text())
-        assert doc["problem"] == "laplace"
+        assert doc["problem"] == changed.get("problem_id", "laplace")
         assert doc["n_skipped"] == 0
         refs = [np.pi**2, 4 * np.pi**2, 9 * np.pi**2]
         assert len(doc["peaks"]) >= 2
@@ -283,7 +307,10 @@ class TestScan:
             assert 0 < rec["evaluations"] <= 31
             assert "refine_error" not in rec
             assert min(abs(rec["lambda_hat"] - r) / r for r in refs) <= 0.05
-            assert rec["relative_error"] <= 0.05
+            if "problem_id" in changed:
+                assert "nearest_reference" not in rec and "relative_error" not in rec
+            else:
+                assert rec["relative_error"] <= 0.05
         assert doc["rcond"] == SCAN_RCOND
         assert doc["evaluations"] == {
             "sweep": 24,
@@ -297,7 +324,7 @@ class TestScan:
         # the manifest carries the whole problem as scanned
         scanned = dataclasses.replace(
             g.laplace_dirichlet(), N=60, N_t=60,
-            grid=g.LambdaGrid("log", 5.0, 120.0, 24),
+            grid=g.LambdaGrid("log", 5.0, 120.0, 24), **changed,
         )
         assert problem_from_obj(doc["spec"]) == scanned
         with open(tmp_path / "spectrum.csv", newline="") as fh:
@@ -404,8 +431,16 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "content",
-        [{"mode": "eigen"}, "{", {"problem": "helmholtz"}],
-        ids=["incomplete", "invalid-json", "unknown-preset"],
+        [
+            {"mode": "eigen"},
+            "{",
+            {"problem": "helmholtz"},
+            {"problem": "laplace", "grid": [1, 2]},
+            {"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "coeff": {"bogus": 1.0}}]}},
+        ],
+        ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
+             "unknown-coefficient"],
     )
     def test_malformed_config(self, tmp_path, capsys, content):
         cfg = write_config(tmp_path, content)
@@ -413,7 +448,7 @@ class TestScan:
         assert code == EXIT_CONFIG
         [line] = error_lines(capsys.readouterr().err)
         assert "bad config" in line and cfg in line
-        assert not (tmp_path / "spectrum.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

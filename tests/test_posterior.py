@@ -1,5 +1,6 @@
 """Pseudoinverse, posterior conditioning, sampling, and the BVP path."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -16,7 +17,6 @@ from gpeigen.posterior import (
     _eigh,
     _kept_eigh,
     _sym_eigh,
-    condition,
     neg_log_marginal_likelihood,
     regularized_pseudoinverse,
     posterior_covariance,
@@ -126,14 +126,19 @@ class TestPosteriorCovariance:
     def test_trace_needs_no_test_gram(self):
         prob = g.laplace_dirichlet()
         blocks = assemble_blocks(prob, 42.0)
-        U, W, J, diag = condition(blocks, prob.jitter)
+        summary = posterior_covariance(blocks, prob.jitter)
+        U, W, diag = summary.U, summary.W, summary.diag
         assert "K_tt" not in blocks.__dict__
         assert U.shape == (prob.N_t, diag.rank)
         assert W.shape == (blocks.constraint_count, diag.rank)
         assert np.array_equal(U, blocks.K_tC @ W)
-        # the full covariance builds the test Gram once and caches it
-        posterior_covariance(blocks, prob.jitter)
+        # the trace, the diagnostics and the mean leave the test Gram unbuilt
+        assert np.all(summary.mean == 0.0)
+        assert "K_tt" not in blocks.__dict__
+        # reading the covariance builds the test Gram once and caches both
+        cov = summary.cov
         assert blocks.__dict__["K_tt"] is blocks.K_tt
+        assert summary.cov is cov
 
     def test_posterior_nearly_psd(self):
         prob = g.laplace_dirichlet()
@@ -203,8 +208,10 @@ class TestMirrorSplit:
         blocks = assemble_blocks(prob, lam)
         assert blocks.mirror is not None
         full = dataclasses.replace(blocks, mirror=None)
-        U, W, J, diag = condition(blocks, prob.jitter)
-        U0, W0, J0, diag0 = condition(full, prob.jitter)
+        s = posterior_covariance(blocks, prob.jitter)
+        s0 = posterior_covariance(full, prob.jitter)
+        U, W, J, diag = s.U, s.W, s.trace_J, s.diag
+        U0, J0, diag0 = s0.U, s0.trace_J, s0.diag
         assert diag.rank == diag0.rank
         assert diag.truncated_count == diag0.truncated_count
         assert abs(diag.sv_max - diag0.sv_max) <= 1e-13 * diag0.sv_max
@@ -260,7 +267,8 @@ class TestMirrorSplit:
                 x_constraint=x,
                 mirror=np.arange(n)[::-1],
             )
-            U, _, J, diag = condition(blocks, 0.0, RCOND_EXACT)
+            s = posterior_covariance(blocks, 0.0, RCOND_EXACT)
+            U, J, diag = s.U, s.trace_J, s.diag
             want = fd_posterior_covariance(case)
             assert diag.rank == (n - 1 if lam in on else n)
             assert np.max(np.abs(K - U @ U.T - want)) <= 1e-12 * np.max(K)
@@ -326,11 +334,9 @@ class TestSamplePosterior:
             sample_posterior(peak_summary, 1, seed=0, normalization=normalization)
 
     def test_rejects_nonfinite_cov(self, peak_summary):
-        import dataclasses
-
-        bad_cov = peak_summary.cov.copy()
-        bad_cov[0, 0] = np.inf
-        broken = dataclasses.replace(peak_summary, cov=bad_cov)
+        broken = copy.copy(peak_summary)
+        broken.cov = peak_summary.cov.copy()  # replaces the cached covariance
+        broken.cov[0, 0] = np.inf
         with pytest.raises(DecompositionError):
             sample_posterior(broken, 1, seed=0)
 

@@ -291,6 +291,25 @@ class TestScanSpectrum:
         with pytest.raises(ScanError):
             scan_spectrum(prob)
 
+    def test_every_evaluation_conditions_through_posterior_covariance(
+        self, monkeypatch
+    ):
+        # the sweep and the refinement both reach the one conditioning entry
+        lams = []
+        inner = gpeigen.scan.posterior_covariance
+
+        def counted(blocks, *args, **kwargs):
+            lams.append(blocks.lam)
+            return inner(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(gpeigen.scan, "posterior_covariance", counted)
+        prob = small_laplace()
+        scan = scan_spectrum(prob)
+        assert lams == [p.lam for p in scan.points]
+        lams.clear()
+        peak = refine_peak(prob, detect_peaks(scan)[0], iterations=8)
+        assert len(lams) == peak.evaluations > 0
+
     def test_evaluate_trace_nonnegative(self):
         prob = small_laplace()
         J, diag = evaluate_trace(prob, 42.0, SCAN_RCOND)
