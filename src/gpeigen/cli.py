@@ -40,6 +40,7 @@ from .scan import (
     SCAN_RCOND,
     ScanError,
     TooFewPointsError,
+    blas_threads,
     detect_peaks,
     fit_decay_slope,
     refine_peak,
@@ -259,6 +260,7 @@ def cmd_scan(args) -> int:
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "rcond": args.rcond,
         "jobs": args.jobs,
+        "blas_threads": blas_threads(),
         "refine_iterations": REFINE_ITERATIONS,
         "refine_rtol": REFINE_RTOL,
         "evaluations": {
@@ -311,6 +313,7 @@ def cmd_sample(args) -> int:
                 "lambda": args.lam,
                 "trace_J": summary.trace_J,
                 "seed": args.seed,
+                "blas_threads": blas_threads(),
                 "normalization": samples[0].normalization,
                 "residuals": [s.residual for s in samples],
             },
@@ -377,7 +380,25 @@ def cmd_list_problems(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+class _FloatToken:
+    """Matches every token that parses as a float, "-1e-3" and "-inf" too;
+    argparse's own pattern misses exponents, inf and nan and reads such a
+    token as a flag."""
+
+    @staticmethod
+    def match(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
+
     def error(self, message):  # subparsers inherit it: main reports every refusal
         raise ConfigError(message, self.format_usage())
 

@@ -81,6 +81,9 @@ class PosteriorSummary:
 
 @dataclass
 class EigenfunctionSample:
+    """One posterior draw.  `residual` is the sine of the raw draw's angle to
+    the covariance's leading eigenvector (see `sample_posterior`)."""
+
     values: np.ndarray
     normalization: str
     residual: float
@@ -256,18 +259,17 @@ def sample_posterior(
     The covariance is factored by symmetric eigendecomposition with
     negative eigenvalues clipped at zero; the subtraction that forms cov
     makes small negatives inevitable off-peak.  Each sample gets its own
-    substream derived from (seed, index).  The residual diagnostic pushes
-    the raw sample back through the joint cross-covariances to estimate
-    the operator values at the interior collocation sites:
-    K_Ci^T K_tt^+ raw, with K_tt^+ applied from the kept eigenpairs (V, w)
-    of K_tt (the rcond cut of `regularized_pseudoinverse`) as
-    V (w^-1 (V^T raw)), never formed.
+    substream derived from (seed, index).  A sample's residual is the sine
+    of its angle to v1, the unit eigenvector of cov's largest eigenvalue:
+    ||u - (v1^T u) v1|| / ||u|| for the raw sample u, 0 when u = 0.  At an
+    eigenvalue the posterior is one function and the residual is near 0;
+    away from one the sample leaves that direction (see README).
 
-    When `blocks.mirror_test` is set, both eigendecompositions (of cov and
-    of K_tt) are split into even and odd halves like K_CC (see
-    `_mirror_eigh`), and the covariance's eigenpairs are sorted ascending
-    as the full `eigh` returns them.  The samples of such a problem then
-    differ bitwise from a full `eigh`'s, not in distribution.
+    When `blocks.mirror_test` is set, the covariance's eigendecomposition is
+    split into even and odd halves like K_CC (see `_mirror_eigh`) and its
+    eigenpairs are sorted ascending as the full `eigh` returns them.  The
+    samples of such a problem then differ bitwise from a full `eigh`'s, not
+    in distribution.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -275,17 +277,9 @@ def sample_posterior(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not np.all(np.isfinite(summary.cov)):
         raise DecompositionError("covariance has non-finite entries")
-    blocks = summary.blocks
-    w, V = _sym_eigh(summary.cov, blocks.mirror_test, ascending=True)
+    w, V = _sym_eigh(summary.cov, summary.blocks.mirror_test, ascending=True)
     F = V * np.sqrt(np.clip(w, 0.0, None))
-
-    K_Ci = None
-    if blocks.n_interior > 0:
-        K_tt = _checked(blocks.K_tt, 0.0, DEFAULT_RCOND)
-        w_tt, V_tt = _sym_eigh(K_tt, blocks.mirror_test)
-        keep = _keep(w_tt, DEFAULT_RCOND)
-        V_tt, inv_tt = V_tt[:, keep], 1.0 / w_tt[keep]
-        K_Ci = blocks.K_tC[:, : blocks.n_interior]
+    v1 = V[:, -1]
 
     out = []
     for child in np.random.SeedSequence(seed).spawn(count):
@@ -293,9 +287,8 @@ def sample_posterior(
         raw = summary.mean + F @ xi
         nrm = float(np.linalg.norm(raw))
         residual = 0.0
-        if K_Ci is not None and nrm > 0:
-            pinv_raw = V_tt @ (inv_tt * (V_tt.T @ raw))
-            residual = float(np.linalg.norm(K_Ci.T @ pinv_raw) / nrm)
+        if nrm > 0:
+            residual = float(np.linalg.norm(raw - (v1 @ raw) * v1) / nrm)
         values = raw
         if normalization == "sup_norm":
             peak = float(np.max(np.abs(raw)))

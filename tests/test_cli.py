@@ -25,7 +25,7 @@ import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
-from gpeigen.scan import REFINE_RTOL, SCAN_RCOND
+from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
 
 
 def read_spectrum_csv(path):
@@ -124,6 +124,7 @@ class TestSample:
         assert doc["seed"] == 42
         assert doc["normalization"] == "sup_norm"
         assert len(doc["residuals"]) == 3
+        assert doc["blas_threads"] == blas_threads()
         header = (d1 / "samples.csv").read_text().splitlines()[0]
         assert header == "x,sample_0,sample_1,sample_2"
 
@@ -169,6 +170,31 @@ class TestSample:
         assert code == EXIT_CONFIG
         [line] = error_lines(capfd.readouterr().err)
         assert "--lambda" in line and repr(value) in line
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [
+            ("-inf", "'-inf'"),
+            ("-nan", "'-nan'"),
+            ("-1e-3", "lambda > 0"),
+            ("-1e+2", "lambda > 0"),
+            ("-5", "lambda > 0"),
+        ],
+        ids=["minus-inf", "minus-nan", "exponent-minus", "exponent-plus", "integer"],
+    )
+    def test_negative_value_token_is_a_value_not_a_flag(
+        self, tmp_path, capsys, value, named
+    ):
+        # "--lambda -1e-3", with a space: argparse's own negative-number
+        # pattern misses exponents, inf and nan and reads them as flags
+        argv = ["sample", "laplace", "--lambda", value, "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        [line] = error_lines(err)
+        assert named in line
+        assert "expected one argument" not in line
+        assert "usage: gpeigen sample [-h]" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_overflow_prints_only_the_refusal(self, tmp_path, capfd):
@@ -318,6 +344,7 @@ class TestScan:
         }
         assert doc["version"] == g.__version__
         assert doc["jobs"] == 1
+        assert doc["blas_threads"] == blas_threads()
         assert doc["refine_iterations"] == REFINE_ITERATIONS
         assert doc["refine_rtol"] == REFINE_RTOL
         assert doc["wall_s"] > 0.0

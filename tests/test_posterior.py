@@ -375,22 +375,51 @@ class TestSampleSplit:
             assert np.max(np.abs(w - w0)) <= 1e-13 * np.max(np.abs(w0))
             assert np.max(np.abs((V * w) @ V.T - avg)) <= 1e-12 * np.max(np.abs(avg))
 
-    def test_residual_matches_dense_pseudoinverse(self):
-        # a short length scale keeps K_tt well conditioned, so the factored
-        # residual and the dense pseudoinverse formula agree beyond roundoff
-        laplace = g.laplace_dirichlet()
-        prob = dataclasses.replace(
-            laplace, N=20, N_t=20, schedule=dataclasses.replace(laplace.schedule, C=6.0)
-        )
-        blocks = assemble_blocks(prob, np.pi**2)
-        assert blocks.mirror_test is not None
-        assert np.linalg.cond(blocks.K_tt) < 1e8
-        summary = posterior_covariance(blocks, prob.jitter)
-        Ptt, _ = regularized_pseudoinverse(blocks.K_tt, 0.0, DEFAULT_RCOND)
-        R = blocks.K_tC[:, : blocks.n_interior].T @ Ptt
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (dataclasses.replace(g.laplace_dirichlet(), N=20, N_t=20), np.pi**2),
+            (g.cantilever(), 500.0),
+        ],
+        ids=["laplace-mirror", "cantilever"],
+    )
+    def test_residual_is_the_sine_to_the_leading_eigenvector(self, prob, lam):
+        # v1 from one full eigh of cov.  A mirror split decomposes cov
+        # averaged with its mirror image, which turns v1 by at most
+        # ||cov - avg||_2 / (w1 - w2) (Davis & Kahan, SIAM J. Numer. Anal. 7
+        # (1970)); the residual moves by at most twice that
+        summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+        cov, mt = summary.cov, summary.blocks.mirror_test
+        w, V = np.linalg.eigh(cov)
+        v1 = V[:, -1]
+        turn = 0.0
+        if mt is not None:
+            turn = np.linalg.norm(0.5 * (cov - cov[np.ix_(mt, mt)]), 2) / (w[-1] - w[-2])
         for s in sample_posterior(summary, 4, seed=3, normalization="none"):
-            want = np.linalg.norm(R @ s.values) / np.linalg.norm(s.values)
-            assert abs(s.residual - want) <= 1e-10 * want
+            u = s.values
+            want = np.linalg.norm(u - (v1 @ u) * v1) / np.linalg.norm(u)
+            assert abs(s.residual - want) <= 2.0 * turn + 1e-14
+
+    def test_residual_of_a_zero_draw_is_zero(self, peak_summary):
+        zero = copy.copy(peak_summary)
+        zero.cov = np.zeros_like(peak_summary.cov)
+        (s,) = sample_posterior(zero, 1, seed=0, normalization="none")
+        assert not np.any(s.values)
+        assert s.residual == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_separates_an_eigenvalue_from_its_neighbourhood(self, n):
+        # at (n pi)^2 the posterior is one function and every draw lies close
+        # to it; 5% above, the next eigenvalue of cov turns the draws away.
+        # The CLI's default count and seed
+        prob = g.laplace_dirichlet()
+
+        def residuals(lam):
+            summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+            return [s.residual for s in sample_posterior(summary, 5, seed=0)]
+
+        on, off = residuals((n * np.pi) ** 2), residuals(1.05 * (n * np.pi) ** 2)
+        assert max(on) < min(off)
 
     @pytest.mark.parametrize(
         "prob,lam",

@@ -1,6 +1,7 @@
 """λ grids, length-scale schedule, scanning, peak detection, refinement."""
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gpeigen.scan import (
     ScanPoint,
     SpectralScan,
     TooFewPointsError,
+    blas_threads,
     detect_peaks,
     evaluate_trace,
     fit_decay_slope,
@@ -251,6 +253,21 @@ class TestScanSpectrum:
         parallel = scan_spectrum(prob, jobs=2)
         assert [p.lam for p in serial.points] == [p.lam for p in parallel.points]
         assert [p.J for p in serial.points] == [p.J for p in parallel.points]
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # two BLAS threads in each of several workers oversubscribe the cores
+        if blas_threads() is None:
+            pytest.skip("no OpenBLAS found in numpy.libs")
+        seen = []
+
+        class Recording(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                seen.append(self.submit(blas_threads).result())
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", Recording)
+        scan_spectrum(small_laplace(), jobs=2)
+        assert seen == [1]
 
     def test_small_scan_finds_first_two_modes(self):
         scan = scan_spectrum(small_laplace())
