@@ -474,8 +474,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     usage = parser.format_usage
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
         usage = args.usage
+        if extras:  # parse_args would report these with the root usage
+            raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .operators import AssembledBlocks, assemble_blocks
 
@@ -331,6 +330,9 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
         def assemble(log_ell):
             spec = dataclasses.replace(preset, length_scale=float(np.exp(log_ell)))
             return assemble_blocks(dataclasses.replace(prob, fixed_kernel=spec), 0.0)
+
+        # Imported here: only this fit needs scipy, so conditioning never loads it.
+        from scipy.optimize import minimize_scalar
 
         lo, hi = BVP_LENGTH_BRACKET
         fit = minimize_scalar(

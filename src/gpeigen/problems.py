@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .kernel import KernelSpec
 from .operators import (
@@ -246,6 +245,9 @@ def loaded_string_characteristic(lam: float) -> float:
 
 def _sign_change_roots(fn, grid, count: int, xtol: float):
     """Up to `count` roots of fn along the sign changes of a fine grid."""
+    # Imported here: only reference lookups need scipy, so assembly never loads it.
+    from scipy.optimize import bisect
+
     vals = np.array([fn(g) for g in grid])
     roots = []
     for i in range(len(grid) - 1):

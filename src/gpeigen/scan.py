@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .operators import assemble_blocks
 from .posterior import DecompositionError, PseudoinverseDiag, posterior_covariance
@@ -290,6 +289,9 @@ def refine_peak(
     best_lam, best_J = peak.lam_hat, peak.J_peak
     evaluations = 0
     if iterations > 0:
+        # Imported here: only refinement needs scipy, so sweeps never load it.
+        from scipy.optimize import minimize_scalar
+
         xatol = max((b - a) / 2.0**iterations, REFINE_RTOL * peak.lam_hat)
 
         def neg_log_J(lam):

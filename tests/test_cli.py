@@ -254,9 +254,13 @@ class TestProblemConflicts:
         (["scan", "poisson-demo"], "scan"),
         (["sample", "laplace", "--lambda", "1e200"], "sample"),
         (["scan", "laplace", "--out-dir", "blocker"], "scan"),
+        # left over after parsing: the root parser would show its own usage
+        (["scan", "laplace", "-x"], "scan"),
+        (["sample", "laplace", "--lambda", "10.0", "--bogus", "1"], "sample"),
     ],
     ids=["sample", "scan", "fd-verify", "bvp-demo", "config-and-preset",
-         "bvp-problem", "lambda-1e200", "out-dir-is-file"],
+         "bvp-problem", "lambda-1e200", "out-dir-is-file", "scan-unknown-flag",
+         "sample-unknown-flag"],
 )
 def test_refused_argument_prints_its_subcommand_usage(
     tmp_path, monkeypatch, capsys, argv, command
@@ -499,6 +503,17 @@ class TestScan:
         assert "bad config" in err and key in err
 
 
+def run_fresh_interpreter(args, cwd):
+    """Run Python with `args` in a new process that imports this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["scan", "laplace", "--jobs", "abc"], ["sample", "laplace", "--lambda", "1e200"]],
@@ -506,17 +521,46 @@ class TestScan:
 )
 def test_console_exit_code(tmp_path, argv):
     # the exit status a shell sees, which in-process main() calls cannot show
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpeigen.cli", *argv, "--out-dir", str(tmp_path)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    proc = run_fresh_interpreter(
+        ["-m", "gpeigen.cli", *argv, "--out-dir", str(tmp_path)], tmp_path
     )
     assert proc.returncode == EXIT_CONFIG
     assert len(error_lines(proc.stderr)) == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+SCIPY_ONLY_ON_REFINEMENT = """
+import dataclasses, sys
+import gpeigen as g
+from gpeigen.cli import main
+
+prob = dataclasses.replace(
+    g.build_preset("laplace"), N=60, N_t=60,
+    grid=g.LambdaGrid(kind="log", lo=5.0, hi=120.0, count=24),
+)
+peaks = g.detect_peaks(g.scan_spectrum(prob))
+blocks = g.assemble_blocks(prob, 9.87)
+g.sample_posterior(g.posterior_covariance(blocks, prob.jitter), 2, 0)
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert main(["sample", "laplace", "--lambda", "9.87", "--count", "2"]) == 0
+assert main(["list-problems"]) == 0
+assert main(["fd-verify", "--trials", "2"]) == 0
+assert main(["scan", "laplace", "--jobs", "0"]) == 2
+assert "scipy.optimize" not in sys.modules, "scipy loaded before refinement"
+out = g.refine_peak(prob, peaks[0], 4)
+assert out.refined and out.evaluations > 0 and out.J_peak >= peaks[0].J_peak
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_on_refinement(tmp_path):
+    # sys.modules of a fresh interpreter: this process has scipy loaded already
+    proc = run_fresh_interpreter(["-c", SCIPY_ONLY_ON_REFINEMENT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestProblemSerialization:
