@@ -104,6 +104,16 @@ def _decode(tp, obj):
         if unknown:
             raise TypeError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
         return tp(**{k: _decode(hints[k], v) for k, v in obj.items()})
+    # str, int or float, converted only where no value changes: a JSON
+    # integer for a float, an integral number for an int
+    if tp is str:
+        ok = isinstance(obj, str)
+    else:  # a bool is not a number
+        ok = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+        if tp is int:
+            ok = ok and (isinstance(obj, int) or obj.is_integer())
+    if not ok:
+        raise TypeError(f"expected {tp.__name__}, got {obj!r}")
     return tp(obj)
 
 
@@ -145,7 +155,8 @@ def resolve_problem(args) -> ProblemSpec:
     "problem" preset, its remaining keys override that preset field by
     field; otherwise it must spell out a complete problem.  A config file
     with a preset id or --problem, or --problem naming another preset than
-    the positional one, is refused rather than one of them ignored.
+    the positional one, or --paper-scale with a config that names no
+    preset, is refused rather than one of them ignored.
     """
     scale = "paper" if args.paper_scale else "desk"
     preset = args.problem_flag or args.problem
@@ -165,9 +176,16 @@ def resolve_problem(args) -> ProblemSpec:
                 base = problem_to_obj(build_preset(obj.pop("problem"), scale))
                 base.update(obj)
                 obj = base
+            elif args.paper_scale:
+                raise ConfigError(
+                    f"--paper-scale conflicts with --config {args.config}, "
+                    "which names no preset"
+                )
             problem = problem_from_obj(obj)
         else:
             problem = build_preset(preset, scale)
+    except ConfigError:
+        raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
         where = f"bad config {args.config}: " if args.config else ""
         raise ConfigError(f"{where}{exc}") from exc

@@ -15,29 +15,27 @@ first row, and expanded from them.  Every other block (a non-uniform grid,
 differing steps, a single boundary site) is evaluated densely on all pairs.
 
 Only the kernel and the operator coefficients change with λ, so the layout
-(each block's place and rule, their radial arguments, `mirror` and
-`mirror_test`) is cached, keyed on the grid values, the interior operator
-and the boundary sites.  Each λ makes one `radial_profile_derivatives` call
-over those arguments and forms every block from it exactly as
-`apply_bilinear` would.
+(each block's place and rule, their radial arguments and `mirror`) is
+cached, keyed on the grid values, the interior operator and the boundary
+sites.  Each λ makes one `radial_profile_derivatives` call over those
+arguments and forms every block from it exactly as `apply_bilinear` would.
 
-`assemble_blocks` also decides, from the problem's structure alone, whether
-the constraint rows are symmetric under the reflection x -> c - x, where c
-is the smallest plus the largest constraint location.  The interior grid
-must be its own reversal to a few ulps under an interior operator with only
-even-order terms, and every boundary site must pair with a site at its
-reflected location with an identical even-order operator (a site at the
-midpoint pairs with itself).  Then k(c - x, c - y) = k(x, y) and even-order
-derivatives keep their sign under the reflection, so K_CC is unchanged by
-permuting its rows and columns with the row involution of the reflection,
-which is recorded as `AssembledBlocks.mirror`; `posterior` uses it to
-eigendecompose K_CC as two half-size problems.  K_CC is never inspected
-numerically for this: its entries carry the grid's ulp-level asymmetry
-amplified by r / l^2, so a tolerance test would flip from one λ to the next.
-When the test grid is also its own reflection about the same c, its reversal
-is recorded as `AssembledBlocks.mirror_test`: K_tt and the posterior
-covariance are then unchanged by it, and `posterior` splits their
-eigendecompositions the same way.
+The layout also decides once, from the problem's structure alone, whether
+the reflection x -> c - x maps the constraint rows and the test grid onto
+themselves, where c is the smallest plus the largest constraint location.
+The interior grid and the test grid must each be their own reversal to a
+few ulps, the interior operator must have only even-order terms, and every
+boundary site must pair with a site at its reflected location with an
+identical even-order operator (a site at the midpoint pairs with itself).
+Then k(c - x, c - y) = k(x, y) and even-order derivatives keep their sign
+under the reflection, so K_CC is unchanged by permuting its rows and
+columns with the row involution of the reflection, recorded as
+`AssembledBlocks.mirror`, and K_tt and the posterior covariance are
+unchanged by the reversal of the test grid, `AssembledBlocks.mirror_test`.
+`posterior._eigh` uses either to eigendecompose as two half-size problems.
+No matrix is inspected numerically for this: K_CC's entries carry the
+grid's ulp-level asymmetry amplified by r / l^2, so a tolerance test would
+flip from one λ to the next.
 """
 
 from __future__ import annotations
@@ -182,10 +180,9 @@ class AssembledBlocks:
     rows are ordered interior-first, then boundary sites; rhs stacks the
     same way.  The test-grid kernel K_tt is built on first access, since
     only the full covariance needs it.  `mirror` is the row involution of
-    the reflection that leaves the constraint rows invariant (see the
-    module docstring), or None when there is none; `mirror_test` is the
-    reversal of the test grid when `mirror` is set and the same reflection
-    maps the test grid onto itself, else None.
+    the reflection that maps the constraint rows and the test grid onto
+    themselves (see the module docstring), or None when there is none;
+    `mirror_test` is then the test grid's reversal.
     """
 
     lam: float
@@ -197,13 +194,20 @@ class AssembledBlocks:
     x_test: np.ndarray
     x_constraint: np.ndarray
     mirror: np.ndarray = None
-    mirror_test: np.ndarray = None
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
         r, toeplitz = _lags(self.x_test, self.x_test)
         k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
         return _expand(k, toeplitz, self.x_test.size).copy()
+
+    @property
+    def mirror_test(self):
+        if self.mirror is None:
+            return None
+        perm = np.arange(self.x_test.size)[::-1]
+        perm.flags.writeable = False
+        return perm
 
     @property
     def constraint_count(self) -> int:
@@ -279,18 +283,18 @@ def _even_order(op: LinearOperatorSpec) -> bool:
     return all(t.deriv_order % 2 == 0 for t in op.terms)
 
 
-def _mirror(xi: np.ndarray, interior_op, sites):
-    """Row involution of the reflection that maps the constraint rows onto
-    themselves, or None; rows ordered as in `assemble_blocks`."""
-    locs = np.concatenate([xi, [s.location for s in sites]])
-    lo, hi = locs.min(), locs.max()
+def _mirror(xt: np.ndarray, x_constraint: np.ndarray, interior_op, sites):
+    """Row involution of the reflection that maps the constraint rows and the
+    test grid onto themselves, or None; rows ordered as in `assemble_blocks`."""
+    n = x_constraint.size - len(sites)
+    xi = x_constraint[:n]
+    lo, hi = x_constraint.min(), x_constraint.max()
     c, tol = lo + hi, _ulps(lo, hi)
-    if xi.size and (
-        not _even_order(interior_op) or np.max(np.abs(xi + xi[::-1] - c)) > tol
+    if (n and not _even_order(interior_op)) or any(
+        np.max(np.abs(x + x[::-1] - c), initial=0.0) > tol for x in (xi, xt)
     ):
         return None
-    n = xi.size
-    perm = np.arange(n + len(sites))
+    perm = np.arange(x_constraint.size)
     perm[:n] = perm[:n][::-1]
     unpaired = list(range(len(sites)))
     while unpaired:
@@ -310,20 +314,9 @@ def _mirror(xi: np.ndarray, interior_op, sites):
     return perm
 
 
-def _mirror_test(xt: np.ndarray, x_constraint: np.ndarray):
-    """Reversal of the test grid if the constraint rows' reflection maps it
-    onto itself to a few ulps, else None; call only when there is a `mirror`."""
-    lo, hi = x_constraint.min(), x_constraint.max()
-    if np.max(np.abs(xt + xt[::-1] - (lo + hi))) > _ulps(lo, hi):
-        return None
-    perm = np.arange(xt.size)[::-1]
-    perm.flags.writeable = False  # cached with the layout
-    return perm
-
-
 @functools.lru_cache(maxsize=16)
 def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
-    """(x_test, x_constraint, mirror, mirror_test, ops, blocks, r, n_max) for
+    """(x_test, x_constraint, mirror, ops, blocks, r, n_max) for
     these grids (float64 bytes), operators and sites.  A block is (left, right,
     rows, cols, span of r, Toeplitz), indexing `ops`; left 0, the identity, is
     K_tC's."""
@@ -343,11 +336,10 @@ def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
             at += r.size
     r = np.concatenate(lags)
     x_constraint = np.concatenate([xi, [s.location for s in sites]])
-    mirror = _mirror(xi, interior_op, sites)
-    mirror_test = None if mirror is None else _mirror_test(xt, x_constraint)
+    mirror = _mirror(xt, x_constraint, interior_op, sites)
     x_constraint.flags.writeable = False
     n_max = max(ops[i].max_order + ops[j].max_order for i, j, *_ in blocks)
-    return xt, x_constraint, mirror, mirror_test, ops, tuple(blocks), r, n_max
+    return xt, x_constraint, mirror, ops, tuple(blocks), r, n_max
 
 
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
@@ -366,7 +358,7 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         raise GridError("test grid is empty")
     if xi.size == 0 and not sites:
         raise GridError("no constraint rows to condition on")
-    x_test, x_constraint, mirror, mirror_test, ops, layout, r, n_max = _layout(
+    x_test, x_constraint, mirror, ops, layout, r, n_max = _layout(
         xt.tobytes(), xi.tobytes(), problem.interior_op, sites
     )
 
@@ -396,5 +388,4 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         x_test=x_test,
         x_constraint=x_constraint,
         mirror=mirror,
-        mirror_test=mirror_test,
     )

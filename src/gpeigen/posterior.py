@@ -101,7 +101,13 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
     return M
 
 
-def _eigh(M, jitter: float):
+def _eigh(M, jitter: float = 0.0, mirror=None):
+    """Eigenpairs (w, V) of the symmetric M + jitter*I: from `_mirror_eigh`
+    when the row involution `mirror` is set, even eigenpairs first, else
+    from one full `eigh` in increasing order.  This is the one place that
+    chooses the split."""
+    if mirror is not None:
+        return _mirror_eigh(M, mirror, jitter)
     if jitter:
         M = M.copy()  # shift the diagonal in place; no identity matrix
         M.flat[:: len(M) + 1] += jitter
@@ -174,32 +180,16 @@ def _mirror_eigh(K, mirror, jitter: float):
     return np.concatenate([w_even, w_odd]), V
 
 
-def _sym_eigh(M, mirror, jitter: float = 0.0, ascending: bool = False):
-    """Eigenpairs (w, V) of the symmetric M + jitter*I: from `_mirror_eigh`
-    when the row involution `mirror` is set, else from one full `_eigh`.
-
-    The split lists the even eigenpairs first; `ascending` sorts them into
-    the full `eigh`'s order.  This is the one place that chooses the split.
-    """
-    if mirror is None:
-        return _eigh(M, jitter)
-    w, V = _mirror_eigh(M, mirror, jitter)
-    if ascending:
-        order = np.argsort(w, kind="stable")
-        w, V = w[order], V[:, order]
-    return w, V
-
-
 def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
     """Eigenpairs (w, V) of K_CC + jitter*I and the kept set.
 
     The kept set is the rcond cut narrowed to w > 0: negative eigenvalues
     of the shifted Gram are roundoff with no real square root, so neither
-    the downdate nor the likelihood can use them.  With a `blocks.mirror`
-    the eigenpairs come from `_mirror_eigh`, and the one cut applies to the
-    union of both halves' eigenvalues.  Returns (w, V, keep).
+    the downdate nor the likelihood can use them.  `_eigh` splits by
+    `blocks.mirror` when it is set, and the one cut applies to the union of
+    both halves' eigenvalues.  Returns (w, V, keep).
     """
-    w, V = _sym_eigh(_checked(blocks.K_CC, jitter, rcond), blocks.mirror, jitter)
+    w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
     return w, V, _keep(w, rcond) & (w > 0)
 
 
@@ -234,8 +224,8 @@ def posterior_covariance(
     mean = U W^T rhs are formed only when read.
 
     When `blocks.mirror` is set (a problem symmetric under reflection, see
-    `operators`), K_CC is split into its even and odd halves and each is
-    eigendecomposed at half the size; the eigenpairs are those of K_CC
+    `operators`), `_eigh` splits K_CC into its even and odd halves and
+    eigendecomposes each at half the size; the eigenpairs are those of K_CC
     averaged with its mirror image, which differs from K_CC only by the
     roundoff of assembly.  W's columns are then the kept even directions
     followed by the kept odd ones, and everything else is unchanged.
@@ -264,11 +254,10 @@ def sample_posterior(
     eigenvalue the posterior is one function and the residual is near 0;
     away from one the sample leaves that direction (see README).
 
-    When `blocks.mirror_test` is set, the covariance's eigendecomposition is
-    split into even and odd halves like K_CC (see `_mirror_eigh`) and its
-    eigenpairs are sorted ascending as the full `eigh` returns them.  The
-    samples of such a problem then differ bitwise from a full `eigh`'s, not
-    in distribution.
+    When `blocks.mirror_test` is set, `_eigh` splits the covariance into
+    even and odd halves like K_CC, and the eigenpairs are sorted into the
+    full `eigh`'s increasing order.  The samples of such a problem then
+    differ bitwise from a full `eigh`'s, not in distribution.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -276,7 +265,13 @@ def sample_posterior(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not np.all(np.isfinite(summary.cov)):
         raise DecompositionError("covariance has non-finite entries")
-    w, V = _sym_eigh(summary.cov, summary.blocks.mirror_test, ascending=True)
+    mirror = summary.blocks.mirror_test
+    w, V = _eigh(summary.cov, mirror=mirror)
+    # sort the split's even-first pairs; sorting eigh's own V would gather it
+    # into a C-ordered copy and move the draws by roundoff
+    if mirror is not None:
+        order = np.argsort(w, kind="stable")
+        w, V = w[order], V[:, order]
     F = V * np.sqrt(np.clip(w, 0.0, None))
     v1 = V[:, -1]
 

@@ -110,6 +110,8 @@ class LambdaGrid:
             raise ValueError(f"count must be at least 2, got {self.count}")
         if self.kind == "log" and self.lo <= 0:
             raise ValueError("log grid needs lo > 0")
+        if self.kind != "power_root" and self.root is not None:
+            raise ValueError(f"{self.kind} grid takes no root")
         if self.kind == "power_root":
             if self.root is None or not self.root > 0:
                 raise ValueError("power_root grid needs a positive root")
@@ -242,8 +244,8 @@ def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
 
     Skipped points are dropped before neighbor comparison, so a peak's
     neighbors are the nearest evaluated points.  grid_index refers back to
-    the original grid.  Returned sorted by λ (ascending, so equal-height
-    peaks resolve toward smaller λ).
+    the original grid.  Returned in increasing λ (so equal-height peaks
+    resolve toward smaller λ).
     """
     if not prominence_decades > 0:
         raise ValueError("prominence_decades must be positive")

@@ -220,14 +220,21 @@ class TestProblemConflicts:
             (["scan", "cantilever", "--problem", "laplace"], "'laplace'"),
             (["sample", "cantilever", "--config", "CFG", "--lambda", "10.0"],
              "'cantilever'"),
+            (["scan", "--config", "FULL", "--paper-scale"], "--paper-scale"),
         ],
         ids=["config-and-preset", "config-and-problem-flag", "problem-flag-and-preset",
-             "sample-config-and-preset"],
+             "sample-config-and-preset", "paper-scale-and-complete-config"],
     )
     def test_refuses_conflicting_inputs(self, tmp_path, capsys, argv, named):
-        # the config names laplace; neither input may be silently dropped
-        cfg = write_config(tmp_path, SMALL_SCAN)
-        argv = [cfg if a == "CFG" else a for a in argv]
+        # CFG names laplace, FULL spells out a problem with no preset to
+        # scale; neither input may be silently dropped
+        configs = {
+            "CFG": write_config(tmp_path, SMALL_SCAN),
+            "FULL": write_config(
+                tmp_path, problem_to_obj(g.laplace_dirichlet()), "full.json"
+            ),
+        }
+        argv = [configs.get(a, a) for a in argv]
         out = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -469,9 +476,30 @@ class TestScan:
             {"problem": "laplace", "grid": [1, 2]},
             {"problem": "laplace", "interior_op": {"terms": [
                 {"deriv_order": 2, "coeff": {"bogus": 1.0}}]}},
+            # values the decoder would have to change to fit their fields
+            {"problem": "laplace", "N": 20.9},
+            {"problem": "laplace", "N_t": "30"},
+            {"problem": "laplace", "jitter": True},
+            {"problem": "laplace",
+             "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40.7}},
+            {"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2.7, "coeff": {"const": -1.0}},
+                {"deriv_order": 0, "coeff": {"neg": "lambda"}}]}},
+            {"problem": "laplace", "boundary": [
+                {"location": True, "operator": {"terms": [
+                    {"deriv_order": 0, "coeff": {"const": 1.0}}]}}]},
+            {"problem": "laplace", "problem_id": 7},
+            # a root only a power_root grid reads
+            {"problem": "laplace",
+             "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
+            {"problem": "laplace",
+             "grid": {"kind": "linear", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
         ],
         ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
-             "unknown-coefficient"],
+             "unknown-coefficient", "int-field-fraction", "int-field-string",
+             "float-field-bool", "grid-count-fraction", "deriv-order-fraction",
+             "location-bool", "problem-id-number", "log-grid-root",
+             "linear-grid-root"],
     )
     def test_malformed_config(self, tmp_path, capsys, content):
         cfg = write_config(tmp_path, content)

@@ -312,7 +312,10 @@ class TestAssembleBlocks:
         assert blocks.mirror is None
         assert blocks.mirror_test is None
 
-    def test_unreflected_test_grid_gets_no_test_mirror(self):
+    def test_unreflected_test_grid_gets_no_mirror(self):
+        # symmetric constraint rows under a test grid that does not reflect:
+        # no eigen-mode problem builds this (its linspace grids share both
+        # ends), so the layout forgoes the K_CC split rather than decide twice
         prob = g.laplace_dirichlet()
         stub = SimpleNamespace(
             kernel_at=prob.kernel_at,
@@ -323,8 +326,22 @@ class TestAssembleBlocks:
             rhs_at=prob.rhs_at,
         )
         blocks = assemble_blocks(stub, 42.0)
-        assert blocks.mirror is not None
+        assert blocks.mirror is None
         assert blocks.mirror_test is None
+
+    @pytest.mark.parametrize(
+        "pid,scale",
+        [
+            (pid, scale)
+            for pid in ("laplace", "cantilever", "loaded-string")
+            for scale in ("desk", "paper")
+        ]
+        + [("poisson-demo", "desk")],
+    )
+    def test_one_decision_covers_both_grids(self, pid, scale):
+        prob = g.build_preset(pid, scale)
+        blocks = assemble_blocks(prob, 42.0 if prob.mode == "eigen" else 0.0)
+        assert (blocks.mirror is None) == (blocks.mirror_test is None)
 
     def test_odd_grid_fixes_its_middle_row(self):
         prob = dataclasses.replace(g.laplace_dirichlet(), N=201)
