@@ -17,21 +17,13 @@ from .kernel import (
 )
 from .operators import (
     AssembledBlocks,
-    CoeffExpr,
-    Const,
     ConstraintSite,
     GridError,
-    Lam,
     LinearOperatorSpec,
-    Neg,
     OperatorTermSpec,
     PoleError,
-    Prod,
-    Quot,
-    Sum,
     apply_bilinear,
     assemble_blocks,
-    eval_coeff,
     identity_op,
 )
 from .posterior import (

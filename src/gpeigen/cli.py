@@ -14,13 +14,13 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .matrixcase import fd_theorem_suite
-from .operators import CoeffExpr, Lam, assemble_blocks
+from .operators import assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
     posterior_covariance,
@@ -62,19 +62,10 @@ SPECTRUM_COLUMNS = (
 # -- serialization ----------------------------------------------------------
 
 # A problem serializes field by field from its dataclasses, omitting None
-# fields.  A coefficient becomes {"<class name, lowercased>": argument}, the
-# argument a list for two-field classes; Lam becomes the string "lambda".
-
-COEFF_TYPES = get_args(CoeffExpr)
-COEFF_TAGS = {cls.__name__.lower(): cls for cls in COEFF_TYPES if cls is not Lam}
+# fields.
 
 
 def _encode(value):
-    if isinstance(value, Lam):
-        return "lambda"
-    if isinstance(value, COEFF_TYPES):
-        args = [_encode(getattr(value, f.name)) for f in dataclasses.fields(value)]
-        return {type(value).__name__.lower(): args[0] if len(args) == 1 else args}
     if dataclasses.is_dataclass(value):
         return {
             f.name: _encode(getattr(value, f.name))
@@ -91,9 +82,9 @@ def _decode(tp, obj):
     if obj is None:
         return None
     args = get_args(tp)
-    if get_origin(tp) is Union:  # CoeffExpr, the only Union in a problem
-        return _decode_coeff(obj)
     if get_origin(tp) is tuple:
+        if not isinstance(obj, list):  # a string would decode char by char
+            raise TypeError(f"expected a list, got {obj!r}")
         types = [args[0]] * len(obj) if args[-1] is Ellipsis else args
         return tuple(_decode(t, v) for t, v in zip(types, obj, strict=True))
     if dataclasses.is_dataclass(tp):
@@ -110,24 +101,13 @@ def _decode(tp, obj):
         ok = isinstance(obj, str)
     else:  # a bool is not a number
         ok = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+        if ok and not abs(obj) <= sys.float_info.max:  # inf, nan, a huge int
+            raise ValueError(f"expected a finite {tp.__name__}, got {obj!r}")
         if tp is int:
             ok = ok and (isinstance(obj, int) or obj.is_integer())
     if not ok:
         raise TypeError(f"expected {tp.__name__}, got {obj!r}")
     return tp(obj)
-
-
-def _decode_coeff(obj):
-    if obj == "lambda":
-        return Lam()
-    if isinstance(obj, dict) and len(obj) == 1:
-        tag, arg = next(iter(obj.items()))
-        cls = COEFF_TAGS.get(tag)
-        if cls is not None:
-            hints = list(get_type_hints(cls).values())
-            vals = [arg] if len(hints) == 1 else arg
-            return cls(*(_decode(t, v) for t, v in zip(hints, vals, strict=True)))
-    raise ValueError(f"malformed coefficient expression: {obj!r}")
 
 
 def problem_to_obj(p: ProblemSpec) -> dict:
@@ -433,8 +413,10 @@ def _number(convert, accept, name):
 
 POSITIVE_INT = _number(int, lambda v: v > 0, "positive int")
 NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "nonnegative int")
-POSITIVE_FLOAT = _number(float, lambda v: v > 0, "positive float")  # refuses nan
-NONNEGATIVE_FLOAT = _number(float, lambda v: v >= 0, "nonnegative float")
+POSITIVE_FLOAT = _number(float, lambda v: 0 < v < math.inf, "finite positive float")
+NONNEGATIVE_FLOAT = _number(
+    float, lambda v: 0 <= v < math.inf, "finite nonnegative float"
+)
 FINITE_FLOAT = _number(float, math.isfinite, "finite float")
 
 

@@ -1,11 +1,11 @@
 """Lambda-parameterized linear differential operators and block assembly.
 
-An operator is a sum of derivative terms, each with a coefficient that may
-depend on the spectral parameter λ (for example the shift term -λ, or a
-rational boundary coefficient with a pole).  Applying an operator pair to
-the two kernel arguments reduces to signed radial-profile derivatives, so
-the covariance blocks for a whole problem can be assembled with a handful
-of vectorized evaluations per λ.
+An operator is a sum of derivative terms, each with a coefficient that is
+a ratio of two polynomials in the spectral parameter λ (for example the
+shift term -λ, or a boundary coefficient λ/(λ - 1) with a pole).  Applying
+an operator pair to the two kernel arguments reduces to signed
+radial-profile derivatives, so the covariance blocks for a whole problem
+can be assembled with a handful of vectorized evaluations per λ.
 
 The kernel is stationary, so a block between two uniform grids with a
 common step is Toeplitz in i - j.  Such a block (both grids with at least
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -54,81 +53,26 @@ from .kernel import (
 
 
 class PoleError(ArithmeticError):
-    """A coefficient quotient has a zero denominator at this λ."""
+    """A coefficient's denominator polynomial vanishes at this λ."""
 
 
 class GridError(ValueError):
     """A required point grid is empty."""
 
 
-# Coefficient expressions: a closed term language over the scalar λ.
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Lam:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "CoeffExpr"
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "CoeffExpr"
-    right: "CoeffExpr"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "CoeffExpr"
-    right: "CoeffExpr"
-
-
-@dataclass(frozen=True)
-class Quot:
-    num: "CoeffExpr"
-    den: "CoeffExpr"
-
-
-CoeffExpr = Union[Const, Lam, Neg, Sum, Prod, Quot]
-
-
-def eval_coeff(expr: CoeffExpr, lam: float) -> float:
-    """Evaluate a coefficient expression at λ.
-
-    Raises PoleError when a quotient denominator is exactly zero; callers
-    scanning over λ treat that as a skippable grid point.
-    """
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Lam):
-        return float(lam)
-    if isinstance(expr, Neg):
-        return -eval_coeff(expr.arg, lam)
-    if isinstance(expr, Sum):
-        return eval_coeff(expr.left, lam) + eval_coeff(expr.right, lam)
-    if isinstance(expr, Prod):
-        return eval_coeff(expr.left, lam) * eval_coeff(expr.right, lam)
-    if isinstance(expr, Quot):
-        den = eval_coeff(expr.den, lam)
-        if den == 0.0:
-            raise PoleError(f"coefficient denominator vanishes at lambda={lam}")
-        return eval_coeff(expr.num, lam) / den
-    raise TypeError(f"not a coefficient expression: {expr!r}")
-
-
 @dataclass(frozen=True)
 class OperatorTermSpec:
-    """One term c(λ) * d^n/dx^n of a linear operator."""
+    """One term c(λ) * d^n/dx^n of a linear operator.
+
+    The coefficient is the ratio of two polynomials in λ,
+    c(λ) = num(λ) / den(λ), each given by its coefficients from the highest
+    power down: (-1.0, 0.0) is -λ, and num (1.0, 0.0) over den (1.0, -1.0)
+    is λ/(λ - 1).  A constant is a one-element num over the default den.
+    """
 
     deriv_order: int
-    coeff: CoeffExpr
+    num: tuple[float, ...]
+    den: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         d = self.deriv_order
@@ -136,6 +80,29 @@ class OperatorTermSpec:
             raise ValueError(
                 f"term derivative order {d} outside 0..{MAX_DERIV_ORDER}"
             )
+        for name in ("num", "den"):
+            poly = tuple(getattr(self, name))
+            if not poly:
+                raise ValueError(f"term {name} needs at least one coefficient")
+            object.__setattr__(self, name, poly)
+
+    def coeff(self, lam: float) -> float:
+        """num(λ) / den(λ) by Horner's rule.
+
+        Raises PoleError when den(λ) is exactly zero; callers scanning over
+        λ treat that as a skippable grid point.
+        """
+        den = _horner(self.den, lam)
+        if den == 0.0:
+            raise PoleError(f"coefficient denominator vanishes at lambda={lam}")
+        return _horner(self.num, lam) / den
+
+
+def _horner(poly, lam: float) -> float:
+    out = 0.0
+    for c in poly:
+        out = out * lam + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,7 +125,7 @@ class LinearOperatorSpec:
 
 
 def identity_op() -> LinearOperatorSpec:
-    return LinearOperatorSpec((OperatorTermSpec(0, Const(1.0)),))
+    return LinearOperatorSpec((OperatorTermSpec(0, (1.0,)),))
 
 
 @dataclass(frozen=True)
@@ -236,7 +203,7 @@ def apply_bilinear(
 
 
 def _coeffs(op: LinearOperatorSpec, lam: float):
-    return [(t.deriv_order, eval_coeff(t.coeff, lam)) for t in op.terms]
+    return [(t.deriv_order, t.coeff(lam)) for t in op.terms]
 
 
 def _combine(left, right, stack):

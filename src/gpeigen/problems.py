@@ -7,18 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import KernelSpec
-from .operators import (
-    Const,
-    ConstraintSite,
-    Lam,
-    LinearOperatorSpec,
-    Neg,
-    OperatorTermSpec,
-    Prod,
-    Quot,
-    Sum,
-    identity_op,
-)
+from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
 
 # Desk scale keeps the whole acceptance suite in the minutes range; paper
@@ -113,7 +102,7 @@ def _scale_params(scale: str) -> dict:
 
 def _shifted(op_terms) -> LinearOperatorSpec:
     # append the -λ identity term that makes the eigen constraint homogeneous
-    return LinearOperatorSpec(tuple(op_terms) + (OperatorTermSpec(0, Neg(Lam())),))
+    return LinearOperatorSpec(tuple(op_terms) + (OperatorTermSpec(0, (-1.0, 0.0)),))
 
 
 def laplace_dirichlet(scale: str = "desk") -> ProblemSpec:
@@ -123,7 +112,7 @@ def laplace_dirichlet(scale: str = "desk") -> ProblemSpec:
         problem_id="laplace",
         domain=(0.0, 1.0),
         mode="eigen",
-        interior_op=_shifted((OperatorTermSpec(2, Const(-1.0)),)),
+        interior_op=_shifted((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
             ConstraintSite(1.0, identity_op()),
@@ -137,7 +126,7 @@ def laplace_dirichlet(scale: str = "desk") -> ProblemSpec:
 
 
 def _deriv_op(n: int) -> LinearOperatorSpec:
-    return LinearOperatorSpec((OperatorTermSpec(n, Const(1.0)),))
+    return LinearOperatorSpec((OperatorTermSpec(n, (1.0,)),))
 
 
 def cantilever(scale: str = "desk") -> ProblemSpec:
@@ -147,7 +136,7 @@ def cantilever(scale: str = "desk") -> ProblemSpec:
         problem_id="cantilever",
         domain=(0.0, 1.0),
         mode="eigen",
-        interior_op=_shifted((OperatorTermSpec(4, Const(1.0)),)),
+        interior_op=_shifted((OperatorTermSpec(4, (1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
             ConstraintSite(0.0, _deriv_op(1)),
@@ -169,18 +158,13 @@ def loaded_string(scale: str = "desk") -> ProblemSpec:
     nonlinear eigenvalue problem with a pole at λ = κ.
     """
     s = _scale_params(scale)
-    load_coeff = Quot(
-        Prod(Const(1.0), Lam()),
-        Sum(Lam(), Neg(Const(1.0))),
-    )
-    right_op = LinearOperatorSpec(
-        (OperatorTermSpec(1, Const(1.0)), OperatorTermSpec(0, load_coeff))
-    )
+    load = OperatorTermSpec(0, num=(1.0, 0.0), den=(1.0, -1.0))  # λ/(λ - 1)
+    right_op = LinearOperatorSpec((OperatorTermSpec(1, (1.0,)), load))
     return ProblemSpec(
         problem_id="loaded-string",
         domain=(0.0, 1.0),
         mode="eigen",
-        interior_op=_shifted((OperatorTermSpec(2, Const(-1.0)),)),
+        interior_op=_shifted((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
             ConstraintSite(1.0, right_op),
@@ -199,7 +183,7 @@ def poisson_bvp_demo() -> ProblemSpec:
         problem_id="poisson-demo",
         domain=(0.0, 1.0),
         mode="bvp",
-        interior_op=LinearOperatorSpec((OperatorTermSpec(2, Const(-1.0)),)),
+        interior_op=LinearOperatorSpec((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
             ConstraintSite(1.0, identity_op()),

@@ -227,9 +227,11 @@ def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> Spectral
     """
     lams = make_lambda_grid(problem.grid)
     tasks = [(problem, lam, rcond) for lam in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_one_blas_thread) as pool:
-            chunk = max(1, len(tasks) // (4 * jobs))
+    # fork starts every worker at the first submit: no more than there are λ
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
             points = list(pool.map(_scan_one, tasks, chunksize=chunk))
     else:
         points = [_scan_one(t) for t in tasks]

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,9 +149,11 @@ class TestSample:
             (["--lambda", "1e200"], "lambda"),
             # a later --out-dir overrides the default one
             (["--lambda", "10.0", "--out-dir", "FILE"], "blocker"),
+            (["--lambda", "10.0", "--jitter", "inf"], "--jitter"),
+            (["--lambda", "10.0", "--rcond", "inf"], "--rcond"),
         ],
         ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed",
-             "lambda-1e200", "out-dir-is-file"],
+             "lambda-1e200", "out-dir-is-file", "jitter-inf", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags, named):
         blocker = tmp_path / "blocker"
@@ -299,9 +302,11 @@ class TestScan:
             ["--jitter", "-1"],
             ["--jobs", "abc"],
             ["--bogus"],
+            ["--jitter", "inf"],
+            ["--rcond", "inf"],
         ],
         ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
-             "jitter-negative", "jobs-abc", "unknown-flag"],
+             "jitter-negative", "jobs-abc", "unknown-flag", "jitter-inf", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
         # refused before the sweep: no λ is evaluated, no spectrum written
@@ -468,45 +473,77 @@ class TestScan:
         assert main(["scan", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "content",
+        "content, fragment",
         [
-            {"mode": "eigen"},
-            "{",
-            {"problem": "helmholtz"},
-            {"problem": "laplace", "grid": [1, 2]},
-            {"problem": "laplace", "interior_op": {"terms": [
-                {"deriv_order": 2, "coeff": {"bogus": 1.0}}]}},
+            ({"mode": "eigen"}, "missing"),
+            ("{", "Expecting property name"),
+            ({"problem": "helmholtz"}, "unknown problem 'helmholtz'"),
+            ({"problem": "laplace", "grid": [1, 2]}, "LambdaGrid needs an object"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": [{"bogus": 1.0}]}]}},
+             "expected float, got {'bogus': 1.0}"),
             # values the decoder would have to change to fit their fields
-            {"problem": "laplace", "N": 20.9},
-            {"problem": "laplace", "N_t": "30"},
-            {"problem": "laplace", "jitter": True},
-            {"problem": "laplace",
-             "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40.7}},
-            {"problem": "laplace", "interior_op": {"terms": [
-                {"deriv_order": 2.7, "coeff": {"const": -1.0}},
-                {"deriv_order": 0, "coeff": {"neg": "lambda"}}]}},
-            {"problem": "laplace", "boundary": [
+            ({"problem": "laplace", "N": 20.9}, "expected int, got 20.9"),
+            ({"problem": "laplace", "N_t": "30"}, "expected int, got '30'"),
+            ({"problem": "laplace", "jitter": True}, "expected float, got True"),
+            ({"problem": "laplace",
+              "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40.7}},
+             "expected int, got 40.7"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2.7, "num": [-1.0]},
+                {"deriv_order": 0, "num": [-1.0, 0.0]}]}},
+             "expected int, got 2.7"),
+            ({"problem": "laplace", "boundary": [
                 {"location": True, "operator": {"terms": [
-                    {"deriv_order": 0, "coeff": {"const": 1.0}}]}}]},
-            {"problem": "laplace", "problem_id": 7},
+                    {"deriv_order": 0, "num": [1.0]}]}}]},
+             "expected float, got True"),
+            ({"problem": "laplace", "problem_id": 7}, "expected str, got 7"),
             # a root only a power_root grid reads
-            {"problem": "laplace",
-             "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
-            {"problem": "laplace",
-             "grid": {"kind": "linear", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
+            ({"problem": "laplace",
+              "grid": {"kind": "log", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
+             "log grid takes no root"),
+            ({"problem": "laplace",
+              "grid": {"kind": "linear", "lo": 1.0, "hi": 400.0, "count": 40, "root": 2.0}},
+             "linear grid takes no root"),
+            # JSON's Infinity and NaN: no field takes a non-finite number
+            ({"problem": "laplace",
+              "grid": {"kind": "log", "lo": 1.0, "hi": math.inf, "count": 10}},
+             "expected a finite float, got inf"),
+            ({"problem": "laplace", "schedule": {"C": 150, "p": math.nan, "variance": 1}},
+             "expected a finite float, got nan"),
+            # an integer past the float range
+            ({"problem": "laplace", "jitter": 10**400}, "expected a finite float"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": [-1.0]},
+                {"deriv_order": 0, "num": [math.nan, 0.0]}]}},
+             "expected a finite float, got nan"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": []}]}},
+             "num needs at least one coefficient"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": "-1"}]}},
+             "expected a list, got '-1'"),
+            # the tagged coefficient of earlier versions is not read
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "coeff": {"const": -1.0}}]}},
+             "unknown OperatorTermSpec field(s): coeff"),
         ],
         ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
              "unknown-coefficient", "int-field-fraction", "int-field-string",
              "float-field-bool", "grid-count-fraction", "deriv-order-fraction",
              "location-bool", "problem-id-number", "log-grid-root",
-             "linear-grid-root"],
+             "linear-grid-root", "grid-hi-infinity", "schedule-p-nan",
+             "jitter-huge-int", "num-nan", "num-empty", "num-string",
+             "old-coefficient-form"],
     )
-    def test_malformed_config(self, tmp_path, capsys, content):
+    def test_malformed_config(self, tmp_path, capsys, content, fragment):
+        # each case names its own refusal, so none passes on an earlier one
         cfg = write_config(tmp_path, content)
         code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         [line] = error_lines(capsys.readouterr().err)
         assert "bad config" in line and cfg in line
+        assert fragment in line
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_help_exits_zero(self, capsys):
@@ -596,9 +633,10 @@ class TestProblemSerialization:
         "preset", ["laplace", "cantilever", "loaded-string", "poisson-demo"]
     )
     def test_roundtrip_identity(self, preset):
-        prob = g.build_preset(preset)
-        again = problem_from_obj(json.loads(json.dumps(problem_to_obj(prob))))
-        assert again == prob
+        for scale in ("desk", "paper"):
+            prob = g.build_preset(preset, scale)
+            again = problem_from_obj(json.loads(json.dumps(problem_to_obj(prob))))
+            assert again == prob
 
     def test_json_format_is_pinned(self):
         # literal dicts: any change here breaks existing config files
@@ -607,16 +645,8 @@ class TestProblemSerialization:
             "location": 1.0,
             "operator": {
                 "terms": [
-                    {"deriv_order": 1, "coeff": {"const": 1.0}},
-                    {
-                        "deriv_order": 0,
-                        "coeff": {
-                            "quot": [
-                                {"prod": [{"const": 1.0}, "lambda"]},
-                                {"sum": ["lambda", {"neg": {"const": 1.0}}]},
-                            ]
-                        },
-                    },
+                    {"deriv_order": 1, "num": [1.0], "den": [1.0]},
+                    {"deriv_order": 0, "num": [1.0, 0.0], "den": [1.0, -1.0]},
                 ]
             },
             "rhs": 0.0,

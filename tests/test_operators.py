@@ -1,4 +1,4 @@
-"""Coefficient expressions, operator specs, and block assembly."""
+"""Operator coefficients, operator specs, and block assembly."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -10,56 +10,69 @@ import gpeigen as g
 from gpeigen import operators
 from gpeigen.kernel import MAX_DERIV_ORDER, KernelSpec, gram, kernel_mixed_derivative
 from gpeigen.operators import (
-    Const,
     GridError,
-    Lam,
-    Neg,
     OperatorTermSpec,
     PoleError,
-    Prod,
-    Quot,
-    Sum,
     apply_bilinear,
     assemble_blocks,
-    eval_coeff,
     identity_op,
 )
 
 
+def coeff(num, den=(1.0,), lam=0.0):
+    return OperatorTermSpec(0, num, den).coeff(lam)
+
+
 class TestEvalCoeff:
-    def test_basic_nodes(self):
-        assert eval_coeff(Const(3.5), 7.0) == 3.5
-        assert eval_coeff(Lam(), 7.0) == 7.0
-        assert eval_coeff(Neg(Lam()), 2.0) == -2.0
-        assert eval_coeff(Sum(Const(1.0), Lam()), 2.0) == 3.0
-        assert eval_coeff(Prod(Const(2.0), Lam()), 3.0) == 6.0
-        assert eval_coeff(Quot(Lam(), Const(4.0)), 2.0) == 0.5
+    def test_basic_polynomials(self):
+        assert coeff((3.5,), lam=7.0) == 3.5
+        assert coeff((1.0, 0.0), lam=7.0) == 7.0
+        assert coeff((-1.0, 0.0), lam=2.0) == -2.0
+        assert coeff((1.0, 1.0), lam=2.0) == 3.0
+        assert coeff((2.0, 0.0), lam=3.0) == 6.0
+        assert coeff((1.0, 0.0, -2.0), lam=3.0) == 7.0
+        assert coeff((1.0, 0.0), (4.0,), lam=2.0) == 0.5
 
     def test_nested_rational(self):
         # kappa*M*lam / (lam - kappa) with kappa = M = 1
-        expr = Quot(Prod(Const(1.0), Lam()), Sum(Lam(), Neg(Const(1.0))))
-        assert np.isclose(eval_coeff(expr, 2.0), 2.0)
-        assert np.isclose(eval_coeff(expr, 0.5), -1.0)
+        assert coeff((1.0, 0.0), (1.0, -1.0), lam=2.0) == 2.0
+        assert coeff((1.0, 0.0), (1.0, -1.0), lam=0.5) == -1.0
+
+    @pytest.mark.parametrize("lam", [0.3, 2.0, 9.87, 42.0, 123.456, 987.6])
+    def test_preset_coefficients_bit_for_bit(self, lam):
+        # the shift term and the loaded-string load, as the presets spell them
+        *_, shift = g.laplace_dirichlet().interior_op.terms
+        assert shift.coeff(lam) == -lam
+        _, load = g.loaded_string().boundary[1].operator.terms
+        assert load.coeff(lam) == lam / (lam - 1.0)
+        (term,) = g.cantilever().boundary[3].operator.terms
+        assert term.coeff(lam) == 1.0
 
     def test_pole_raises(self):
-        expr = Quot(Const(1.0), Sum(Lam(), Neg(Const(1.0))))
         with pytest.raises(PoleError):
-            eval_coeff(expr, 1.0)
+            coeff((1.0,), (1.0, -1.0), lam=1.0)
 
     def test_pole_message_carries_lambda(self):
         with pytest.raises(PoleError) as err:
-            eval_coeff(Quot(Const(1.0), Lam()), 0.0)
+            coeff((1.0,), (1.0, 0.0), lam=0.0)
         assert "lambda" in str(err.value)
 
-    def test_rejects_foreign_node(self):
-        with pytest.raises(TypeError):
-            eval_coeff("lam", 1.0)
+    def test_rejects_empty_polynomial(self):
+        with pytest.raises(ValueError, match="num needs at least one"):
+            OperatorTermSpec(0, ())
+        with pytest.raises(ValueError, match="den needs at least one"):
+            OperatorTermSpec(0, (1.0,), ())
+
+    def test_lists_become_hashable_tuples(self):
+        term = OperatorTermSpec(0, [1.0, 0.0], [1.0, -1.0])
+        assert term == OperatorTermSpec(0, (1.0, 0.0), (1.0, -1.0))
+        assert hash(term) == hash(OperatorTermSpec(0, (1.0, 0.0), (1.0, -1.0)))
 
 
 class TestOperatorSpecs:
     def test_max_order(self):
         op = g.LinearOperatorSpec(
-            (OperatorTermSpec(2, Const(-1.0)), OperatorTermSpec(0, Const(0.5)))
+            (OperatorTermSpec(2, (-1.0,)), OperatorTermSpec(0, (0.5,)))
         )
         assert op.max_order == 2
 
@@ -67,7 +80,7 @@ class TestOperatorSpecs:
         op = identity_op()
         assert op.max_order == 0
         (term,) = op.terms
-        assert eval_coeff(term.coeff, 123.0) == 1.0
+        assert term.coeff(123.0) == 1.0
 
     def test_rejects_empty_terms(self):
         with pytest.raises(ValueError):
@@ -76,14 +89,14 @@ class TestOperatorSpecs:
     def test_rejects_duplicate_orders(self):
         with pytest.raises(ValueError):
             g.LinearOperatorSpec(
-                (OperatorTermSpec(1, Const(1.0)), OperatorTermSpec(1, Const(2.0)))
+                (OperatorTermSpec(1, (1.0,)), OperatorTermSpec(1, (2.0,)))
             )
 
     def test_term_order_bounds(self):
         with pytest.raises(ValueError):
-            OperatorTermSpec(-1, Const(1.0))
+            OperatorTermSpec(-1, (1.0,))
         with pytest.raises(ValueError):
-            OperatorTermSpec(MAX_DERIV_ORDER + 1, Const(1.0))
+            OperatorTermSpec(MAX_DERIV_ORDER + 1, (1.0,))
 
 
 class TestApplyBilinear:
@@ -102,7 +115,7 @@ class TestApplyBilinear:
         spec = KernelSpec(variance=1.0, length_scale=0.4)
         lam = 7.0
         op = g.LinearOperatorSpec(
-            (OperatorTermSpec(2, Const(-1.0)), OperatorTermSpec(0, Neg(Lam())))
+            (OperatorTermSpec(2, (-1.0,)), OperatorTermSpec(0, (-1.0, 0.0)))
         )
         x = np.linspace(0.1, 0.9, 4)
         X, Y = x[:, None], x[None, :]
@@ -117,7 +130,7 @@ class TestApplyBilinear:
 
     def test_lambda_scaling(self):
         spec = KernelSpec(variance=1.0, length_scale=0.4)
-        op = g.LinearOperatorSpec((OperatorTermSpec(0, Lam()),))
+        op = g.LinearOperatorSpec((OperatorTermSpec(0, (1.0, 0.0)),))
         at2 = apply_bilinear(op, identity_op(), spec, 2.0, 0.25, 0.25)
         at5 = apply_bilinear(op, identity_op(), spec, 5.0, 0.25, 0.25)
         assert np.isclose(at5 / at2, 2.5)
@@ -130,7 +143,7 @@ class TestApplyBilinear:
 
     def test_first_derivative_swaps_with_sign_flip(self):
         spec = KernelSpec(variance=1.0, length_scale=0.7)
-        op = g.LinearOperatorSpec((OperatorTermSpec(1, Const(1.0)),))
+        op = g.LinearOperatorSpec((OperatorTermSpec(1, (1.0,)),))
         left = apply_bilinear(op, identity_op(), spec, 0.0, 0.2, 0.6)
         right = apply_bilinear(identity_op(), op, spec, 0.0, 0.2, 0.6)
         assert np.isclose(left, -right)
@@ -189,7 +202,7 @@ class TestAssembleBlocks:
     def test_block_structure_follows_the_grids(self):
         spec = KernelSpec(variance=1.0, length_scale=0.3)
         op = g.LinearOperatorSpec(
-            (OperatorTermSpec(2, Const(-1.0)), OperatorTermSpec(0, Neg(Lam())))
+            (OperatorTermSpec(2, (-1.0,)), OperatorTermSpec(0, (-1.0, 0.0)))
         )
         x = np.linspace(0.0, 1.0, 9)
 
@@ -363,7 +376,7 @@ class TestAssembleBlocks:
     def test_first_order_interior_term_gets_none(self):
         prob = g.laplace_dirichlet()
         drift = g.LinearOperatorSpec(
-            prob.interior_op.terms + (OperatorTermSpec(1, Const(0.5)),)
+            prob.interior_op.terms + (OperatorTermSpec(1, (0.5,)),)
         )
         prob = dataclasses.replace(prob, interior_op=drift)
         assert assemble_blocks(prob, 42.0).mirror is None

@@ -269,6 +269,32 @@ class TestScanSpectrum:
         scan_spectrum(small_laplace(), jobs=2)
         assert seen == [1]
 
+    def test_pool_is_sized_to_the_grid(self, monkeypatch):
+        # a fork pool starts every worker at the first submit, so a large
+        # --jobs must not ask for more processes than there are λ
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", InProcess)
+        prob = dataclasses.replace(
+            small_laplace(), grid=LambdaGrid("log", 5.0, 120.0, 3)
+        )
+        scan = scan_spectrum(prob, jobs=100_000)
+        assert sizes == [3]
+        assert [p.J for p in scan.points] == [p.J for p in scan_spectrum(prob).points]
+
     def test_small_scan_finds_first_two_modes(self):
         scan = scan_spectrum(small_laplace())
         peaks = detect_peaks(scan, prominence_decades=2.0)
