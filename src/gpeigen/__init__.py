@@ -9,10 +9,8 @@ peak are eigenfunction candidates.
 
 from .kernel import (
     MAX_DERIV_ORDER,
-    DerivOrders,
     KernelSpec,
     UnsupportedOrderError,
-    gram,
     kernel_mixed_derivative,
 )
 from .operators import (

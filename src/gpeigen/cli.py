@@ -85,8 +85,11 @@ def _decode(tp, obj):
     if get_origin(tp) is tuple:
         if not isinstance(obj, list):  # a string would decode char by char
             raise TypeError(f"expected a list, got {obj!r}")
-        types = [args[0]] * len(obj) if args[-1] is Ellipsis else args
-        return tuple(_decode(t, v) for t, v in zip(types, obj, strict=True))
+        if args[-1] is Ellipsis:
+            args = [args[0]] * len(obj)
+        elif len(obj) != len(args):
+            raise TypeError(f"expected {len(args)} values, got {len(obj)}")
+        return tuple(_decode(t, v) for t, v in zip(args, obj))
     if dataclasses.is_dataclass(tp):
         if not isinstance(obj, dict):
             raise TypeError(f"{tp.__name__} needs an object, got {obj!r}")
@@ -94,7 +97,13 @@ def _decode(tp, obj):
         unknown = sorted(obj.keys() - hints.keys())
         if unknown:
             raise TypeError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
-        return tp(**{k: _decode(hints[k], v) for k, v in obj.items()})
+        fields = {}
+        for k, v in obj.items():
+            try:
+                fields[k] = _decode(hints[k], v)
+            except (TypeError, ValueError) as exc:  # name the field that failed
+                raise type(exc)(f"{k}: {exc}") from exc
+        return tp(**fields)
     # str, int or float, converted only where no value changes: a JSON
     # integer for a float, an integral number for an int
     if tp is str:
@@ -152,6 +161,8 @@ def resolve_problem(args) -> ProblemSpec:
         if args.config:
             with open(args.config) as fh:
                 obj = json.load(fh)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             if "problem" in obj:
                 base = problem_to_obj(build_preset(obj.pop("problem"), scale))
                 base.update(obj)
@@ -166,7 +177,7 @@ def resolve_problem(args) -> ProblemSpec:
             problem = build_preset(preset, scale)
     except ConfigError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         where = f"bad config {args.config}: " if args.config else ""
         raise ConfigError(f"{where}{exc}") from exc
     if problem.mode != "eigen":

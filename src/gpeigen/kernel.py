@@ -53,21 +53,6 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
-class DerivOrders:
-    """Derivative orders (a, b) in the first and second kernel argument."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        for name, order in (("a", self.a), ("b", self.b)):
-            if int(order) != order or order < 0 or order > MAX_DERIV_ORDER:
-                raise UnsupportedOrderError(
-                    f"derivative order {name}={order} outside 0..{MAX_DERIV_ORDER}"
-                )
-
-
 def radial_profile_derivatives(spec: KernelSpec, n_max: int, r) -> np.ndarray:
     """Stack g^(0..n_max) of the radial profile, evaluated elementwise on r.
 
@@ -90,31 +75,18 @@ def radial_profile_derivatives(spec: KernelSpec, n_max: int, r) -> np.ndarray:
 
 
 def kernel_mixed_derivative(spec: KernelSpec, orders, x, x2):
-    """Evaluate d^a/dx^a d^b/dx2^b k(x, x2).
+    """Evaluate d^a/dx^a d^b/dx2^b k(x, x2) for ``orders`` = (a, b).
 
-    ``orders`` is a DerivOrders or an (a, b) pair.  Scalar inputs give a
-    float; array inputs broadcast.
+    Scalar inputs give a float; array inputs broadcast.
     """
-    if not isinstance(orders, DerivOrders):
-        orders = DerivOrders(*orders)
+    a, b = orders
+    for name, order in (("a", a), ("b", b)):
+        if int(order) != order or order < 0 or order > MAX_DERIV_ORDER:
+            raise UnsupportedOrderError(
+                f"derivative order {name}={order} outside 0..{MAX_DERIV_ORDER}"
+            )
     r = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    total = orders.a + orders.b
+    total = int(a + b)  # an integral float such as 2.0 passes the check
     g = radial_profile_derivatives(spec, total, r)[total]
-    val = g if orders.b % 2 == 0 else -g
+    val = g if b % 2 == 0 else -g
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)
-
-
-def gram(spec: KernelSpec, orders, X, X2) -> np.ndarray:
-    """Matrix of kernel_mixed_derivative over all pairs of grid points.
-
-    Entry (i, j) is the mixed derivative at (X[i], X2[j]).  For orders
-    (0, 0) and X == X2 the result is symmetric positive semidefinite up
-    to round-off.
-    """
-    X = np.atleast_1d(np.asarray(X, dtype=float))
-    X2 = np.atleast_1d(np.asarray(X2, dtype=float))
-    if X.size == 0 or X2.size == 0:
-        raise ValueError("gram grids must be nonempty")
-    return np.asarray(
-        kernel_mixed_derivative(spec, orders, X[:, None], X2[None, :])
-    )

@@ -157,7 +157,6 @@ class AssembledBlocks:
     K_tC: np.ndarray
     K_CC: np.ndarray
     rhs: np.ndarray
-    n_interior: int
     x_test: np.ndarray
     x_constraint: np.ndarray
     mirror: np.ndarray = None
@@ -175,10 +174,6 @@ class AssembledBlocks:
         perm = np.arange(self.x_test.size)[::-1]
         perm.flags.writeable = False
         return perm
-
-    @property
-    def constraint_count(self) -> int:
-        return self.K_CC.shape[0]
 
 
 def apply_bilinear(
@@ -351,7 +346,6 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         K_tC=K_tC,
         K_CC=K_CC,
         rhs=rhs,
-        n_interior=int(xi.size),
         x_test=x_test,
         x_constraint=x_constraint,
         mirror=mirror,

@@ -42,7 +42,6 @@ class PseudoinverseDiag:
     sv_max: float
     sv_min_kept: float
     truncated_count: int
-    jitter_used: float
 
 
 @dataclass
@@ -59,10 +58,6 @@ class PosteriorSummary:
     U: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
-
-    @property
-    def lam(self) -> float:
-        return self.blocks.lam
 
     @property
     def x_test(self) -> np.ndarray:
@@ -124,14 +119,13 @@ def _keep(w, rcond: float) -> np.ndarray:
     return (sv >= rcond * sv.max(initial=0.0)) & (sv > 0)
 
 
-def _diagnostics(w, keep, jitter: float) -> PseudoinverseDiag:
+def _diagnostics(w, keep) -> PseudoinverseDiag:
     sv = np.abs(w)
     return PseudoinverseDiag(
         rank=int(keep.sum()),
         sv_max=float(sv.max(initial=0.0)),
         sv_min_kept=float(sv[keep].min()) if keep.any() else 0.0,
         truncated_count=int(w.size - keep.sum()),
-        jitter_used=float(jitter),
     )
 
 
@@ -148,7 +142,7 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     inv[keep] = 1.0 / w[keep]
     P = (V * inv) @ V.T
     P = 0.5 * (P + P.T)
-    return P, _diagnostics(w, keep, jitter)
+    return P, _diagnostics(w, keep)
 
 
 def _mirror_eigh(K, mirror, jitter: float):
@@ -234,7 +228,7 @@ def posterior_covariance(
     W = V[:, keep] / np.sqrt(w[keep])
     U = blocks.K_tC @ W
     J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
-    return PosteriorSummary(J, _diagnostics(w, keep, jitter), U, W, blocks)
+    return PosteriorSummary(J, _diagnostics(w, keep), U, W, blocks)
 
 
 def sample_posterior(

@@ -527,6 +527,13 @@ class TestScan:
             ({"problem": "laplace", "interior_op": {"terms": [
                 {"deriv_order": 2, "coeff": {"const": -1.0}}]}},
              "unknown OperatorTermSpec field(s): coeff"),
+            # a fixed-length tuple of the wrong length names its field
+            ({"problem": "laplace", "domain": [0, 1, 2]}, "domain: expected 2 values, got 3"),
+            ({"problem": "laplace", "domain": [0.0]}, "domain: expected 2 values, got 1"),
+            # a top level that is not an object, and nesting past the parser's depth
+            ('"my problem"', "expected a JSON object, got str"),
+            ('["problem"]', "expected a JSON object, got list"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
         ],
         ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
              "unknown-coefficient", "int-field-fraction", "int-field-string",
@@ -534,7 +541,8 @@ class TestScan:
              "location-bool", "problem-id-number", "log-grid-root",
              "linear-grid-root", "grid-hi-infinity", "schedule-p-nan",
              "jitter-huge-int", "num-nan", "num-empty", "num-string",
-             "old-coefficient-form"],
+             "old-coefficient-form", "domain-too-long", "domain-too-short",
+             "top-level-string", "top-level-list", "nested-too-deep"],
     )
     def test_malformed_config(self, tmp_path, capsys, content, fragment):
         # each case names its own refusal, so none passes on an earlier one

@@ -6,10 +6,8 @@ from numpy.polynomial import hermite
 
 from gpeigen.kernel import (
     MAX_DERIV_ORDER,
-    DerivOrders,
     KernelSpec,
     UnsupportedOrderError,
-    gram,
     kernel_mixed_derivative,
     radial_profile_derivatives,
 )
@@ -98,19 +96,22 @@ class TestMixedDerivative:
             rhs = kernel_mixed_derivative(spec, (int(b), int(a)), np.array(x2), np.array(x))
             assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
-    def test_accepts_deriv_orders(self):
+    @pytest.mark.parametrize(
+        "orders",
+        [(-1, 0), (1.5, 0), (MAX_DERIV_ORDER + 1, 0),
+         (0, -1), (0, 1.5), (0, MAX_DERIV_ORDER + 1)],
+        ids=["a-negative", "a-fraction", "a-above-cap",
+             "b-negative", "b-fraction", "b-above-cap"],
+    )
+    def test_order_cap(self, orders):
         spec = KernelSpec(variance=1.0, length_scale=1.0)
-        x, x2 = np.array(0.3), np.array(-0.2)
-        via_tuple = kernel_mixed_derivative(spec, (2, 1), x, x2)
-        via_record = kernel_mixed_derivative(spec, DerivOrders(2, 1), x, x2)
-        assert via_tuple == via_record
+        with pytest.raises(UnsupportedOrderError):
+            kernel_mixed_derivative(spec, orders, np.array(0.0), np.array(0.0))
 
-    def test_order_cap(self):
+    def test_integral_float_orders(self):
         spec = KernelSpec(variance=1.0, length_scale=1.0)
-        with pytest.raises(UnsupportedOrderError):
-            kernel_mixed_derivative(spec, (MAX_DERIV_ORDER + 1, 0), np.array(0.0), np.array(0.0))
-        with pytest.raises(UnsupportedOrderError):
-            DerivOrders(0, MAX_DERIV_ORDER + 1)
+        want = kernel_mixed_derivative(spec, (2, 1), 0.3, -0.2)
+        assert kernel_mixed_derivative(spec, (2.0, 1.0), 0.3, -0.2) == want
 
     def test_broadcasting(self):
         spec = KernelSpec(variance=1.0, length_scale=0.5)
@@ -129,7 +130,7 @@ class TestEvalKernelAndGram:
         spec = KernelSpec(variance=1.0, length_scale=0.3)
         X = np.linspace(0, 1, 6)
         Y = np.linspace(0, 1, 4)
-        G = gram(spec, (2, 0), X, Y)
+        G = kernel_mixed_derivative(spec, (2, 0), X[:, None], Y[None, :])
         assert G.shape == (6, 4)
         for i in (0, 3, 5):
             for j in (0, 2):
@@ -139,7 +140,7 @@ class TestEvalKernelAndGram:
     def test_gram_symmetric_same_grid(self):
         spec = KernelSpec(variance=1.0, length_scale=0.5)
         X = np.linspace(-1, 1, 8)
-        G = gram(spec, (0, 0), X, X)
+        G = kernel_mixed_derivative(spec, (0, 0), X[:, None], X[None, :])
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G).min() > -1e-12
 
@@ -148,13 +149,8 @@ class TestEvalKernelAndGram:
         # PSD up to roundoff even though its entries span many magnitudes
         spec = KernelSpec(variance=1.0, length_scale=0.3)
         X = np.linspace(0.0, 1.0, 10)
-        G = gram(spec, (4, 4), X, X)
+        G = kernel_mixed_derivative(spec, (4, 4), X[:, None], X[None, :])
         assert np.linalg.eigvalsh(G).min() >= -1e-8 * np.trace(G)
-
-    def test_gram_rejects_empty(self):
-        spec = KernelSpec(variance=1.0, length_scale=0.5)
-        with pytest.raises(ValueError):
-            gram(spec, (0, 0), np.array([]), np.array([0.0]))
 
 
 class TestKernelSpecValidation:
