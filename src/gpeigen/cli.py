@@ -52,6 +52,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 
 REFINE_ITERATIONS = 20
+SAMPLE_NORMALIZATION = "sup_norm"
 
 SPECTRUM_COLUMNS = (
     "lambda", "trace_J", "skipped", "rank", "truncated", "sv_max", "sv_min_kept",
@@ -89,7 +90,8 @@ def _decode(tp, obj):
             args = [args[0]] * len(obj)
         elif len(obj) != len(args):
             raise TypeError(f"expected {len(args)} values, got {len(obj)}")
-        return tuple(_decode(t, v) for t, v in zip(args, obj))
+        items = enumerate(zip(args, obj))
+        return tuple(_decode_at(f"[{i}]", t, v) for i, (t, v) in items)
     if dataclasses.is_dataclass(tp):
         if not isinstance(obj, dict):
             raise TypeError(f"{tp.__name__} needs an object, got {obj!r}")
@@ -97,13 +99,7 @@ def _decode(tp, obj):
         unknown = sorted(obj.keys() - hints.keys())
         if unknown:
             raise TypeError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
-        fields = {}
-        for k, v in obj.items():
-            try:
-                fields[k] = _decode(hints[k], v)
-            except (TypeError, ValueError) as exc:  # name the field that failed
-                raise type(exc)(f"{k}: {exc}") from exc
-        return tp(**fields)
+        return tp(**{k: _decode_at(k, hints[k], v) for k, v in obj.items()})
     # str, int or float, converted only where no value changes: a JSON
     # integer for a float, an integral number for an int
     if tp is str:
@@ -117,6 +113,16 @@ def _decode(tp, obj):
     if not ok:
         raise TypeError(f"expected {tp.__name__}, got {obj!r}")
     return tp(obj)
+
+
+def _decode_at(key: str, tp, obj):
+    """`_decode`, naming the field or list element `key` in a refusal:
+    `interior_op: terms[1]: deriv_order: expected int, got 2.7`."""
+    try:
+        return _decode(tp, obj)
+    except (TypeError, ValueError) as exc:
+        sep = "" if str(exc).startswith("[") else ": "
+        raise type(exc)(f"{key}{sep}{exc}") from exc
 
 
 def problem_to_obj(p: ProblemSpec) -> dict:
@@ -305,7 +311,9 @@ def cmd_sample(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = assemble_blocks(problem, args.lam)
             summary = posterior_covariance(blocks, problem.jitter, args.rcond)
-            samples = sample_posterior(summary, args.count, args.seed)
+            samples = sample_posterior(
+                summary, args.count, args.seed, SAMPLE_NORMALIZATION
+            )
     except EVALUATION_ERRORS as exc:
         raise ConfigError(f"cannot condition at lambda = {args.lam}: {exc}") from exc
 
@@ -323,7 +331,7 @@ def cmd_sample(args) -> int:
                 "trace_J": summary.trace_J,
                 "seed": args.seed,
                 "blas_threads": blas_threads(),
-                "normalization": samples[0].normalization,
+                "normalization": SAMPLE_NORMALIZATION,
                 "residuals": [s.residual for s in samples],
             },
             fh,

@@ -31,11 +31,17 @@ Then k(c - x, c - y) = k(x, y) and even-order derivatives keep their sign
 under the reflection, so K_CC is unchanged by permuting its rows and
 columns with the row involution of the reflection, recorded as
 `AssembledBlocks.mirror`, and K_tt and the posterior covariance are
-unchanged by the reversal of the test grid, `AssembledBlocks.mirror_test`.
-`posterior._eigh` uses either to eigendecompose as two half-size problems.
-No matrix is inspected numerically for this: K_CC's entries carry the
-grid's ulp-level asymmetry amplified by r / l^2, so a tolerance test would
-flip from one λ to the next.
+unchanged by the reversal of the test grid.  `posterior._eigh` uses either
+to eigendecompose as two half-size problems.  No matrix is inspected
+numerically for this: K_CC's entries carry the grid's ulp-level asymmetry
+amplified by r / l^2, so a tolerance test would flip from one λ to the
+next.
+
+K_CC is not symmetrized: the profile derivatives are exactly even or odd
+in r, so K_CC[j, i] sums the products of K_CC[i, j], in another order only
+where the two rows carry different multi-term operators (the loaded
+string's rows, symmetric to about 1e-17 of max|K_CC|).  `numpy.linalg.eigh`
+reads one triangle, and the mirror split averages mirrored entries.
 """
 
 from __future__ import annotations
@@ -149,7 +155,7 @@ class AssembledBlocks:
     only the full covariance needs it.  `mirror` is the row involution of
     the reflection that maps the constraint rows and the test grid onto
     themselves (see the module docstring), or None when there is none;
-    `mirror_test` is then the test grid's reversal.
+    when it is set, the test grid's reversal is the test-side mirror.
     """
 
     lam: float
@@ -166,14 +172,6 @@ class AssembledBlocks:
         r, toeplitz = _lags(self.x_test, self.x_test)
         k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
         return _expand(k, toeplitz, self.x_test.size).copy()
-
-    @property
-    def mirror_test(self):
-        if self.mirror is None:
-            return None
-        perm = np.arange(self.x_test.size)[::-1]
-        perm.flags.writeable = False
-        return perm
 
 
 def apply_bilinear(
@@ -332,7 +330,6 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         vals = _combine(coeffs[left], coeffs[right], stack[:, span])
         width = cols.stop - cols.start
         (K_CC if left else K_tC)[rows, cols] = _expand(vals, toeplitz, width)
-    K_CC = 0.5 * (K_CC + K_CC.T)
 
     rhs_parts = []
     if xi.size:

@@ -48,15 +48,17 @@ class PseudoinverseDiag:
 class PosteriorSummary:
     """Posterior at the test points for one λ, held as the downdate factor.
 
-    U and W are the square-root factors of `posterior_covariance`.  `cov`
-    and `mean` are formed on first read and cached, so a caller that reads
-    only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    U and W are the square-root factors of `posterior_covariance`, and w
+    the kept eigenvalues of K_CC + jitter I.  `cov`, `mean` and
+    `neg_log_likelihood` are formed on first read and cached, so a caller
+    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
     """
 
     trace_J: float
     diag: PseudoinverseDiag
     U: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
 
     @property
@@ -65,12 +67,20 @@ class PosteriorSummary:
 
     @functools.cached_property
     def cov(self) -> np.ndarray:
-        cov = self.blocks.K_tt - self.U @ self.U.T
-        return 0.5 * (cov + cov.T)
+        # symmetric as it stands: U U^T is one syrk, and K_tt is even in r
+        return self.blocks.K_tt - self.U @ self.U.T
 
     @functools.cached_property
     def mean(self) -> np.ndarray:
         return self.U @ (self.W.T @ self.blocks.rhs)
+
+    @functools.cached_property
+    def neg_log_likelihood(self) -> float:
+        """-log p(rhs) under the zero-mean prior, on the r kept eigenvectors
+        of K_CC + jitter I: 0.5 (a^T a + sum(log w) + r log(2 pi)), a = W^T rhs."""
+        a = self.W.T @ self.blocks.rhs
+        logdet = np.sum(np.log(self.w))
+        return float(0.5 * (a @ a + logdet + self.w.size * np.log(2.0 * np.pi)))
 
 
 @dataclass
@@ -79,7 +89,6 @@ class EigenfunctionSample:
     the covariance's leading eigenvector (see `sample_posterior`)."""
 
     values: np.ndarray
-    normalization: str
     residual: float
 
 
@@ -174,36 +183,6 @@ def _mirror_eigh(K, mirror, jitter: float):
     return np.concatenate([w_even, w_odd]), V
 
 
-def _kept_eigh(blocks: AssembledBlocks, jitter: float, rcond: float):
-    """Eigenpairs (w, V) of K_CC + jitter*I and the kept set.
-
-    The kept set is the rcond cut narrowed to w > 0: negative eigenvalues
-    of the shifted Gram are roundoff with no real square root, so neither
-    the downdate nor the likelihood can use them.  `_eigh` splits by
-    `blocks.mirror` when it is set, and the one cut applies to the union of
-    both halves' eigenvalues.  Returns (w, V, keep).
-    """
-    w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
-    return w, V, _keep(w, rcond) & (w > 0)
-
-
-def neg_log_marginal_likelihood(
-    blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND
-) -> float:
-    """-log p(rhs) of the constraint values under the zero-mean prior.
-
-    The Gaussian lives on the kept eigenvectors of K_CC + jitter I, the
-    same kept set `posterior_covariance` uses: with a = V_kept^T rhs over
-    the r kept eigenvalues w, the value is 0.5 sum(a^2 / w) + 0.5 sum(log w)
-    + 0.5 r log(2 pi).
-    """
-    w, V, keep = _kept_eigh(blocks, jitter, rcond)
-    w = w[keep]
-    a = V[:, keep].T @ blocks.rhs
-    quad, logdet = np.sum(a * a / w), np.sum(np.log(w))
-    return float(0.5 * (quad + logdet + w.size * np.log(2.0 * np.pi)))
-
-
 def posterior_covariance(
     blocks: AssembledBlocks, jitter: float, rcond: float = DEFAULT_RCOND
 ) -> PosteriorSummary:
@@ -212,23 +191,28 @@ def posterior_covariance(
     With the kept eigenpairs (w, V) of K_CC + jitter I, W = V / sqrt(w) and
     U = K_tC W give K_tC (K_CC + jitter I)^+ K_tC^T = U U^T.  U has O(1)
     entries, so the downdate escapes the 1/w_min roundoff amplification of
-    an explicit pseudoinverse.  Kept directions also need w > 0 (see
-    `_kept_eigh`).  Since k(x, x) = variance, the trace is
-    J = N_t * variance - ||U||_F^2; the summary's cov = K_tt - U U^T and
-    mean = U W^T rhs are formed only when read.
+    an explicit pseudoinverse.  The kept set is the rcond cut narrowed to
+    w > 0: negative eigenvalues of the shifted Gram are roundoff with no
+    real square root, so neither the downdate nor the likelihood can use
+    them.  Since k(x, x) = variance, the trace is J = N_t * variance -
+    ||U||_F^2; the summary's cov = K_tt - U U^T, mean = U W^T rhs and
+    `neg_log_likelihood` are formed only when read.  This is the one place
+    that eigendecomposes K_CC.
 
     When `blocks.mirror` is set (a problem symmetric under reflection, see
     `operators`), `_eigh` splits K_CC into its even and odd halves and
     eigendecomposes each at half the size; the eigenpairs are those of K_CC
     averaged with its mirror image, which differs from K_CC only by the
     roundoff of assembly.  W's columns are then the kept even directions
-    followed by the kept odd ones, and everything else is unchanged.
+    followed by the kept odd ones, and the one cut applies to the union of
+    both halves' eigenvalues.
     """
-    w, V, keep = _kept_eigh(blocks, jitter, rcond)
+    w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
+    keep = _keep(w, rcond) & (w > 0)
     W = V[:, keep] / np.sqrt(w[keep])
     U = blocks.K_tC @ W
     J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
-    return PosteriorSummary(J, _diagnostics(w, keep), U, W, blocks)
+    return PosteriorSummary(J, _diagnostics(w, keep), U, W, w[keep], blocks)
 
 
 def sample_posterior(
@@ -248,10 +232,11 @@ def sample_posterior(
     eigenvalue the posterior is one function and the residual is near 0;
     away from one the sample leaves that direction (see README).
 
-    When `blocks.mirror_test` is set, `_eigh` splits the covariance into
-    even and odd halves like K_CC, and the eigenpairs are sorted into the
-    full `eigh`'s increasing order.  The samples of such a problem then
-    differ bitwise from a full `eigh`'s, not in distribution.
+    When `blocks.mirror` is set, the test grid is its own reversal (see
+    `operators`), `_eigh` splits the covariance by that reversal into even
+    and odd halves like K_CC, and the eigenpairs are sorted into the full
+    `eigh`'s increasing order.  The samples of such a problem then differ
+    bitwise from a full `eigh`'s, not in distribution.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -259,7 +244,9 @@ def sample_posterior(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not np.all(np.isfinite(summary.cov)):
         raise DecompositionError("covariance has non-finite entries")
-    mirror = summary.blocks.mirror_test
+    mirror = None
+    if summary.blocks.mirror is not None:
+        mirror = np.arange(summary.x_test.size)[::-1]
     w, V = _eigh(summary.cov, mirror=mirror)
     # sort the split's even-first pairs; sorting eigh's own V would gather it
     # into a C-ordered copy and move the draws by roundoff
@@ -282,11 +269,7 @@ def sample_posterior(
             peak = float(np.max(np.abs(raw)))
             if peak > 0:
                 values = raw / peak
-        out.append(
-            EigenfunctionSample(
-                values=values, normalization=normalization, residual=residual
-            )
-        )
+        out.append(EigenfunctionSample(values=values, residual=residual))
     return out
 
 
@@ -298,11 +281,12 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
     values.  λ is irrelevant and fixed at 0 for the assembly call.
 
     The kernel's length scale is fit by type-II maximum likelihood: a
-    bounded 1-D minimization of `neg_log_marginal_likelihood` over log l
-    inside BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].
-    The variance stays at the preset's value; fitting it as well drives the
-    demo's l to about 0.9, where cond(K_CC) is about 1e12.  The preset
-    kernel is kept when it scores no worse than the fit, and when the
+    bounded 1-D minimization of `neg_log_likelihood` over log l inside
+    BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].  The
+    variance stays at the preset's value; fitting it as well drives the
+    demo's l to about 0.9, where cond(K_CC) is about 1e12.  Each kernel,
+    the preset's and each probe's, is conditioned once, and the summary
+    that scores best is returned, the preset's on a tie and when the
     constraint values are all zero (N_f = 0 with homogeneous boundary
     rows), where the likelihood carries no data and is degenerate.  The
     summary's `blocks.spec` is the kernel that was used.
@@ -312,23 +296,30 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
     if int(N_f) != N_f or N_f < 0:
         raise ValueError(f"N_f must be a nonnegative integer, got {N_f}")
     prob = dataclasses.replace(problem, N=int(N_f))
-    blocks = assemble_blocks(prob, 0.0)
-    if np.any(blocks.rhs):
-        preset = prob.fixed_kernel
+    preset = prob.fixed_kernel
 
-        def assemble(log_ell):
-            spec = dataclasses.replace(preset, length_scale=float(np.exp(log_ell)))
-            return assemble_blocks(dataclasses.replace(prob, fixed_kernel=spec), 0.0)
+    def condition(length_scale):
+        spec = dataclasses.replace(preset, length_scale=length_scale)
+        blocks = assemble_blocks(dataclasses.replace(prob, fixed_kernel=spec), 0.0)
+        return posterior_covariance(blocks, prob.jitter, rcond)
+
+    best = condition(preset.length_scale)
+    if np.any(best.blocks.rhs):
+
+        def probe(log_ell):
+            nonlocal best
+            summary = condition(float(np.exp(log_ell)))
+            if summary.neg_log_likelihood < best.neg_log_likelihood:
+                best = summary
+            return summary.neg_log_likelihood
 
         # Imported here: only this fit needs scipy, so conditioning never loads it.
         from scipy.optimize import minimize_scalar
 
         lo, hi = BVP_LENGTH_BRACKET
-        fit = minimize_scalar(
-            lambda t: neg_log_marginal_likelihood(assemble(t), prob.jitter, rcond),
+        minimize_scalar(
+            probe,
             bounds=(np.log(lo * preset.length_scale), np.log(hi * preset.length_scale)),
             method="bounded",
         )
-        if fit.fun < neg_log_marginal_likelihood(blocks, prob.jitter, rcond):
-            blocks = assemble(fit.x)
-    return posterior_covariance(blocks, prob.jitter, rcond)
+    return best

@@ -534,6 +534,24 @@ class TestScan:
             ('"my problem"', "expected a JSON object, got str"),
             ('["problem"]', "expected a JSON object, got list"),
             ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            # a refusal inside a list names the element's index
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": [-1.0]},
+                {"deriv_order": 2.7, "num": [-1.0, 0.0]}]}},
+             "interior_op: terms[1]: deriv_order: expected int, got 2.7"),
+            ({"problem": "laplace", "boundary": [
+                {"location": 0.0, "operator": {"terms": [
+                    {"deriv_order": 0, "num": [1.0]}]}},
+                {"location": True, "operator": {"terms": [
+                    {"deriv_order": 0, "num": [1.0]}]}}]},
+             "boundary[1]: location: expected float, got True"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": [-1.0]},
+                {"deriv_order": 0, "num": [-1.0, math.nan]}]}},
+             "interior_op: terms[1]: num[1]: expected a finite float, got nan"),
+            ({"problem": "laplace", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": []}]}},
+             "interior_op: terms[0]: term num needs at least one coefficient"),
         ],
         ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
              "unknown-coefficient", "int-field-fraction", "int-field-string",
@@ -542,7 +560,9 @@ class TestScan:
              "linear-grid-root", "grid-hi-infinity", "schedule-p-nan",
              "jitter-huge-int", "num-nan", "num-empty", "num-string",
              "old-coefficient-form", "domain-too-long", "domain-too-short",
-             "top-level-string", "top-level-list", "nested-too-deep"],
+             "top-level-string", "top-level-list", "nested-too-deep",
+             "second-term-index", "second-site-index", "coefficient-index",
+             "empty-num-index"],
     )
     def test_malformed_config(self, tmp_path, capsys, content, fragment):
         # each case names its own refusal, so none passes on an earlier one

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gpeigen as g
+import gpeigen.posterior
 from gpeigen.kernel import KernelSpec, kernel_mixed_derivative
 from gpeigen.matrixcase import RCOND_EXACT, FiniteDimCase, fd_posterior_covariance
 from gpeigen.operators import AssembledBlocks, assemble_blocks
@@ -15,8 +16,6 @@ from gpeigen.posterior import (
     DEFAULT_RCOND,
     DecompositionError,
     _eigh,
-    _kept_eigh,
-    neg_log_marginal_likelihood,
     regularized_pseudoinverse,
     posterior_covariance,
     sample_posterior,
@@ -158,6 +157,33 @@ class TestPosteriorCovariance:
         off = posterior_covariance(assemble_blocks(prob, 42.0), prob.jitter)
         assert on.trace_J > 100.0 * off.trace_J
 
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet("paper"), np.pi**2),
+            (g.loaded_string(), 100.0),
+            (g.poisson_bvp_demo(), 0.0),
+        ],
+        ids=["laplace-paper-pi2", "loaded-string-100", "poisson-demo"],
+    )
+    def test_cov_exactly_symmetric(self, prob, lam):
+        # nothing symmetrizes cov: U U^T is one syrk and K_tt is even in r
+        summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+        assert np.array_equal(summary.cov, summary.cov.T)
+
+    @pytest.mark.parametrize("n_f", [2, 3, 8])
+    def test_neg_log_likelihood_is_the_gaussian_density(self, n_f):
+        # with nothing truncated the value is -log N(rhs; 0, K_CC + jitter I)
+        prob = dataclasses.replace(g.poisson_bvp_demo(), N=n_f)
+        blocks = assemble_blocks(prob, 0.0)
+        summary = posterior_covariance(blocks, prob.jitter)
+        assert summary.diag.truncated_count == 0
+        K = blocks.K_CC + prob.jitter * np.eye(blocks.K_CC.shape[0])
+        _, logdet = np.linalg.slogdet(K)
+        quad = blocks.rhs @ np.linalg.solve(K, blocks.rhs)
+        want = 0.5 * (quad + logdet + K.shape[0] * np.log(2.0 * np.pi))
+        assert abs(summary.neg_log_likelihood - want) <= 1e-12 * abs(want)
+
 
 def _odd_laplace():
     return dataclasses.replace(g.laplace_dirichlet(), N=201)
@@ -218,22 +244,20 @@ class TestMirrorSplit:
         assert np.max(np.abs(U @ U.T - U0 @ U0.T)) <= 1e-6 * variance
         assert np.array_equal(U, blocks.K_tC @ W)
 
-        nlml = neg_log_marginal_likelihood(blocks, prob.jitter)
-        nlml0 = neg_log_marginal_likelihood(full, prob.jitter)
+        nlml, nlml0 = s.neg_log_likelihood, s0.neg_log_likelihood
         if np.any(blocks.rhs):
             assert abs(nlml - nlml0) <= 1e-9 * abs(nlml0)
         else:
             # with no data the value is 0.5 sum(log w) + const down to the
             # rcond cut, so an eigenvalue error of delta (Weyl: at most the
             # roundoff m eps sv_max of either path) moves it by delta / 2w
-            w, _, keep = _kept_eigh(full, prob.jitter, DEFAULT_RCOND)
-            delta = w.size * np.finfo(float).eps * diag0.sv_max
-            assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (w[keep] - delta))
+            delta = blocks.K_CC.shape[0] * np.finfo(float).eps * diag0.sv_max
+            assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (s0.w - delta))
 
     def test_eigenpairs_in_row_order(self):
         prob = _odd_laplace()
         blocks = assemble_blocks(prob, 50.0)
-        w, V, _ = _kept_eigh(blocks, prob.jitter, DEFAULT_RCOND)
+        w, V = _eigh(blocks.K_CC, prob.jitter, blocks.mirror)
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
         K = blocks.K_CC + prob.jitter * np.eye(blocks.K_CC.shape[0])
         assert np.max(np.abs(K @ V - V * w)) <= 1e-12 * np.max(np.abs(w))
@@ -356,8 +380,8 @@ class TestSampleSplit:
     )
     def test_split_eigenpairs_match_full_eigh(self, prob, lam):
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
-        mt = summary.blocks.mirror_test
-        assert mt is not None
+        assert summary.blocks.mirror is not None
+        mt = np.arange(prob.N_t)[::-1]
         variance = summary.blocks.spec.variance
         for M in (summary.cov, summary.blocks.K_tt):
             # the split decomposes M averaged with its mirror image.  K_tt is
@@ -388,11 +412,12 @@ class TestSampleSplit:
         # ||cov - avg||_2 / (w1 - w2) (Davis & Kahan, SIAM J. Numer. Anal. 7
         # (1970)); the residual moves by at most twice that
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
-        cov, mt = summary.cov, summary.blocks.mirror_test
+        cov = summary.cov
         w, V = np.linalg.eigh(cov)
         v1 = V[:, -1]
         turn = 0.0
-        if mt is not None:
+        if summary.blocks.mirror is not None:
+            mt = np.arange(prob.N_t)[::-1]
             turn = np.linalg.norm(0.5 * (cov - cov[np.ix_(mt, mt)]), 2) / (w[-1] - w[-2])
         for s in sample_posterior(summary, 4, seed=3, normalization="none"):
             u = s.values
@@ -428,7 +453,7 @@ class TestSampleSplit:
     def test_unmirrored_samples_are_the_full_eigh_draws(self, prob, lam):
         # no test mirror: one full eigh and F @ xi per sample, bit for bit
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
-        assert summary.blocks.mirror_test is None
+        assert summary.blocks.mirror is None
         w, V = np.linalg.eigh(summary.cov)
         F = V * np.sqrt(np.clip(w, 0.0, None))
         samples = sample_posterior(summary, 3, seed=7, normalization="none")
@@ -468,10 +493,30 @@ class TestSolveBvp:
         lo, hi = BVP_LENGTH_BRACKET
         assert lo * preset.length_scale < spec.length_scale < hi * preset.length_scale
         assert spec.variance == preset.variance
-        at_preset = assemble_blocks(prob, 0.0)
-        assert neg_log_marginal_likelihood(
-            summary.blocks, prob.jitter
-        ) < neg_log_marginal_likelihood(at_preset, prob.jitter)
+        at_preset = posterior_covariance(assemble_blocks(prob, 0.0), prob.jitter)
+        assert summary.neg_log_likelihood < at_preset.neg_log_likelihood
+
+    def test_each_gram_conditioned_once(self, monkeypatch):
+        # the preset and every probe of the fit are assembled and
+        # eigendecomposed once each, and the result is one of them
+        grams, specs = [], []
+        checked, assemble = gpeigen.posterior._checked, gpeigen.posterior.assemble_blocks
+
+        def spy_checked(M, jitter, rcond):
+            grams.append(np.asarray(M).tobytes())
+            return checked(M, jitter, rcond)
+
+        def spy_assemble(problem, lam):
+            specs.append(problem.fixed_kernel)
+            return assemble(problem, lam)
+
+        monkeypatch.setattr(gpeigen.posterior, "_checked", spy_checked)
+        monkeypatch.setattr(gpeigen.posterior, "assemble_blocks", spy_assemble)
+        summary = solve_bvp(g.poisson_bvp_demo(), 8)
+        assert len(grams) == len(specs) > 2
+        assert len(set(grams)) == len(grams)
+        assert len(set(specs)) == len(specs)
+        assert summary.blocks.K_CC.tobytes() in grams
 
     def test_fit_unchanged_by_the_mirror_split(self):
         prob = g.poisson_bvp_demo()
