@@ -80,8 +80,6 @@ def _encode(value):
 
 def _decode(tp, obj):
     """Build a value of type `tp` from its JSON form, guided by type hints."""
-    if obj is None:
-        return None
     args = get_args(tp)
     if get_origin(tp) is tuple:
         if not isinstance(obj, list):  # a string would decode char by char
@@ -270,7 +268,6 @@ def cmd_scan(args) -> int:
     doc = {
         "problem": problem.problem_id,
         "version": __version__,
-        "grid": spec["grid"],
         "spec": spec,
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "rcond": args.rcond,

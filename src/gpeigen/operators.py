@@ -152,10 +152,11 @@ class AssembledBlocks:
     operator applied to both arguments at the constraint sites.  Constraint
     rows are ordered interior-first, then boundary sites; rhs stacks the
     same way.  The test-grid kernel K_tt is built on first access, since
-    only the full covariance needs it.  `mirror` is the row involution of
-    the reflection that maps the constraint rows and the test grid onto
-    themselves (see the module docstring), or None when there is none;
-    when it is set, the test grid's reversal is the test-side mirror.
+    only the full covariance needs it, as a read-only view of its lags.
+    `mirror` is the row involution of the reflection that maps the
+    constraint rows and the test grid onto themselves (see the module
+    docstring), or None when there is none; when it is set, the test
+    grid's reversal is the test-side mirror.
     """
 
     lam: float
@@ -171,7 +172,7 @@ class AssembledBlocks:
     def K_tt(self) -> np.ndarray:
         r, toeplitz = _lags(self.x_test, self.x_test)
         k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
-        return _expand(k, toeplitz, self.x_test.size).copy()
+        return _expand(k, toeplitz, self.x_test.size)
 
 
 def apply_bilinear(

@@ -276,7 +276,7 @@ def sample_posterior(
 def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSummary:
     """Posterior for a boundary value problem with N_f interior source rows.
 
-    The problem must be in bvp mode (no λ anywhere); conditioning uses the
+    The problem must be in bvp mode (no λ grid); conditioning uses the
     two boundary rows plus N_f equispaced interior rows carrying the source
     values.  λ is irrelevant and fixed at 0 for the assembly call.
 

@@ -24,11 +24,13 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully specified scan or BVP problem on a 1D interval."""
+    """A scan or BVP problem on a 1D interval: an eigenproblem (`mode`
+    "eigen") exactly when it has a λ `grid`, and then homogeneous
+    (`rhs_const` and each site's `rhs` are 0).  The kernel comes from exactly
+    one of `schedule` (which needs a grid) and `fixed_kernel`."""
 
     problem_id: str
     domain: tuple[float, float]
-    mode: str
     interior_op: LinearOperatorSpec
     boundary: tuple[ConstraintSite, ...]
     N: int
@@ -45,27 +47,30 @@ class ProblemSpec:
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError(f"domain must satisfy lo < hi, got {self.domain}")
-        if self.mode not in ("eigen", "bvp"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.N_t < 2:
             raise ValueError(f"N_t must be at least 2, got {self.N_t}")
         if not self.jitter >= 0:  # also rejects nan
             raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
-        if self.mode == "eigen":
-            if self.N < 1:
-                raise ValueError(f"eigen mode needs N >= 1, got {self.N}")
-            if self.schedule is None or self.grid is None:
-                raise ValueError("eigen mode needs a schedule and a lambda grid")
-        else:
-            if self.N < 0:
-                raise ValueError(f"N must be nonnegative, got {self.N}")
-            if self.fixed_kernel is None:
-                raise ValueError("bvp mode needs fixed kernel hyperparameters")
-        for site in self.boundary:
+        if (self.schedule is None) == (self.fixed_kernel is None):
+            raise ValueError("give exactly one kernel source: schedule or fixed_kernel")
+        if self.schedule is not None and self.grid is None:
+            raise ValueError("schedule needs a lambda grid")
+        eigen = self.mode == "eigen"
+        if self.N < (1 if eigen else 0):
+            raise ValueError(f"N must be at least 1 with a grid, 0 without, got {self.N}")
+        if eigen and self.rhs_const != 0:  # an eigenproblem is homogeneous
+            raise ValueError(f"rhs_const must be 0 with a grid, got {self.rhs_const}")
+        for i, site in enumerate(self.boundary):
             if not lo <= site.location <= hi:
                 raise ValueError(
                     f"boundary site at {site.location} outside domain {self.domain}"
                 )
+            if eigen and site.rhs != 0:
+                raise ValueError(f"boundary[{i}]: rhs must be 0 with a grid, got {site.rhs}")
+
+    @property
+    def mode(self) -> str:
+        return "eigen" if self.grid is not None else "bvp"
 
     def test_grid(self) -> np.ndarray:
         lo, hi = self.domain
@@ -80,10 +85,7 @@ class ProblemSpec:
         return lo + (hi - lo) * np.arange(1, self.N + 1) / (self.N + 1)
 
     def rhs_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.mode == "eigen":
-            return np.zeros_like(x)
-        return np.full_like(x, self.rhs_const)
+        return np.full(np.shape(x), float(self.rhs_const))
 
     def kernel_at(self, lam: float) -> KernelSpec:
         if self.fixed_kernel is not None:
@@ -111,7 +113,6 @@ def laplace_dirichlet(scale: str = "desk") -> ProblemSpec:
     return ProblemSpec(
         problem_id="laplace",
         domain=(0.0, 1.0),
-        mode="eigen",
         interior_op=_shifted((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
@@ -135,7 +136,6 @@ def cantilever(scale: str = "desk") -> ProblemSpec:
     return ProblemSpec(
         problem_id="cantilever",
         domain=(0.0, 1.0),
-        mode="eigen",
         interior_op=_shifted((OperatorTermSpec(4, (1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
@@ -163,7 +163,6 @@ def loaded_string(scale: str = "desk") -> ProblemSpec:
     return ProblemSpec(
         problem_id="loaded-string",
         domain=(0.0, 1.0),
-        mode="eigen",
         interior_op=_shifted((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
@@ -182,7 +181,6 @@ def poisson_bvp_demo() -> ProblemSpec:
     return ProblemSpec(
         problem_id="poisson-demo",
         domain=(0.0, 1.0),
-        mode="bvp",
         interior_op=LinearOperatorSpec((OperatorTermSpec(2, (-1.0,)),)),
         boundary=(
             ConstraintSite(0.0, identity_op()),
@@ -260,10 +258,9 @@ def reference_eigenvalues(problem_id: str, count: int):
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    pid = problem_id.replace("_", "-")
-    if pid == "laplace":
+    if problem_id == "laplace":
         return [(n * np.pi) ** 2 for n in range(1, count + 1)]
-    if pid == "cantilever":
+    if problem_id == "cantilever":
         # roots α_n sit near (2n-1)π/2; a step of 0.01 cannot jump a pair
         hi = (2 * count + 3) * np.pi / 2
         grid = np.arange(0.5, hi, 0.01)
@@ -271,7 +268,7 @@ def reference_eigenvalues(problem_id: str, count: int):
         if len(alphas) < count:
             raise BracketError(f"found {len(alphas)} roots, needed {count}")
         return [a**4 for a in alphas]
-    if pid == "loaded-string":
+    if problem_id == "loaded-string":
         # search in u = √λ on two segments so no bracket cell straddles the
         # pole at u = √κ = 1, where the sign flip is not a root
         pole_u = 1.0

@@ -370,12 +370,30 @@ class TestScan:
             grid=g.LambdaGrid("log", 5.0, 120.0, 24), **changed,
         )
         assert problem_from_obj(doc["spec"]) == scanned
+        assert "grid" not in doc  # the grid is recorded once, in spec
         with open(tmp_path / "spectrum.csv", newline="") as fh:
             recs = list(csv.DictReader(fh))
         for rec in recs:
             lam = float(rec["lambda"])
             assert float(rec["length_scale"]) == scanned.kernel_at(lam).length_scale
             assert int(rec["truncated"]) + int(rec["rank"]) == 62  # N + 2 rows
+
+    def test_fixed_kernel_eigenproblem_scans(self, tmp_path):
+        # a complete config with a grid and a fixed kernel, and no schedule
+        fixed = g.KernelSpec(variance=1.0, length_scale=0.3)
+        prob = dataclasses.replace(
+            g.laplace_dirichlet(), N=60, N_t=60, schedule=None, fixed_kernel=fixed,
+            grid=g.LambdaGrid("log", 5.0, 120.0, 24),
+        )
+        cfg = write_config(tmp_path, problem_to_obj(prob))
+        code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / "spectrum.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert len(recs) == 24 and all(rec["skipped"] == "false" for rec in recs)
+        assert all(float(rec["length_scale"]) == 0.3 for rec in recs)
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        assert problem_from_obj(doc["spec"]) == prob and "schedule" not in doc["spec"]
 
     def test_failed_refinement_keeps_grid_peak(self, tmp_path, monkeypatch, capsys):
         # the second J evaluation after the sweep, inside the first peak's
@@ -475,7 +493,7 @@ class TestScan:
     @pytest.mark.parametrize(
         "content, fragment",
         [
-            ({"mode": "eigen"}, "missing"),
+            ({"N": 20}, "missing"),
             ("{", "Expecting property name"),
             ({"problem": "helmholtz"}, "unknown problem 'helmholtz'"),
             ({"problem": "laplace", "grid": [1, 2]}, "LambdaGrid needs an object"),
@@ -552,6 +570,25 @@ class TestScan:
             ({"problem": "laplace", "interior_op": {"terms": [
                 {"deriv_order": 2, "num": []}]}},
              "interior_op: terms[0]: term num needs at least one coefficient"),
+            # the grid alone makes an eigenproblem: no mode field
+            ({"problem": "laplace", "mode": "bvp"}, "unknown ProblemSpec field(s): mode"),
+            # values an eigenproblem would ignore
+            ({"problem": "laplace", "fixed_kernel": {"variance": 1.0, "length_scale": 0.2}},
+             "exactly one kernel source"),
+            ({"problem": "laplace", "rhs_const": 5.0}, "rhs_const must be 0 with a grid"),
+            ({"problem": "laplace", "boundary": [
+                {"location": 0.0, "operator": {"terms": [{"deriv_order": 0, "num": [1.0]}]}},
+                {"location": 1.0, "operator": {"terms": [{"deriv_order": 0, "num": [1.0]}]},
+                 "rhs": 2.0}]},
+             "boundary[1]: rhs must be 0 with a grid, got 2.0"),
+            # JSON null is no value of any field
+            ({"problem": "laplace", "boundary": [None]},
+             "boundary[0]: ConstraintSite needs an object, got None"),
+            ({"problem": "laplace", "interior_op": {"terms": [None]}},
+             "interior_op: terms[0]: OperatorTermSpec needs an object, got None"),
+            ({"problem": "laplace", "jitter": None}, "jitter: expected float, got None"),
+            ({"problem": "laplace", "N": None}, "N: expected int, got None"),
+            ({"problem": "laplace", "domain": None}, "domain: expected a list, got None"),
         ],
         ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
              "unknown-coefficient", "int-field-fraction", "int-field-string",
@@ -562,7 +599,9 @@ class TestScan:
              "old-coefficient-form", "domain-too-long", "domain-too-short",
              "top-level-string", "top-level-list", "nested-too-deep",
              "second-term-index", "second-site-index", "coefficient-index",
-             "empty-num-index"],
+             "empty-num-index", "mode-key", "fixed-kernel-on-schedule",
+             "rhs-const", "site-rhs", "null-site", "null-term", "null-jitter",
+             "null-n", "null-domain"],
     )
     def test_malformed_config(self, tmp_path, capsys, content, fragment):
         # each case names its own refusal, so none passes on an earlier one
@@ -608,12 +647,18 @@ def run_fresh_interpreter(args, cwd):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["scan", "laplace", "--jobs", "abc"], ["sample", "laplace", "--lambda", "1e200"]],
-    ids=["jobs-abc", "lambda-1e200"],
+    "argv, config",
+    [
+        (["scan", "laplace", "--jobs", "abc"], None),
+        (["sample", "laplace", "--lambda", "1e200"], None),
+        (["scan", "--config"], {"problem": "laplace", "boundary": [None]}),
+    ],
+    ids=["jobs-abc", "lambda-1e200", "null-site"],
 )
-def test_console_exit_code(tmp_path, argv):
+def test_console_exit_code(tmp_path, tmp_path_factory, argv, config):
     # the exit status a shell sees, which in-process main() calls cannot show
+    if config is not None:  # kept out of the output directory
+        argv = [*argv, write_config(tmp_path_factory.mktemp("config"), config)]
     proc = run_fresh_interpreter(
         ["-m", "gpeigen.cli", *argv, "--out-dir", str(tmp_path)], tmp_path
     )

@@ -1,5 +1,7 @@
 """Problem presets, validation, and reference eigenvalue oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,6 @@ class TestProblemValidation:
         return dict(
             problem_id="toy",
             domain=(0.0, 1.0),
-            mode="eigen",
             interior_op=identity_op(),
             boundary=(ConstraintSite(0.0, identity_op()),),
             N=10,
@@ -103,12 +104,6 @@ class TestProblemValidation:
     def test_rejects_bad_domain(self):
         kw = self.base_kwargs()
         kw["domain"] = (1.0, 0.0)
-        with pytest.raises(ValueError):
-            ProblemSpec(**kw)
-
-    def test_rejects_bad_mode(self):
-        kw = self.base_kwargs()
-        kw["mode"] = "spectral"
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
 
@@ -142,11 +137,38 @@ class TestProblemValidation:
 
     def test_bvp_allows_zero_n_but_needs_kernel(self):
         kw = self.base_kwargs()
-        kw.update(mode="bvp", N=0, schedule=None, grid=None)
+        kw.update(N=0, schedule=None, grid=None)
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
         kw["fixed_kernel"] = KernelSpec(variance=1.0, length_scale=0.2)
         ProblemSpec(**kw)
+
+    def test_mode_is_read_from_the_grid(self):
+        assert "mode" not in {f.name for f in dataclasses.fields(ProblemSpec)}
+        assert ProblemSpec(**self.base_kwargs()).mode == "eigen"
+        kw = self.base_kwargs()
+        kw.update(grid=None, schedule=None, fixed_kernel=KernelSpec(1.0, 0.2))
+        assert ProblemSpec(**kw).mode == "bvp"
+        modes = {pid: build_preset(pid).mode for pid in PRESET_BUILDERS}
+        assert modes == {"laplace": "eigen", "cantilever": "eigen",
+                         "loaded-string": "eigen", "poisson-demo": "bvp"}
+
+    def test_needs_exactly_one_kernel_source(self):
+        kw = self.base_kwargs()
+        kw["grid"] = None
+        with pytest.raises(ValueError, match="schedule needs a lambda grid"):
+            ProblemSpec(**kw)
+        kw = self.base_kwargs()
+        kw["schedule"] = None
+        with pytest.raises(ValueError, match="exactly one kernel source"):
+            ProblemSpec(**kw)
+        kw = self.base_kwargs()
+        kw["fixed_kernel"] = KernelSpec(variance=1.0, length_scale=0.2)
+        with pytest.raises(ValueError, match="exactly one kernel source"):
+            ProblemSpec(**kw)
+        # a fixed kernel alone serves an eigenproblem too
+        kw["schedule"] = None
+        assert ProblemSpec(**kw).kernel_at(7.0) == kw["fixed_kernel"]
 
     def test_rejects_boundary_outside_domain(self):
         kw = self.base_kwargs()
@@ -194,13 +216,10 @@ class TestReferenceOracles:
         assert refs[-1] <= 500.0
         assert len(refs) == 6
 
-    def test_underscore_alias(self):
-        assert reference_eigenvalues("loaded_string", 2) == reference_eigenvalues(
-            "loaded-string", 2
-        )
-
     def test_unknown_problem_and_bad_count(self):
         with pytest.raises(ValueError):
             reference_eigenvalues("poisson-demo", 3)
+        with pytest.raises(ValueError):  # preset ids are spelled one way
+            reference_eigenvalues("loaded_string", 2)
         with pytest.raises(ValueError):
             reference_eigenvalues("laplace", 0)
