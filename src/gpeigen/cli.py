@@ -23,6 +23,7 @@ from .matrixcase import fd_theorem_suite
 from .operators import assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
+    pin_heap,
     posterior_covariance,
     sample_posterior,
     solve_bvp,
@@ -273,6 +274,7 @@ def cmd_scan(args) -> int:
         "rcond": args.rcond,
         "jobs": args.jobs,
         "blas_threads": blas_threads(),
+        "heap_pinned": pin_heap(),
         "refine_iterations": REFINE_ITERATIONS,
         "refine_rtol": REFINE_RTOL,
         "evaluations": {
@@ -328,6 +330,7 @@ def cmd_sample(args) -> int:
                 "trace_J": summary.trace_J,
                 "seed": args.seed,
                 "blas_threads": blas_threads(),
+                "heap_pinned": pin_heap(),
                 "normalization": SAMPLE_NORMALIZATION,
                 "residuals": [s.residual for s in samples],
             },

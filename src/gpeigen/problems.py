@@ -203,10 +203,13 @@ PRESET_BUILDERS = {
 
 
 def build_preset(problem_id: str, scale: str = "desk") -> ProblemSpec:
+    """The preset `problem_id` at `scale`, a key of SCALES.  The scale is
+    checked for every id; `poisson-demo` has one size, the same at each."""
     if problem_id not in PRESET_BUILDERS:
         raise ValueError(
             f"unknown problem {problem_id!r}, expected one of {sorted(PRESET_BUILDERS)}"
         )
+    _scale_params(scale)
     if problem_id == "poisson-demo":
         return poisson_bvp_demo()
     return PRESET_BUILDERS[problem_id](scale=scale)

@@ -1,13 +1,29 @@
 """Shared fixtures: the three benchmark scans are expensive enough that
 every test module reuses one session-scoped run of each."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gpeigen as g
+
+
+def run_fresh_interpreter(args, cwd, env=os.environ):
+    """Run Python with `args` in a new process that imports this checkout,
+    with the environment `env` (this process's by default)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def _scan_and_refine(problem, refine_top=None):

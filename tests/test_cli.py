@@ -4,11 +4,7 @@ import csv
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,10 @@ import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
+from gpeigen.posterior import pin_heap
 from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
+
+from conftest import run_fresh_interpreter
 
 
 def read_spectrum_csv(path):
@@ -126,6 +125,7 @@ class TestSample:
         assert doc["normalization"] == "sup_norm"
         assert len(doc["residuals"]) == 3
         assert doc["blas_threads"] == blas_threads()
+        assert doc["heap_pinned"] is pin_heap()
         header = (d1 / "samples.csv").read_text().splitlines()[0]
         assert header == "x,sample_0,sample_1,sample_2"
 
@@ -361,6 +361,7 @@ class TestScan:
         assert doc["version"] == g.__version__
         assert doc["jobs"] == 1
         assert doc["blas_threads"] == blas_threads()
+        assert doc["heap_pinned"] is pin_heap()
         assert doc["refine_iterations"] == REFINE_ITERATIONS
         assert doc["refine_rtol"] == REFINE_RTOL
         assert doc["wall_s"] > 0.0
@@ -633,17 +634,6 @@ class TestScan:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad config" in err and key in err
-
-
-def run_fresh_interpreter(args, cwd):
-    """Run Python with `args` in a new process that imports this checkout."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
-    )
 
 
 @pytest.mark.parametrize(

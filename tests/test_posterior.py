@@ -2,6 +2,10 @@
 
 import copy
 import dataclasses
+import json
+import os
+import platform
+import statistics
 
 import numpy as np
 import pytest
@@ -16,12 +20,15 @@ from gpeigen.posterior import (
     DEFAULT_RCOND,
     DecompositionError,
     _eigh,
+    pin_heap,
     regularized_pseudoinverse,
     posterior_covariance,
     sample_posterior,
     solve_bvp,
 )
 from gpeigen.scan import evaluate_trace
+
+from conftest import run_fresh_interpreter
 
 
 def random_psd(rng, n, rank=None):
@@ -183,6 +190,84 @@ class TestPosteriorCovariance:
         quad = blocks.rhs @ np.linalg.solve(K, blocks.rhs)
         want = 0.5 * (quad + logdet + K.shape[0] * np.log(2.0 * np.pi))
         assert abs(summary.neg_log_likelihood - want) <= 1e-12 * abs(want)
+
+
+FAULTS_PER_PAPER_LAMBDA = """
+import json, resource
+import numpy as np
+from gpeigen.problems import build_preset
+from gpeigen.scan import evaluate_trace
+
+prob = build_preset("laplace", "paper")
+faults = []
+for lam in np.geomspace(prob.grid.lo, prob.grid.hi, 6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate_trace(prob, float(lam))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+MALLOC_TUNING = {
+    "MALLOC_MMAP_THRESHOLD_": "65536",
+    "MALLOC_TRIM_THRESHOLD_": "131072",
+    "MALLOC_TOP_PAD_": "0",
+    "GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072",
+}
+
+
+class FakeLibc:
+    """Stands in for ctypes.CDLL(None), recording each mallopt call."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """An environment that tunes no malloc setting and a recording libc."""
+    calls = []
+    for name in MALLOC_TUNING:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(gpeigen.posterior.ctypes, "CDLL", lambda name: FakeLibc(calls))
+    return calls
+
+
+class TestPinHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_paper_lambda_reuses_its_pages(self, tmp_path):
+        # each paper-scale λ frees and reallocates the same few MB; at glibc's
+        # dynamic thresholds they page-fault afresh, about 2,200 times a λ
+        env = {k: v for k, v in os.environ.items()
+               if not (k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")}
+        proc = run_fresh_interpreter(["-c", FAULTS_PER_PAPER_LAMBDA], tmp_path, env)
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout)
+        assert statistics.median(faults[1:]) < 50, faults
+
+    @pytest.mark.parametrize("tunables", [None, "glibc.rtld.optional_static_tls=512"])
+    def test_sets_both_thresholds(self, monkeypatch, mallopt_calls, tunables):
+        if tunables is not None:  # a tunable of another subsystem tunes no malloc
+            monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        assert pin_heap.__wrapped__() is True
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("name", sorted(MALLOC_TUNING))
+    def test_leaves_a_tuned_allocator_alone(self, monkeypatch, mallopt_calls, name):
+        monkeypatch.setenv(name, MALLOC_TUNING[name])
+        assert pin_heap.__wrapped__() is False
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
+    def test_no_mallopt_is_a_no_op(self, monkeypatch, mallopt_calls, error):
+        def missing(name):
+            raise error("no mallopt")
+
+        monkeypatch.setattr(gpeigen.posterior.ctypes, "CDLL", missing)
+        assert pin_heap.__wrapped__() is False
 
 
 def _odd_laplace():

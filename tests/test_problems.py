@@ -40,6 +40,14 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_preset("helmholtz")
 
+    @pytest.mark.parametrize("problem_id", sorted(PRESET_BUILDERS))
+    def test_build_preset_checks_scale(self, problem_id):
+        with pytest.raises(ValueError, match="unknown scale 'bogus'"):
+            build_preset(problem_id, "bogus")
+
+    def test_demo_has_one_size(self):
+        assert build_preset("poisson-demo", "paper") == g.poisson_bvp_demo()
+
     def test_desk_scale_sizes(self):
         prob = g.laplace_dirichlet()
         assert prob.N == 200
