@@ -39,6 +39,7 @@ from .scan import (
     EVALUATION_ERRORS,
     REFINE_RTOL,
     SCAN_RCOND,
+    InsufficientPeaksError,
     ScanError,
     TooFewPointsError,
     blas_threads,
@@ -143,43 +144,37 @@ class ConfigError(ValueError):
 
 
 def resolve_problem(args) -> ProblemSpec:
-    """Preset id or config file, then flag overrides, validated on build.
+    """Preset id or config file, validated on build.
 
-    A config file is JSON mirroring the problem fields.  If it names a
-    "problem" preset, its remaining keys override that preset field by
-    field; otherwise it must spell out a complete problem.  A config file
-    with a preset id or --problem, or --problem naming another preset than
-    the positional one, or --paper-scale with a config that names no
-    preset, is refused rather than one of them ignored.
+    A config file is JSON mirroring the problem fields; a preset id is the
+    config {"problem": id}.  If a config names a "problem" preset, its
+    remaining keys override that preset field by field; otherwise it must
+    spell out a complete problem.  A config file with a preset id, or
+    --paper-scale with a config that names no preset, is refused rather
+    than one of them ignored.
     """
-    scale = "paper" if args.paper_scale else "desk"
-    preset = args.problem_flag or args.problem
-    if not (args.config or preset):
-        raise ConfigError("need a preset id, --problem or --config")
-    if args.config and preset:
-        raise ConfigError(f"--config {args.config} conflicts with preset {preset!r}")
-    if args.problem_flag and args.problem and args.problem_flag != args.problem:
-        raise ConfigError(
-            f"--problem {args.problem_flag!r} conflicts with preset {args.problem!r}"
-        )
+    if not (args.config or args.problem):
+        raise ConfigError("need a preset id or --config")
+    if args.config and args.problem:
+        raise ConfigError(f"--config {args.config} conflicts with preset {args.problem!r}")
     try:
         if args.config:
             with open(args.config) as fh:
                 obj = json.load(fh)
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-            if "problem" in obj:
-                base = problem_to_obj(build_preset(obj.pop("problem"), scale))
-                base.update(obj)
-                obj = base
-            elif args.paper_scale:
-                raise ConfigError(
-                    f"--paper-scale conflicts with --config {args.config}, "
-                    "which names no preset"
-                )
-            problem = problem_from_obj(obj)
         else:
-            problem = build_preset(preset, scale)
+            obj = {"problem": args.problem}
+        if "problem" in obj:
+            preset = _decode_at("problem", str, obj.pop("problem"))
+            scale = "paper" if args.paper_scale else "desk"
+            obj = {**problem_to_obj(build_preset(preset, scale)), **obj}
+        elif args.paper_scale:
+            raise ConfigError(
+                f"--paper-scale conflicts with --config {args.config}, "
+                "which names no preset"
+            )
+        problem = problem_from_obj(obj)
     except ConfigError:
         raise
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -187,8 +182,6 @@ def resolve_problem(args) -> ProblemSpec:
         raise ConfigError(f"{where}{exc}") from exc
     if problem.mode != "eigen":
         raise ConfigError(f"cannot {args.command} bvp-mode problem {problem.problem_id!r}")
-    if args.jitter is not None:
-        problem = dataclasses.replace(problem, jitter=args.jitter)
     return problem
 
 
@@ -283,10 +276,10 @@ def cmd_scan(args) -> int:
         },
         "peaks": peak_objs,
     }
-    if len([p for p in refined if p.J_peak > 0]) >= 2:
-        slope, intercept = fit_decay_slope(refined)
-        doc["decay_slope"] = slope
-        doc["decay_intercept"] = intercept
+    try:
+        doc["decay_slope"], doc["decay_intercept"] = fit_decay_slope(refined)
+    except InsufficientPeaksError:
+        pass
     doc["wall_s"] = time.perf_counter() - t0
     with open(out / "peaks.json", "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -326,8 +319,11 @@ def cmd_sample(args) -> int:
         json.dump(
             {
                 "problem": problem.problem_id,
+                "version": __version__,
+                "spec": problem_to_obj(problem),
                 "lambda": args.lam,
                 "trace_J": summary.trace_J,
+                "rcond": args.rcond,
                 "seed": args.seed,
                 "blas_threads": blas_threads(),
                 "heap_pinned": pin_heap(),
@@ -433,20 +429,15 @@ def _number(convert, accept, name):
 POSITIVE_INT = _number(int, lambda v: v > 0, "positive int")
 NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "nonnegative int")
 POSITIVE_FLOAT = _number(float, lambda v: 0 < v < math.inf, "finite positive float")
-NONNEGATIVE_FLOAT = _number(
-    float, lambda v: 0 <= v < math.inf, "finite nonnegative float"
-)
 FINITE_FLOAT = _number(float, math.isfinite, "finite float")
 
 
 def _add_problem_flags(p, rcond):
     p.add_argument("problem", nargs="?", help="preset id (see list-problems)")
-    p.add_argument("--problem", dest="problem_flag", help="preset id")
     p.add_argument("--config", help="JSON problem config file")
     p.add_argument(
         "--paper-scale", action="store_true", help="full published grid sizes"
     )
-    p.add_argument("--jitter", type=NONNEGATIVE_FLOAT, default=None)
     p.add_argument("--rcond", type=POSITIVE_FLOAT, default=rcond)
     p.add_argument("--out-dir", type=Path, default=Path("."))
 

@@ -88,7 +88,7 @@ class TooFewPointsError(ValueError):
 
 
 class InsufficientPeaksError(ValueError):
-    """The decay fit needs at least two peaks with positive height."""
+    """The decay fit needs at least two peaks with positive λ and height."""
 
 
 @dataclass(frozen=True)
@@ -322,11 +322,12 @@ def refine_peak(
 
 
 def fit_decay_slope(peaks):
-    """Least-squares fit of log10 J_peak against log10 λ_hat."""
-    pts = [(p.lam_hat, p.J_peak) for p in peaks if p.J_peak > 0]
+    """Least-squares fit of log10 J_peak against log10 λ_hat, over the
+    peaks where both are positive."""
+    pts = [(p.lam_hat, p.J_peak) for p in peaks if p.lam_hat > 0 and p.J_peak > 0]
     if len(pts) < 2:
         raise InsufficientPeaksError(
-            f"decay fit needs >= 2 peaks with positive J, got {len(pts)}"
+            f"decay fit needs >= 2 peaks with positive lambda and J, got {len(pts)}"
         )
     lx = np.log10([p[0] for p in pts])
     ly = np.log10([p[1] for p in pts])

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
-from gpeigen.posterior import pin_heap
+from gpeigen.posterior import DEFAULT_RCOND, pin_heap
 from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
 
 from conftest import run_fresh_interpreter
@@ -121,6 +123,10 @@ class TestSample:
         assert (d1 / "samples.csv").read_bytes() == (d2 / "samples.csv").read_bytes()
         doc = json.loads((d1 / "samples.json").read_text())
         assert doc["problem"] == "laplace"
+        assert doc["version"] == g.__version__
+        # the problem as conditioned, spelled as a config file would spell it
+        assert problem_from_obj(doc["spec"]) == g.laplace_dirichlet()
+        assert doc["rcond"] == DEFAULT_RCOND
         assert doc["seed"] == 42
         assert doc["normalization"] == "sup_norm"
         assert len(doc["residuals"]) == 3
@@ -149,11 +155,10 @@ class TestSample:
             (["--lambda", "1e200"], "lambda"),
             # a later --out-dir overrides the default one
             (["--lambda", "10.0", "--out-dir", "FILE"], "blocker"),
-            (["--lambda", "10.0", "--jitter", "inf"], "--jitter"),
             (["--lambda", "10.0", "--rcond", "inf"], "--rcond"),
         ],
         ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed",
-             "lambda-1e200", "out-dir-is-file", "jitter-inf", "rcond-inf"],
+             "lambda-1e200", "out-dir-is-file", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags, named):
         blocker = tmp_path / "blocker"
@@ -219,14 +224,12 @@ class TestProblemConflicts:
         "argv, named",
         [
             (["scan", "cantilever", "--config", "CFG"], "'cantilever'"),
-            (["scan", "--problem", "cantilever", "--config", "CFG"], "'cantilever'"),
-            (["scan", "cantilever", "--problem", "laplace"], "'laplace'"),
             (["sample", "cantilever", "--config", "CFG", "--lambda", "10.0"],
              "'cantilever'"),
             (["scan", "--config", "FULL", "--paper-scale"], "--paper-scale"),
         ],
-        ids=["config-and-preset", "config-and-problem-flag", "problem-flag-and-preset",
-             "sample-config-and-preset", "paper-scale-and-complete-config"],
+        ids=["config-and-preset", "sample-config-and-preset",
+             "paper-scale-and-complete-config"],
     )
     def test_refuses_conflicting_inputs(self, tmp_path, capsys, argv, named):
         # CFG names laplace, FULL spells out a problem with no preset to
@@ -246,10 +249,20 @@ class TestProblemConflicts:
         assert f"usage: gpeigen {argv[0]} [-h]" in err
         assert not out.exists()
 
-    def test_same_preset_twice_is_accepted(self, tmp_path):
-        argv = ["sample", "laplace", "--problem", "laplace", "--lambda", "10.0",
-                "--count", "1", "--out-dir", str(tmp_path)]
-        assert main(argv) == EXIT_OK
+    @pytest.mark.parametrize("command", ["scan", "sample"])
+    @pytest.mark.parametrize(
+        "flags", [["--problem", "laplace"], ["--jitter", "1e-7"]], ids=["problem", "jitter"]
+    )
+    def test_second_spellings_are_unknown(self, tmp_path, capsys, command, flags):
+        # a preset is named only by the positional id, jitter only in a config
+        lam = ["--lambda", "10.0"] if command == "sample" else []
+        out = tmp_path / "out"
+        argv = [command, "laplace", *lam, *flags, "--out-dir", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert error_lines(err) == [f"error: unrecognized arguments: {' '.join(flags)}"]
+        assert f"usage: gpeigen {command} [-h]" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -299,14 +312,12 @@ class TestScan:
             ["--rcond", "-1"],
             ["--rcond", "0"],
             ["--rcond", "nan"],
-            ["--jitter", "-1"],
             ["--jobs", "abc"],
             ["--bogus"],
-            ["--jitter", "inf"],
             ["--rcond", "inf"],
         ],
         ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
-             "jitter-negative", "jobs-abc", "unknown-flag", "jitter-inf", "rcond-inf"],
+             "jobs-abc", "unknown-flag", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
         # refused before the sweep: no λ is evaluated, no spectrum written
@@ -318,19 +329,18 @@ class TestScan:
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize(
-        "extra, flags, changed",
+        "changed",
         [
-            ({}, [], {}),
-            ({}, ["--jitter", "2e-08"], {"jitter": 2e-8}),
+            {},
+            {"jitter": 2e-8},
             # an id with no reference eigenvalues: peaks carry no error
-            ({"problem_id": "my-laplace"}, [], {"problem_id": "my-laplace"}),
+            {"problem_id": "my-laplace"},
         ],
-        ids=["preset", "jitter-flag", "no-oracle"],
+        ids=["preset", "jitter", "no-oracle"],
     )
-    def test_small_config_scan_roundtrip(self, tmp_path, capsys, extra, flags, changed):
-        cfg = write_config(tmp_path, {**SMALL_SCAN, **extra})
-        code = main(["scan", "--config", cfg, "--jobs", "1", *flags,
-                     "--out-dir", str(tmp_path)])
+    def test_small_config_scan_roundtrip(self, tmp_path, capsys, changed):
+        cfg = write_config(tmp_path, {**SMALL_SCAN, **changed})
+        code = main(["scan", "--config", cfg, "--jobs", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         rows = read_spectrum_csv(tmp_path / "spectrum.csv")
         assert len(rows) == 24
@@ -395,6 +405,27 @@ class TestScan:
         assert all(float(rec["length_scale"]) == 0.3 for rec in recs)
         doc = json.loads((tmp_path / "peaks.json").read_text())
         assert problem_from_obj(doc["spec"]) == prob and "schedule" not in doc["spec"]
+
+    def test_negative_eigenvalues_scan(self, tmp_path):
+        # u'' = λu with u(0) = u(1) = 0 has eigenvalues -(nπ)²: the peaks lie
+        # at λ < 0, where no log-log decay slope exists
+        terms = (g.OperatorTermSpec(2, (1.0,)), g.OperatorTermSpec(0, (-1.0, 0.0)))
+        prob = dataclasses.replace(
+            g.laplace_dirichlet(), problem_id="negative-laplace",
+            interior_op=g.LinearOperatorSpec(terms), N=40, N_t=40, schedule=None,
+            fixed_kernel=g.KernelSpec(variance=1.0, length_scale=0.15),
+            grid=g.LambdaGrid("linear", -100.0, -2.0, 60),
+        )
+        cfg = write_config(tmp_path, problem_to_obj(prob))
+        code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        refs = [-((n * np.pi) ** 2) for n in (1, 2, 3)]
+        assert len(doc["peaks"]) >= 2
+        for rec in doc["peaks"]:
+            assert rec["refined"]
+            assert min(abs(rec["lambda_hat"] - r) / -r for r in refs) <= 0.02
+        assert "decay_slope" not in doc and "decay_intercept" not in doc
 
     def test_failed_refinement_keeps_grid_peak(self, tmp_path, monkeypatch, capsys):
         # the second J evaluation after the sweep, inside the first peak's
@@ -497,6 +528,11 @@ class TestScan:
             ({"N": 20}, "missing"),
             ("{", "Expecting property name"),
             ({"problem": "helmholtz"}, "unknown problem 'helmholtz'"),
+            # the preset key is a string like every other string field
+            ({"problem": ["laplace"]}, "problem: expected str, got ['laplace']"),
+            ({"problem": {"x": 1}}, "problem: expected str, got {'x': 1}"),
+            ({"problem": None}, "problem: expected str, got None"),
+            ({"problem": "laplace", "jitter": -1.0}, "jitter must be nonnegative"),
             ({"problem": "laplace", "grid": [1, 2]}, "LambdaGrid needs an object"),
             ({"problem": "laplace", "interior_op": {"terms": [
                 {"deriv_order": 2, "num": [{"bogus": 1.0}]}]}},
@@ -591,7 +627,8 @@ class TestScan:
             ({"problem": "laplace", "N": None}, "N: expected int, got None"),
             ({"problem": "laplace", "domain": None}, "domain: expected a list, got None"),
         ],
-        ids=["incomplete", "invalid-json", "unknown-preset", "grid-list",
+        ids=["incomplete", "invalid-json", "unknown-preset", "problem-list",
+             "problem-object", "problem-null", "jitter-negative", "grid-list",
              "unknown-coefficient", "int-field-fraction", "int-field-string",
              "float-field-bool", "grid-count-fraction", "deriv-order-fraction",
              "location-bool", "problem-id-number", "log-grid-root",
@@ -634,6 +671,22 @@ class TestScan:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad config" in err and key in err
+
+
+def test_readme_names_exactly_the_parsers_flags(capsys):
+    # every backticked --flag in README's command-line section is one the
+    # parser takes, and every flag the parser takes is documented there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("## Library use", 1)[0]
+    section = re.sub(r"^```.*?^```", "", section, flags=re.M | re.S)  # fenced blocks
+    spans = re.findall(r"`([^`]+)`", section)
+    documented = {f for span in spans for f in re.findall(r"--[a-z][a-z-]*", span)}
+    taken = set()
+    for command in ("scan", "sample", "fd-verify", "bvp-demo", "list-problems"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        taken |= set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert documented == taken
 
 
 @pytest.mark.parametrize(

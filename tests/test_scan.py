@@ -163,6 +163,16 @@ class TestFitDecaySlope:
         with pytest.raises(InsufficientPeaksError):
             fit_decay_slope(peaks)
 
+    def test_needs_two_positive_lambdas(self):
+        # log10 of a peak at λ <= 0 does not exist: such a peak is left out
+        peaks = [
+            PeakRecord(lam_hat=-40.0, J_peak=2.0, grid_index=1),
+            PeakRecord(lam_hat=0.0, J_peak=1.5, grid_index=2),
+            PeakRecord(lam_hat=10.0, J_peak=1.0, grid_index=3),
+        ]
+        with pytest.raises(InsufficientPeaksError):
+            fit_decay_slope(peaks)
+
 
 class TestRefinePeak:
     def test_refinement_improves_location(self, laplace_desk):
