@@ -14,11 +14,15 @@ and peaks when λ hits one.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +36,15 @@ BVP_LENGTH_BRACKET = (0.25, 5.0)
 NORMALIZATIONS = ("none", "sup_norm")
 
 # Environment variables through which a user already tunes glibc's malloc
-_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+_MALLOC_ENV = (
+    "MALLOC_MMAP_THRESHOLD_",
+    "MALLOC_TRIM_THRESHOLD_",
+    "MALLOC_TOP_PAD_",
+    "MALLOC_ARENA_MAX",
+)
+
+# dlopen flags that open a library only if the process has loaded it (POSIX)
+_LOADED_ONLY = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_LAZY", 0)
 
 
 @functools.cache
@@ -44,19 +56,101 @@ def pin_heap() -> bool:
     anew each time (about 2,200 minor faults per paper-scale λ on glibc
     2.36).  Pinning M_MMAP_THRESHOLD at 32 MiB (glibc's own ceiling on
     64-bit) and M_TRIM_THRESHOLD at twice that (glibc's own rule) reuses
-    them instead, at the price of keeping up to 64 MiB of freed heap.  A
-    no-op where libc has no `mallopt` or the environment already tunes
-    malloc.
+    them instead, at the price of keeping up to 64 MiB of freed heap.
+    M_ARENA_MAX at 1 serves the thread that runs a mirror split's odd half
+    from that same heap instead of a second arena.  A no-op where libc has
+    no `mallopt` or the environment already tunes malloc.
     """
     tuned = any(name in os.environ for name in _MALLOC_ENV)
     if tuned or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
         return False
     try:
         mallopt = ctypes.CDLL(None).mallopt
-        # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1; mallopt returns 1 on success
-        return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+        # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1, M_ARENA_MAX = -8;
+        # mallopt returns 1 on success
+        settings = ((-3, 32 << 20), (-1, 64 << 20), (-8, 1))
+        return all(mallopt(param, value) == 1 for param, value in settings)
     except (OSError, AttributeError, TypeError):
         return False
+
+
+@functools.cache
+def _openblas(name: str):
+    """The function `name` (e.g. "get_num_threads") of the OpenBLAS numpy
+    loaded, or None when none is found.
+
+    Looks in the wheel's numpy.libs for a library already in the process,
+    and in it for the scipy-openblas (numpy 2), the 64-bit (numpy 1) and the
+    plain symbol.  Cached: the lookup takes about 85 µs, and a split
+    conditioning makes two calls.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=_LOADED_ONLY)
+        except OSError:
+            continue  # not loaded in this process
+        syms = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
+        for sym in syms:
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _openblas_call(name: str, *args):
+    """Call `name` in the OpenBLAS numpy loaded; None when none is found."""
+    fn = _openblas(name)
+    return None if fn is None else fn(*args)
+
+
+# Held over each split conditioning, so two concurrent callers cannot leave
+# the BLAS thread count at 1; and the thread that runs a split's odd half.
+_SPLIT_LOCK = threading.Lock()
+_odd_worker = None
+
+
+def _before_fork():
+    """Fork between split conditionings, with no worker thread: a forked
+    child has no copy of it, and work submitted there would wait forever.
+    The next split conditioning on either side starts a new one."""
+    global _odd_worker
+    _SPLIT_LOCK.acquire()
+    if _odd_worker is not None:
+        _odd_worker.shutdown()
+        _odd_worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_SPLIT_LOCK.release,
+        after_in_child=_SPLIT_LOCK.release,
+    )
+
+
+@contextlib.contextmanager
+def _split_blas(mirror):
+    """One BLAS thread over all of a mirror-split conditioning.
+
+    `_mirror_eigh` runs the two halves at once, one per thread; at their
+    101-251 rows OpenBLAS's own threading gains almost nothing.  The scope
+    covers every BLAS call of the conditioning, not just the `eigh`s: after
+    a two-thread call OpenBLAS's helper busy-waits on the second core.  The
+    caller's count comes back on exit.  An unsplit Gram (mirror None) keeps
+    the library's count.
+    """
+    if mirror is None:
+        yield
+        return
+    with _SPLIT_LOCK:
+        before = _openblas_call("get_num_threads")
+        _openblas_call("set_num_threads", 1)
+        try:
+            yield
+        finally:
+            if before is not None:
+                _openblas_call("set_num_threads", before)
 
 
 class DecompositionError(RuntimeError):
@@ -194,6 +288,7 @@ def _mirror_eigh(K, mirror, jitter: float):
     averaged mirrored entries below.  Returns (w, V) like `eigh`, the even
     eigenpairs first, with V in the original row order.
     """
+    global _odd_worker
     rows = np.arange(len(mirror))
     p, f = rows[mirror > rows], rows[mirror == rows]
     q = mirror[p]
@@ -201,8 +296,22 @@ def _mirror_eigh(K, mirror, jitter: float):
     K_pq = K[np.ix_(p, q)]
     B = 0.5 * (K_pq + K_pq.T)  # K_qp, as K is symmetric
     C = np.sqrt(0.5) * (K[np.ix_(p, f)] + K[np.ix_(q, f)])
-    w_even, Y_even = _eigh(np.block([[A + B, C], [C.T, K[np.ix_(f, f)]]]), jitter)
-    w_odd, Y_odd = _eigh(A - B, jitter)
+    odd_half = A - B
+    if _odd_worker is None:
+        _odd_worker = ThreadPoolExecutor(1)
+    # LAPACK releases the GIL: the odd half runs while this thread does the even
+    odd = _odd_worker.submit(_eigh, odd_half, jitter)
+    try:
+        w_even, Y_even = _eigh(np.block([[A + B, C], [C.T, K[np.ix_(f, f)]]]), jitter)
+    finally:
+        # The odd half ends inside the caller's scope.  A worker not yet
+        # started (slow to wake on a loaded host) is not waited for: this
+        # thread runs the odd half itself.  A started one is polled, not slept
+        # on, so that this core is not handed back to the host meanwhile.
+        started = not odd.cancel()
+        while started and not odd.done():
+            os.sched_yield()
+    w_odd, Y_odd = odd.result() if started else _eigh(odd_half, jitter)
     n = w_even.size
     V = np.zeros((len(K), len(K)))  # odd vectors vanish on fixed rows
     V[p, :n] = V[q, :n] = np.sqrt(0.5) * Y_even[: p.size]
@@ -234,13 +343,15 @@ def posterior_covariance(
     averaged with its mirror image, which differs from K_CC only by the
     roundoff of assembly.  W's columns are then the kept even directions
     followed by the kept odd ones, and the one cut applies to the union of
-    both halves' eigenvalues.
+    both halves' eigenvalues.  The two halves run at once, one per thread,
+    and the whole conditioning on one BLAS thread (`_split_blas`).
     """
     pin_heap()
-    w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
-    keep = _keep(w, rcond) & (w > 0)
-    W = V[:, keep] / np.sqrt(w[keep])
-    U = blocks.K_tC @ W
+    with _split_blas(blocks.mirror):
+        w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
+        keep = _keep(w, rcond) & (w > 0)
+        W = V[:, keep] / np.sqrt(w[keep])
+        U = blocks.K_tC @ W
     J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
     return PosteriorSummary(J, _diagnostics(w, keep), U, W, w[keep], blocks)
 
@@ -266,41 +377,43 @@ def sample_posterior(
     `operators`), `_eigh` splits the covariance by that reversal into even
     and odd halves like K_CC, and the eigenpairs are sorted into the full
     `eigh`'s increasing order.  The samples of such a problem then differ
-    bitwise from a full `eigh`'s, not in distribution.
+    bitwise from a full `eigh`'s, not in distribution.  Forming cov, its
+    split and the draws then run on one BLAS thread (`_split_blas`).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    if not np.all(np.isfinite(summary.cov)):
-        raise DecompositionError("covariance has non-finite entries")
-    mirror = None
-    if summary.blocks.mirror is not None:
-        mirror = np.arange(summary.x_test.size)[::-1]
-    w, V = _eigh(summary.cov, mirror=mirror)
-    # sort the split's even-first pairs; sorting eigh's own V would gather it
-    # into a C-ordered copy and move the draws by roundoff
-    if mirror is not None:
-        order = np.argsort(w, kind="stable")
-        w, V = w[order], V[:, order]
-    F = V * np.sqrt(np.clip(w, 0.0, None))
-    v1 = V[:, -1]
+    with _split_blas(summary.blocks.mirror):
+        if not np.all(np.isfinite(summary.cov)):
+            raise DecompositionError("covariance has non-finite entries")
+        mirror = None
+        if summary.blocks.mirror is not None:
+            mirror = np.arange(summary.x_test.size)[::-1]
+        w, V = _eigh(summary.cov, mirror=mirror)
+        # sort the split's even-first pairs; sorting eigh's own V would gather it
+        # into a C-ordered copy and move the draws by roundoff
+        if mirror is not None:
+            order = np.argsort(w, kind="stable")
+            w, V = w[order], V[:, order]
+        F = V * np.sqrt(np.clip(w, 0.0, None))
+        v1 = V[:, -1]
 
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(count):
-        xi = np.random.default_rng(child).standard_normal(w.size)
-        raw = summary.mean + F @ xi
-        nrm = float(np.linalg.norm(raw))
-        residual = 0.0
-        if nrm > 0:
-            residual = float(np.linalg.norm(raw - (v1 @ raw) * v1) / nrm)
-        values = raw
-        if normalization == "sup_norm":
-            peak = float(np.max(np.abs(raw)))
-            if peak > 0:
-                values = raw / peak
-        out.append(EigenfunctionSample(values=values, residual=residual))
-    return out
+        out = []
+        for child in np.random.SeedSequence(seed).spawn(count):
+            xi = np.random.default_rng(child).standard_normal(w.size)
+            raw = summary.mean + F @ xi
+            nrm = float(np.linalg.norm(raw))
+            residual = 0.0
+            if nrm > 0:
+                residual = float(np.linalg.norm(raw - (v1 @ raw) * v1) / nrm)
+            values = raw
+            if normalization == "sup_norm":
+                peak = float(np.max(np.abs(raw)))
+                if peak > 0:
+                    values = raw / peak
+            out.append(EigenfunctionSample(values=values, residual=residual))
+        return out
 
 
 def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSummary:

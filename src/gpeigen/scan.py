@@ -9,17 +9,19 @@ grid neighbors by a bounded Brent search on -log10 J.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .operators import assemble_blocks
-from .posterior import DecompositionError, PseudoinverseDiag, posterior_covariance
+from .posterior import (
+    DecompositionError,
+    PseudoinverseDiag,
+    _openblas_call,
+    posterior_covariance,
+)
 
 # Truncation default for the scan stage. Looser than the posterior module's
 # 1e-12 on purpose: dropping the smallest kept directions widens the resonance
@@ -40,31 +42,6 @@ GRID_KINDS = ("linear", "log", "power_root")
 # GridError, UnsupportedOrderError and numpy.linalg.LinAlgError.  Anything
 # else is a programming error and propagates.
 EVALUATION_ERRORS = (ArithmeticError, ValueError, DecompositionError)
-
-
-# dlopen flags that open a library only if the process has loaded it (POSIX)
-_LOADED_ONLY = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_LAZY", 0)
-
-
-def _openblas_call(name: str, *args):
-    """Call `name` (e.g. "get_num_threads") in the OpenBLAS numpy loaded.
-
-    Looks in the wheel's numpy.libs for a library already in the process,
-    and in it for the scipy-openblas (numpy 2), the 64-bit (numpy 1) and the
-    plain symbol.  Returns None when none is found.
-    """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=_LOADED_ONLY)
-        except OSError:
-            continue  # not loaded in this process
-        syms = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
-        for sym in syms:
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                return fn(*args)
-    return None
 
 
 def blas_threads():
@@ -220,10 +197,11 @@ def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> Spectral
 
     Serial by default (bitwise reproducible); jobs > 1 evaluates grid
     points in worker processes, each on one BLAS thread, and gathers
-    results in grid order; J then matches the serial J to roundoff, not
-    bit for bit.  Points whose evaluation raises one of EVALUATION_ERRORS
-    (coefficient poles, degenerate assemblies) are marked skipped with the
-    reason; the scan fails only if every point does.
+    results in grid order; J then matches the serial J bit for bit where
+    the Gram is mirror-split (its serial conditioning runs one BLAS thread
+    too), to roundoff elsewhere.  Points whose evaluation raises one of
+    EVALUATION_ERRORS (coefficient poles, degenerate assemblies) are marked
+    skipped with the reason; the scan fails only if every point does.
     """
     lams = make_lambda_grid(problem.grid)
     tasks = [(problem, lam, rcond) for lam in lams]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gpeigen as g
+from gpeigen.posterior import _openblas_call
 
 
 def run_fresh_interpreter(args, cwd, env=os.environ):
@@ -24,6 +25,17 @@ def run_fresh_interpreter(args, cwd, env=os.environ):
         [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.fixture
+def set_blas_threads():
+    """A setter of the loaded OpenBLAS's thread count, restored after the
+    test; skips the test when no OpenBLAS is found."""
+    before = _openblas_call("get_num_threads")
+    if before is None:
+        pytest.skip("no OpenBLAS found in numpy.libs")
+    yield lambda n: _openblas_call("set_num_threads", n)
+    _openblas_call("set_num_threads", before)
 
 
 def _scan_and_refine(problem, refine_top=None):

@@ -6,6 +6,8 @@ import json
 import os
 import platform
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from gpeigen.posterior import (
     sample_posterior,
     solve_bvp,
 )
-from gpeigen.scan import evaluate_trace
+from gpeigen.scan import blas_threads, evaluate_trace
 
 from conftest import run_fresh_interpreter
 
@@ -211,6 +213,7 @@ MALLOC_TUNING = {
     "MALLOC_MMAP_THRESHOLD_": "65536",
     "MALLOC_TRIM_THRESHOLD_": "131072",
     "MALLOC_TOP_PAD_": "0",
+    "MALLOC_ARENA_MAX": "2",
     "GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072",
 }
 
@@ -249,11 +252,11 @@ class TestPinHeap:
         assert statistics.median(faults[1:]) < 50, faults
 
     @pytest.mark.parametrize("tunables", [None, "glibc.rtld.optional_static_tls=512"])
-    def test_sets_both_thresholds(self, monkeypatch, mallopt_calls, tunables):
+    def test_sets_thresholds_and_arena_cap(self, monkeypatch, mallopt_calls, tunables):
         if tunables is not None:  # a tunable of another subsystem tunes no malloc
             monkeypatch.setenv("GLIBC_TUNABLES", tunables)
         assert pin_heap.__wrapped__() is True
-        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
 
     @pytest.mark.parametrize("name", sorted(MALLOC_TUNING))
     def test_leaves_a_tuned_allocator_alone(self, monkeypatch, mallopt_calls, name):
@@ -268,6 +271,82 @@ class TestPinHeap:
 
         monkeypatch.setattr(gpeigen.posterior.ctypes, "CDLL", missing)
         assert pin_heap.__wrapped__() is False
+
+
+class TestSplitBlasThreads:
+    """A mirror-split conditioning runs on one BLAS thread and hands the
+    caller's thread count back, also when a half fails."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_caller_count_restored(self, set_blas_threads, threads):
+        set_blas_threads(threads)
+        prob = g.laplace_dirichlet()
+        blocks = assemble_blocks(prob, 88.83)
+        assert blocks.mirror is not None
+        summary = posterior_covariance(blocks, prob.jitter)
+        assert blas_threads() == threads
+        sample_posterior(summary, 2, seed=0)
+        assert blas_threads() == threads
+
+    def test_concurrent_callers_restore_count(self, set_blas_threads):
+        # unlocked, a caller could save another caller's 1 and restore it last
+        set_blas_threads(2)
+        prob = g.laplace_dirichlet()
+        blocks = assemble_blocks(prob, 88.83)
+        J = []
+
+        def condition():
+            for _ in range(5):
+                J.append(posterior_covariance(blocks, prob.jitter).trace_J)
+
+        threads = [threading.Thread(target=condition) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert blas_threads() == 2
+        assert len(J) == 20 and len(set(J)) == 1
+
+    def test_unstarted_odd_half_runs_on_the_caller(self):
+        # a worker slow to start (here: busy) is not waited for
+        prob = g.laplace_dirichlet()
+        blocks = assemble_blocks(prob, 88.83)
+        J = posterior_covariance(blocks, prob.jitter).trace_J
+        release = threading.Event()
+        busy = gpeigen.posterior._odd_worker.submit(release.wait, 10)
+        try:
+            assert posterior_covariance(blocks, prob.jitter).trace_J == J
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result(timeout=10)
+
+    def test_failed_odd_half_restores_count(self, monkeypatch, set_blas_threads):
+        set_blas_threads(2)
+        prob = _odd_laplace()  # its middle row is fixed: the odd half is smaller
+        blocks = assemble_blocks(prob, 88.83)
+        J = posterior_covariance(blocks, prob.jitter).trace_J
+        worker = gpeigen.posterior._odd_worker
+        n_odd = int(np.sum(blocks.mirror > np.arange(blocks.mirror.size)))
+
+        def odd_half_fails(M, jitter=0.0, mirror=None):
+            if len(M) == n_odd:
+                raise np.linalg.LinAlgError("odd half failed")
+            return _eigh(M, jitter, mirror)
+
+        monkeypatch.setattr(gpeigen.posterior, "_eigh", odd_half_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="odd half failed"):
+            posterior_covariance(blocks, prob.jitter)
+        assert blas_threads() == 2
+        monkeypatch.undo()
+        assert posterior_covariance(blocks, prob.jitter).trace_J == J
+        assert gpeigen.posterior._odd_worker is worker
 
 
 def _odd_laplace():

@@ -8,6 +8,7 @@ import pytest
 
 import gpeigen as g
 import gpeigen.scan
+from gpeigen.operators import assemble_blocks
 from gpeigen.scan import (
     REFINE_RTOL,
     SCAN_RCOND,
@@ -28,6 +29,8 @@ from gpeigen.scan import (
     refine_peak,
     scan_spectrum,
 )
+
+from conftest import run_fresh_interpreter
 
 
 class TestLambdaGrid:
@@ -250,6 +253,26 @@ def small_laplace():
     )
 
 
+SPLIT_THEN_POOL = """
+import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+import gpeigen as g
+import gpeigen.posterior
+from gpeigen.scan import LambdaGrid, evaluate_trace, scan_spectrum
+
+def no_worker():
+    return gpeigen.posterior._odd_worker is None
+
+prob = dataclasses.replace(
+    g.laplace_dirichlet(), N=40, N_t=40, grid=LambdaGrid("log", 5.0, 120.0, 24)
+)
+evaluate_trace(prob, 50.0)
+with ProcessPoolExecutor(1) as pool:
+    print(pool.submit(no_worker).result())
+print(sum(not p.skipped for p in scan_spectrum(prob, jobs=2).points))
+"""
+
+
 class TestScanSpectrum:
     def test_serial_determinism(self):
         prob = small_laplace()
@@ -263,6 +286,28 @@ class TestScanSpectrum:
         parallel = scan_spectrum(prob, jobs=2)
         assert [p.lam for p in serial.points] == [p.lam for p in parallel.points]
         assert [p.J for p in serial.points] == [p.J for p in parallel.points]
+
+    def test_split_parallel_matches_serial_bitwise(self, laplace_desk):
+        # a serial split conditioning runs on one BLAS thread, as a worker does
+        assert assemble_blocks(laplace_desk.problem, 88.83).mirror is not None
+        parallel = scan_spectrum(laplace_desk.problem, jobs=2)
+        assert [p.J for p in parallel.points] == [p.J for p in laplace_desk.scan.points]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_split_J_ignores_caller_blas_threads(
+        self, laplace_desk, set_blas_threads, threads
+    ):
+        set_blas_threads(threads)
+        scan = scan_spectrum(laplace_desk.problem)
+        assert [p.J for p in scan.points] == [p.J for p in laplace_desk.scan.points]
+
+    def test_pool_after_a_split_conditioning(self, tmp_path):
+        # a forked child must not inherit the parent's worker thread, which
+        # does not exist there; and a fork must leave no lock held.  The fresh
+        # interpreter's 120 s timeout turns a hang into a failure.
+        proc = run_fresh_interpreter(["-c", SPLIT_THEN_POOL], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "24"]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         # two BLAS threads in each of several workers oversubscribe the cores
