@@ -1,0 +1,187 @@
+"""One-dimensional searches: bounded Brent minimization and bisection.
+
+`minimize_bounded` is Brent's bounded minimizer (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 5: golden-section steps with
+parabolic interpolation) and `bisect` is plain interval halving.  Both are
+line-for-line ports of SciPy's loops (`_minimize_scalar_bounded` of
+SciPy's optimize package and its C `bisect`), so they make the same
+function evaluations in the same order and return the same floats; the
+package keeps them here so that it depends on numpy alone.  The ports
+drop the result objects, `disp` and `args`, and keep SciPy's iteration
+caps and bisection's relative tolerance.
+
+The loops are derived from SciPy, which is distributed under this notice:
+
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions
+    are met:
+
+    1. Redistributions of source code must retain the above copyright
+       notice, this list of conditions and the following disclaimer.
+
+    2. Redistributions in binary form must reproduce the above
+       copyright notice, this list of conditions and the following
+       disclaimer in the documentation and/or other materials provided
+       with the distribution.
+
+    3. Neither the name of the copyright holder nor the names of its
+       contributors may be used to endorse or promote products derived
+       from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+# SciPy's caps: function evaluations for Brent, halvings for bisection.
+BRENT_MAXFUN = 500
+BISECT_MAXITER = 100
+
+# Bisection's relative tolerance, the smallest SciPy accepts.
+BISECT_RTOL = 4 * sys.float_info.epsilon
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v):
+    """+1 for v >= 0 (either zero), -1 below, NaN for NaN: numpy's
+    sign(v) + (v == 0)."""
+    if v >= 0:
+        return 1.0
+    if v < 0:
+        return -1.0
+    return v
+
+
+def minimize_bounded(func, lo, hi, xatol=1e-5):
+    """Minimize the scalar function `func` over [lo, hi] by Brent's method.
+
+    Stops when the bracket around the best point is within about xatol
+    (plus sqrt(eps) of the point, relatively) or after BRENT_MAXFUN
+    evaluations.  Returns (x, nfev): the best point evaluated and the
+    number of evaluations.  The bounds must be finite with lo <= hi.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
+    if lo > hi:
+        raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= BRENT_MAXFUN:
+            break
+    return xf, num
+
+
+def _value(f, x):
+    fx = f(x)
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN")
+    return float(fx)
+
+
+def bisect(f, a, b, xtol):
+    """A root of `f` in [a, b], where f(a) and f(b) differ in sign.
+
+    Halves the bracket until its half-width is below xtol + BISECT_RTOL *
+    |midpoint| or the midpoint is an exact zero, and returns that midpoint
+    (or an endpoint where f is exactly 0).  Raises ValueError when the
+    signs agree or f is NaN, RuntimeError after BISECT_MAXITER halvings.
+    """
+    if not xtol > 0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
+    a, b = float(a), float(b)
+    fa = _value(f, a)
+    fb = _value(f, b)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    dm = b - a
+    for _ in range(BISECT_MAXITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = _value(f, xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(
+        f"bisection failed to converge after {BISECT_MAXITER} iterations, value is {a}"
+    )

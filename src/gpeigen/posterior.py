@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._search import minimize_bounded
 from .operators import AssembledBlocks, assemble_blocks
 
 DEFAULT_RCOND = 1e-12
@@ -424,7 +425,8 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
     values.  λ is irrelevant and fixed at 0 for the assembly call.
 
     The kernel's length scale is fit by type-II maximum likelihood: a
-    bounded 1-D minimization of `neg_log_likelihood` over log l inside
+    bounded Brent minimization (`_search.minimize_bounded`, at its default
+    xatol of 1e-5) of `neg_log_likelihood` over log l inside
     BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].  The
     variance stays at the preset's value; fitting it as well drives the
     demo's l to about 0.9, where cond(K_CC) is about 1e12.  Each kernel,
@@ -456,13 +458,8 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
                 best = summary
             return summary.neg_log_likelihood
 
-        # Imported here: only this fit needs scipy, so conditioning never loads it.
-        from scipy.optimize import minimize_scalar
-
         lo, hi = BVP_LENGTH_BRACKET
-        minimize_scalar(
-            probe,
-            bounds=(np.log(lo * preset.length_scale), np.log(hi * preset.length_scale)),
-            method="bounded",
+        minimize_bounded(
+            probe, np.log(lo * preset.length_scale), np.log(hi * preset.length_scale)
         )
     return best

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import bisect
 from .kernel import KernelSpec
 from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
@@ -230,9 +231,6 @@ def loaded_string_characteristic(lam: float) -> float:
 
 def _sign_change_roots(fn, grid, count: int, xtol: float):
     """Up to `count` roots of fn along the sign changes of a fine grid."""
-    # Imported here: only reference lookups need scipy, so assembly never loads it.
-    from scipy.optimize import bisect
-
     vals = np.array([fn(g) for g in grid])
     roots = []
     for i in range(len(grid) - 1):
@@ -244,7 +242,7 @@ def _sign_change_roots(fn, grid, count: int, xtol: float):
         if a == 0.0:
             roots.append(float(grid[i]))
         elif a * b < 0:
-            roots.append(bisect(fn, grid[i], grid[i + 1], xtol=xtol))
+            roots.append(bisect(fn, grid[i], grid[i + 1], xtol))
     return roots
 
 

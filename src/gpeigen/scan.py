@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import minimize_bounded
 from .operators import assemble_blocks
 from .posterior import (
     DecompositionError,
@@ -31,7 +32,7 @@ from .posterior import (
 # posterior can always pass rcond explicitly.
 SCAN_RCOND = 1e-11
 
-# Refinement's bracket width relative to λ: J is flat to roundoff over about
+# Refinement's bracket width relative to |λ|: J is flat to roundoff over about
 # 2e-5 of λ near a desk peak, and the indicator's own bias is 0.2-1%.
 REFINE_RTOL = 1e-5
 
@@ -249,12 +250,13 @@ def refine_peak(
 ) -> PeakRecord:
     """Maximize J between the peak's grid neighbors by Brent's method.
 
-    Minimizes -log10 J over the bracket with scipy's bounded Brent search
-    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
-    asking for xatol = max((neighbor gap) / 2**iterations, REFINE_RTOL *
-    λ_peak), so the search ends when its bracket is about REFINE_RTOL of
-    the peak's λ wide, or 2**-iterations of the gap if that is wider.  Near
-    a desk-scale peak J is flat to its roundoff (about 1e-8 relative) over
+    Minimizes -log10 J over the bracket with `_search.minimize_bounded`,
+    the package's port of SciPy's bounded Brent search (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5), asking for xatol =
+    max((neighbor gap) / 2**iterations, REFINE_RTOL * |λ_peak|), so the
+    search ends when its bracket is about REFINE_RTOL of the peak's |λ|
+    wide, or 2**-iterations of the gap if that is wider.  Near a
+    desk-scale peak J is flat to its roundoff (about 1e-8 relative) over
     some 2e-5 of λ, so the maximizer is only defined to that width, and the
     indicator's own bias of 0.2-1% lies far above it.  Returns the best λ
     evaluated, never worse than the input peak, with the number of J
@@ -271,10 +273,7 @@ def refine_peak(
     best_lam, best_J = peak.lam_hat, peak.J_peak
     evaluations = 0
     if iterations > 0:
-        # Imported here: only refinement needs scipy, so sweeps never load it.
-        from scipy.optimize import minimize_scalar
-
-        xatol = max((b - a) / 2.0**iterations, REFINE_RTOL * peak.lam_hat)
+        xatol = max((b - a) / 2.0**iterations, REFINE_RTOL * abs(peak.lam_hat))
 
         def neg_log_J(lam):
             nonlocal best_lam, best_J
@@ -283,13 +282,7 @@ def refine_peak(
                 best_lam, best_J = lam, J
             return -math.log10(max(J, 1e-300))
 
-        fit = minimize_scalar(
-            neg_log_J,
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": xatol},
-        )
-        evaluations = fit.nfev
+        evaluations = minimize_bounded(neg_log_J, a, b, xatol)[1]
     return PeakRecord(
         lam_hat=float(best_lam),
         J_peak=float(best_J),

@@ -711,8 +711,21 @@ def test_console_exit_code(tmp_path, tmp_path_factory, argv, config):
     assert list(tmp_path.iterdir()) == []
 
 
-SCIPY_ONLY_ON_REFINEMENT = """
+NO_SCIPY = """
 import dataclasses, sys
+
+class WatchScipy:
+    # first on the import path: records every import of scipy or a
+    # submodule, then lets the usual finders run
+    seen = []
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            cls.seen.append(name)
+        return None
+
+sys.meta_path.insert(0, WatchScipy)
 import gpeigen as g
 from gpeigen.cli import main
 
@@ -731,16 +744,20 @@ assert main(["sample", "laplace", "--lambda", "9.87", "--count", "2"]) == 0
 assert main(["list-problems"]) == 0
 assert main(["fd-verify", "--trials", "2"]) == 0
 assert main(["scan", "laplace", "--jobs", "0"]) == 2
-assert "scipy.optimize" not in sys.modules, "scipy loaded before refinement"
 out = g.refine_peak(prob, peaks[0], 4)
 assert out.refined and out.evaluations > 0 and out.J_peak >= peaks[0].J_peak
-assert "scipy.optimize" in sys.modules
+assert main(["scan", "cantilever", "--out-dir", "cantilever"]) == 0
+assert main(["bvp-demo", "--out-dir", "bvp"]) == 0
+for pid in ("laplace", "cantilever", "loaded-string"):
+    assert len(g.reference_eigenvalues(pid, 12)) == 12
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not WatchScipy.seen and not loaded, (WatchScipy.seen, loaded)
 """
 
 
-def test_scipy_loads_only_on_refinement(tmp_path):
-    # sys.modules of a fresh interpreter: this process has scipy loaded already
-    proc = run_fresh_interpreter(["-c", SCIPY_ONLY_ON_REFINEMENT], tmp_path)
+def test_never_loads_scipy(tmp_path):
+    # a fresh interpreter: this process has scipy loaded by the parity tests
+    proc = run_fresh_interpreter(["-c", NO_SCIPY], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

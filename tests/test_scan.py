@@ -236,6 +236,25 @@ class TestRefinePeak:
         assert 0 < out.evaluations <= 16
         assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * ref
 
+    def test_stops_at_relative_tolerance_below_zero(self):
+        # u'' = λu has its peaks at λ = -(nπ)²: the tolerance is relative to
+        # |λ|, so they stop as early as the mirror problem's positive peaks
+        terms = (g.OperatorTermSpec(2, (1.0,)), g.OperatorTermSpec(0, (-1.0, 0.0)))
+        prob = dataclasses.replace(
+            g.laplace_dirichlet(), problem_id="negative-laplace",
+            interior_op=g.LinearOperatorSpec(terms), N=40, N_t=40, schedule=None,
+            fixed_kernel=g.KernelSpec(variance=1.0, length_scale=0.15),
+            grid=LambdaGrid("linear", -100.0, -2.0, 120),
+        )
+        peaks = detect_peaks(scan_spectrum(prob))
+        assert len(peaks) == 3
+        for peak in peaks:
+            out = refine_peak(prob, peak, iterations=60)
+            ref = refine_peak(prob, peak, iterations=20).lam_hat
+            assert ref < 0
+            assert 0 < out.evaluations <= 16
+            assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * abs(ref)
+
     def test_rejects_negative_iterations(self, laplace_desk):
         with pytest.raises(ValueError):
             refine_peak(laplace_desk.problem, laplace_desk.peaks[0], iterations=-1)
