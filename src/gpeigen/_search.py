@@ -1,16 +1,15 @@
-"""One-dimensional searches: bounded Brent minimization and bisection.
+"""Bounded Brent minimization of a scalar function.
 
 `minimize_bounded` is Brent's bounded minimizer (Brent, Algorithms for
 Minimization without Derivatives, 1973, ch. 5: golden-section steps with
-parabolic interpolation) and `bisect` is plain interval halving.  Both are
-line-for-line ports of SciPy's loops (`_minimize_scalar_bounded` of
-SciPy's optimize package and its C `bisect`), so they make the same
-function evaluations in the same order and return the same floats; the
-package keeps them here so that it depends on numpy alone.  The ports
-drop the result objects, `disp` and `args`, and keep SciPy's iteration
-caps and bisection's relative tolerance.
+parabolic interpolation), a line-for-line port of SciPy's loop
+(`_minimize_scalar_bounded` of SciPy's optimize package), so it makes the
+same function evaluations in the same order and returns the same floats;
+the package keeps it here so that it depends on numpy alone.  The port
+drops the result object, `disp` and `args`, and keeps SciPy's
+evaluation cap.
 
-The loops are derived from SciPy, which is distributed under this notice:
+The loop is derived from SciPy, which is distributed under this notice:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -47,14 +46,9 @@ The loops are derived from SciPy, which is distributed under this notice:
 from __future__ import annotations
 
 import math
-import sys
 
-# SciPy's caps: function evaluations for Brent, halvings for bisection.
+# SciPy's cap on function evaluations.
 BRENT_MAXFUN = 500
-BISECT_MAXITER = 100
-
-# Bisection's relative tolerance, the smallest SciPy accepts.
-BISECT_RTOL = 4 * sys.float_info.epsilon
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -146,42 +140,3 @@ def minimize_bounded(func, lo, hi, xatol=1e-5):
             break
     return xf, num
 
-
-def _value(f, x):
-    fx = f(x)
-    if math.isnan(fx):
-        raise ValueError(f"the function value at x={x} is NaN")
-    return float(fx)
-
-
-def bisect(f, a, b, xtol):
-    """A root of `f` in [a, b], where f(a) and f(b) differ in sign.
-
-    Halves the bracket until its half-width is below xtol + BISECT_RTOL *
-    |midpoint| or the midpoint is an exact zero, and returns that midpoint
-    (or an endpoint where f is exactly 0).  Raises ValueError when the
-    signs agree or f is NaN, RuntimeError after BISECT_MAXITER halvings.
-    """
-    if not xtol > 0:
-        raise ValueError(f"xtol must be positive, got {xtol}")
-    a, b = float(a), float(b)
-    fa = _value(f, a)
-    fb = _value(f, b)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    dm = b - a
-    for _ in range(BISECT_MAXITER):
-        dm *= 0.5
-        xm = a + dm
-        fm = _value(f, xm)
-        if fm * fa >= 0:
-            a = xm
-        if fm == 0 or abs(dm) < xtol + BISECT_RTOL * abs(xm):
-            return xm
-    raise RuntimeError(
-        f"bisection failed to converge after {BISECT_MAXITER} iterations, value is {a}"
-    )

@@ -213,6 +213,22 @@ def write_spectrum_csv(path, scan) -> None:
                             _fmt(pt.length_scale), ""])
 
 
+def _preset_references(problem) -> list:
+    """Reference eigenvalues in the problem's λ window, when it is the
+    preset its id names up to scale, jitter, kernel and grid; else none,
+    since another domain, operator or boundary has another spectrum."""
+    try:
+        preset = build_preset(problem.problem_id)
+        if any(
+            getattr(problem, field) != getattr(preset, field)
+            for field in ("domain", "interior_op", "boundary")
+        ):
+            return []
+        return references_in_window(problem.problem_id, problem.grid.lo, problem.grid.hi)
+    except ValueError:  # no such preset, or no oracle for it
+        return []
+
+
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     problem = resolve_problem(args)
@@ -226,13 +242,7 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     n_lams = len(scan.points)
-    refs = []
-    try:
-        refs = references_in_window(
-            problem.problem_id, problem.grid.lo, problem.grid.hi
-        )
-    except ValueError:
-        pass
+    refs = _preset_references(problem)
 
     # a peak whose refinement fails keeps its grid location and says why
     refined, peak_objs = [], []

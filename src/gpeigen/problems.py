@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect
 from .kernel import KernelSpec
 from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
@@ -216,46 +215,53 @@ def build_preset(problem_id: str, scale: str = "desk") -> ProblemSpec:
     return PRESET_BUILDERS[problem_id](scale=scale)
 
 
-def cantilever_characteristic(alpha: float) -> float:
-    """Clamped-free frequency equation: cosh(α)cos(α) + 1 = 0 at the roots."""
-    return np.cosh(alpha) * np.cos(alpha) + 1.0
+def cantilever_characteristic(alpha):
+    """Clamped-free frequency equation cosh(α)cos(α) + 1 = 0, divided by
+    cosh(α) so that it cannot overflow: cos(α) + sech(α), on arrays too."""
+    e = np.exp(-np.abs(alpha))
+    return np.cos(alpha) + 2.0 * e / (1.0 + e * e)
 
 
-def loaded_string_characteristic(lam: float) -> float:
+def loaded_string_characteristic(lam):
     """√λ cos√λ + (λ/(λ-1)) sin√λ: the u = sin(√λ x) residual at κ = M = 1."""
-    if lam == 1.0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam == 1.0):
         raise ZeroDivisionError("characteristic function has a pole at lambda = 1")
     u = np.sqrt(lam)
     return u * np.cos(u) + (lam / (lam - 1.0)) * np.sin(u)
 
 
-def _sign_change_roots(fn, grid, count: int, xtol: float):
-    """Up to `count` roots of fn along the sign changes of a fine grid."""
-    vals = np.array([fn(g) for g in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if len(roots) == count:
+def _sign_change_roots(fn, grid, count: int):
+    """The first `count` roots of fn along an increasing grid, or fewer.
+
+    A grid point where fn is exactly 0 is one root.  Each cell whose two
+    finite end values differ in sign holds another: all such cells are
+    halved together until their ends are adjacent floats, and the end
+    with the smaller |fn| is the root.
+    """
+    x = np.asarray(grid, dtype=float)
+    v = fn(x)
+    s = np.sign(np.where(np.isfinite(v), v, np.nan))
+    cells = np.flatnonzero(s[:-1] * s[1:] < 0)
+    lo, hi, flo, fhi = x[cells], x[cells + 1], v[cells], v[cells + 1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
             break
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0:
-            roots.append(bisect(fn, grid[i], grid[i + 1], xtol))
-    return roots
-
-
-def _loaded_string_u(lam_from_u):
-    return loaded_string_characteristic(lam_from_u * lam_from_u)
+        fmid = fn(mid)
+        up = np.sign(fmid) == np.sign(flo)  # the root lies above mid
+        lo, flo = np.where(up, mid, lo), np.where(up, fmid, flo)
+        hi, fhi = np.where(up, hi, mid), np.where(up, fhi, fmid)
+    roots = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+    return np.sort(np.concatenate([x[v == 0.0], roots]))[:count].tolist()
 
 
 def reference_eigenvalues(problem_id: str, count: int):
     """Independent reference eigenvalues, smallest first.
 
-    Laplace is closed form; the other two come from bisection on their
-    characteristic equations, with the loaded-string search skipping the
-    pole at λ = κ.
+    Laplace is closed form; the other two are the sign changes of their
+    characteristic equations on a fine grid, with the loaded-string search
+    skipping the pole at λ = κ.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -265,7 +271,7 @@ def reference_eigenvalues(problem_id: str, count: int):
         # roots α_n sit near (2n-1)π/2; a step of 0.01 cannot jump a pair
         hi = (2 * count + 3) * np.pi / 2
         grid = np.arange(0.5, hi, 0.01)
-        alphas = _sign_change_roots(cantilever_characteristic, grid, count, xtol=1e-13)
+        alphas = _sign_change_roots(cantilever_characteristic, grid, count)
         if len(alphas) < count:
             raise BracketError(f"found {len(alphas)} roots, needed {count}")
         return [a**4 for a in alphas]
@@ -279,10 +285,9 @@ def reference_eigenvalues(problem_id: str, count: int):
             np.arange(0.05, pole_u - 1e-6, 0.005),
             np.arange(pole_u + 1e-6, hi, 0.005),
         ):
-            if len(us) < count:
-                us.extend(
-                    _sign_change_roots(_loaded_string_u, seg, count - len(us), 1e-10)
-                )
+            us += _sign_change_roots(
+                lambda u: loaded_string_characteristic(u * u), seg, count - len(us)
+            )
         if len(us) < count:
             raise BracketError(f"found {len(us)} roots, needed {count}")
         return [u * u for u in us]

@@ -273,7 +273,7 @@ def refine_peak(
     best_lam, best_J = peak.lam_hat, peak.J_peak
     evaluations = 0
     if iterations > 0:
-        xatol = max((b - a) / 2.0**iterations, REFINE_RTOL * abs(peak.lam_hat))
+        xatol = max(math.ldexp(b - a, -iterations), REFINE_RTOL * abs(peak.lam_hat))
 
         def neg_log_J(lam):
             nonlocal best_lam, best_J

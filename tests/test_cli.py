@@ -25,6 +25,7 @@ import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import PoleError
 from gpeigen.posterior import DEFAULT_RCOND, pin_heap
+from gpeigen.problems import references_in_window
 from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
 
 from conftest import run_fresh_interpreter
@@ -388,6 +389,50 @@ class TestScan:
             lam = float(rec["lambda"])
             assert float(rec["length_scale"]) == scanned.kernel_at(lam).length_scale
             assert int(rec["truncated"]) + int(rec["rank"]) == 62  # N + 2 rows
+
+    def test_other_physics_under_a_preset_id_gets_no_references(self, tmp_path):
+        # -u'' = λu on [0, 2] has eigenvalues (nπ/2)², not the preset's (nπ)²
+        identity = {"terms": [{"deriv_order": 0, "num": [1.0]}]}
+        cfg = write_config(tmp_path, {
+            **SMALL_SCAN,
+            "domain": [0.0, 2.0],
+            "boundary": [{"location": x, "operator": identity} for x in (0.0, 2.0)],
+        })
+        code = main(["scan", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        assert doc["problem"] == "laplace" and doc["peaks"]
+        refs = [(n * np.pi / 2) ** 2 for n in range(2, 7)]
+        for rec in doc["peaks"]:
+            assert min(abs(rec["lambda_hat"] - r) / r for r in refs) <= 0.05
+            assert "nearest_reference" not in rec and "relative_error" not in rec
+
+    @pytest.mark.parametrize(
+        "config, kept",
+        [
+            ({"problem": "cantilever", "jitter": 1e-6}, True),
+            ({**SMALL_SCAN, "problem": "loaded-string"}, True),
+            ({**SMALL_SCAN, "problem_id": "loaded-string"}, False),
+            ({"problem": "laplace", "domain": [0.0, 1.5]}, False),
+            ({"problem": "cantilever", "boundary": []}, False),
+            ({"problem": "loaded-string", "interior_op": {"terms": [
+                {"deriv_order": 2, "num": [-2.0]}, {"deriv_order": 0, "num": [-1.0, 0.0]},
+            ]}}, False),
+        ],
+        ids=["jitter", "sizes-and-grid", "other-presets-id", "domain", "boundary",
+             "interior-op"],
+    )
+    def test_references_need_the_presets_physics(self, tmp_path, config, kept):
+        args = gpeigen.cli.build_parser().parse_args(
+            ["scan", "--config", write_config(tmp_path, config), "--paper-scale"]
+        )
+        problem = gpeigen.cli.resolve_problem(args)
+        refs = gpeigen.cli._preset_references(problem)
+        assert bool(refs) is kept
+        if kept:
+            assert refs == references_in_window(
+                problem.problem_id, problem.grid.lo, problem.grid.hi
+            )
 
     def test_fixed_kernel_eigenproblem_scans(self, tmp_path):
         # a complete config with a grid and a fixed kernel, and no schedule

@@ -193,10 +193,11 @@ class TestReferenceOracles:
     def test_cantilever_characteristic_residuals(self):
         refs = reference_eigenvalues("cantilever", 4)
         alphas = [r**0.25 for r in refs]
-        # cosh blows up along the root sequence, so judge the residual
-        # relative to it; the roots themselves are accurate to ~1e-13
+        # the frequency equation comes divided by cosh(α), which blows up
+        # along the root sequence
         for a in alphas:
-            assert abs(cantilever_characteristic(a)) / np.cosh(a) < 1e-12
+            assert abs(cantilever_characteristic(a)) < 1e-14
+            assert abs(np.cosh(a) * np.cos(a) + 1.0) < 1e-10 * np.cosh(a)
         # the roots approach the odd multiples of pi/2 from n = 2 on
         assert abs(alphas[1] - 3 * np.pi / 2) < 0.02
         assert abs(alphas[2] - 5 * np.pi / 2) < 0.001
@@ -217,6 +218,28 @@ class TestReferenceOracles:
     def test_loaded_string_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
             loaded_string_characteristic(1.0)
+        with pytest.raises(ZeroDivisionError):
+            loaded_string_characteristic(np.array([0.5, 1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "fn, xs",
+        [
+            (cantilever_characteristic, [0.5, 1.875, 30.0, 800.0]),
+            (loaded_string_characteristic, [0.25, 2.0, 90.0, 1e4]),
+        ],
+    )
+    def test_characteristic_functions_take_arrays(self, fn, xs):
+        assert fn(np.array(xs)).tolist() == [fn(x) for x in xs]
+
+    def test_wide_cantilever_window_keeps_its_references(self):
+        # the roots run past α = 710, where cosh overflows; any warning
+        # fails the test under the suite's warnings-as-errors setting
+        refs = references_in_window("cantilever", 1.0, 1e12)
+        assert len(refs) == 256
+        assert refs == sorted(refs) and 1.0 <= refs[0] and refs[-1] <= 1e12
+        assert refs == reference_eigenvalues("cantilever", 256)
+        # past α = 745 sech(α) underflows, so the roots are the zeros of cos
+        assert refs[-1] ** 0.25 == pytest.approx(511 * np.pi / 2, rel=1e-15)
 
     def test_window_filtering(self):
         refs = references_in_window("laplace", 10.0, 500.0)

@@ -236,6 +236,12 @@ class TestRefinePeak:
         assert 0 < out.evaluations <= 16
         assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * ref
 
+    def test_takes_more_iterations_than_a_float_power_of_two_holds(self, laplace_desk):
+        # 2.0**1024 overflows; past about 60 iterations the relative
+        # tolerance decides alone, so 1100 gives the peak 1000 gives
+        peak, prob = laplace_desk.peaks[0], laplace_desk.problem
+        assert refine_peak(prob, peak, iterations=1100) == refine_peak(prob, peak, 1000)
+
     def test_stops_at_relative_tolerance_below_zero(self):
         # u'' = λu has its peaks at λ = -(nπ)²: the tolerance is relative to
         # |λ|, so they stop as early as the mirror problem's positive peaks

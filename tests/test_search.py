@@ -1,18 +1,23 @@
-"""The bounded Brent and bisection ports against SciPy, their reference."""
+"""The bounded Brent port against SciPy, its reference, and the
+reference-root search against brentq."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import bisect as scipy_bisect
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import gpeigen as g
-from gpeigen._search import BISECT_MAXITER, BRENT_MAXFUN, bisect, minimize_bounded
+from gpeigen._search import BRENT_MAXFUN, minimize_bounded
 from gpeigen.operators import assemble_blocks
 from gpeigen.posterior import BVP_LENGTH_BRACKET, posterior_covariance
-from gpeigen.problems import _loaded_string_u, cantilever_characteristic
+from gpeigen.problems import (
+    _sign_change_roots,
+    cantilever_characteristic,
+    loaded_string_characteristic,
+    reference_eigenvalues,
+)
 from gpeigen.scan import REFINE_RTOL, evaluate_trace, make_lambda_grid
 
 
@@ -93,45 +98,66 @@ class TestMinimizeBounded:
             minimize_bounded(abs, lo, hi)
 
 
-class TestBisect:
+def first_roots_by_brentq(fn, grid, count):
+    """The first `count` roots of fn by brentq on the sign-change cells of
+    grid, to the tightest tolerance brentq accepts."""
+    vals = [float(fn(x)) for x in grid]
+    cells = [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0]
+    return [brentq(fn, grid[i], grid[i + 1], xtol=1e-300) for i in cells[:count]]
+
+
+def loaded_string_u(u):
+    return loaded_string_characteristic(u * u)
+
+
+class TestSignChangeRoots:
+    """The reference-root search against brentq, its independent check."""
+
     @pytest.mark.parametrize(
-        "fn, grid, xtol",
+        "fn, grid",
         [
-            (cantilever_characteristic, np.arange(0.5, 30.0, 0.01), 1e-13),
-            (_loaded_string_u, np.arange(1.0 + 1e-6, 40.0, 0.005), 1e-10),
+            (cantilever_characteristic, np.arange(0.5, 130.0, 0.01)),
+            (loaded_string_u, np.arange(0.05, 1.0 - 1e-6, 0.005)),
+            (loaded_string_u, np.arange(1.0 + 1e-6, 130.0, 0.005)),
         ],
+        ids=["cantilever-alpha", "loaded-string-u-below-pole", "loaded-string-u"],
     )
-    def test_matches_scipy_on_the_characteristic_functions(self, fn, grid, xtol):
-        vals = [fn(x) for x in grid]
-        cells = [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0]
-        assert len(cells) >= 8
-        for i in cells:
-            ours, our_calls = recorded(fn)
-            theirs, their_calls = recorded(fn)
-            root = bisect(ours, grid[i], grid[i + 1], xtol)
-            assert root == scipy_bisect(theirs, grid[i], grid[i + 1], xtol=xtol)
-            assert our_calls == their_calls
+    def test_first_roots_match_brentq_to_4_ulp(self, fn, grid):
+        count = 40
+        theirs = first_roots_by_brentq(fn, grid, count)
+        ours = _sign_change_roots(fn, grid, count)
+        assert len(ours) == len(theirs) == (1 if grid[-1] < 1.0 else count)
+        for x, y in zip(ours, theirs):
+            assert abs(x - y) <= 4 * math.ulp(y)
 
-    def test_returns_an_endpoint_root(self):
-        assert bisect(lambda x: x, 0.0, 1.0, 1e-3) == 0.0
-        assert bisect(lambda x: x - 1.0, 0.0, 1.0, 1e-3) == 1.0
+    def test_an_exact_zero_on_the_grid_is_one_root(self):
+        grid = np.linspace(0.0, 1.0, 5)  # holds 0.5 and 0.75 exactly
+        assert _sign_change_roots(lambda x: (x - 0.5) * (x - 0.75), grid, 5) == [0.5, 0.75]
+        # a zero between values of opposite sign is one root, not one per cell
+        assert _sign_change_roots(lambda x: x - 0.25, grid, 5) == [0.25]
+        assert _sign_change_roots(lambda x: np.sin(8.0 * x), grid, 2) == [0.0, np.pi / 8]
 
-    def test_rejects_a_bracket_without_sign_change(self):
-        with pytest.raises(ValueError, match="different signs"):
-            bisect(lambda x: x - 2.0, 0.0, 1.0, 1e-3)
+    def test_a_grid_without_sign_change_has_no_roots(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        assert _sign_change_roots(lambda x: x - 2.0, grid, 3) == []
+        # a double root touches zero between grid points without a sign change
+        assert _sign_change_roots(lambda x: (x - 0.55) ** 2, grid, 3) == []
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            bisect(lambda x: math.nan, 0.0, 1.0, 1e-3)
+    def test_skips_cells_with_a_nonfinite_end(self):
+        # the sign flips beside a NaN and beside an infinity: neither cell
+        # holds a root the search can trust
+        vals = {0.0: -1.0, 0.25: np.nan, 0.5: 1.0, 0.75: np.inf, 1.0: -1.0}
+        fn = np.vectorize(vals.__getitem__, otypes=[float])
+        assert _sign_change_roots(fn, np.linspace(0.0, 1.0, 5), 3) == []
 
-    def test_rejects_nonpositive_xtol(self):
-        with pytest.raises(ValueError):
-            bisect(lambda x: x, -1.0, 1.0, 0.0)
+    def test_stops_at_count_and_orders_roots(self):
+        grid = np.arange(0.1, 20.0, 0.01)
+        roots = _sign_change_roots(np.sin, grid, 4)
+        assert roots == sorted(roots) and len(roots) == 4
+        assert np.allclose(roots, np.pi * np.arange(1, 5), rtol=4e-16, atol=0)
 
-    def test_raises_when_not_converged(self):
-        # 2**-100 of a 1e300-wide bracket is still far from any tolerance
-        f = lambda x: x - 1.0 / 3.0
-        with pytest.raises(RuntimeError, match=f"after {BISECT_MAXITER} iterations"):
-            bisect(f, -1e300, 1e300, 1e-12)
-        with pytest.raises(RuntimeError):
-            scipy_bisect(f, -1e300, 1e300, xtol=1e-12)
+    def test_no_root_at_the_loaded_string_pole(self):
+        refs = reference_eigenvalues("loaded-string", 60)
+        assert min(abs(lam - 1.0) for lam in refs) > 0.1
+        for lam in refs:
+            assert abs(loaded_string_characteristic(lam)) < 1e-9 * max(1.0, lam)
