@@ -30,9 +30,11 @@ identical even-order operator (a site at the midpoint pairs with itself).
 Then k(c - x, c - y) = k(x, y) and even-order derivatives keep their sign
 under the reflection, so K_CC is unchanged by permuting its rows and
 columns with the row involution of the reflection, recorded as
-`AssembledBlocks.mirror`, and K_tt and the posterior covariance are
-unchanged by the reversal of the test grid.  `posterior._eigh` uses either
-to eigendecompose as two half-size problems.  No matrix is inspected
+`AssembledBlocks.mirror`; K_tC is unchanged by reversing its test rows and
+mirroring its constraint columns at once; and K_tt and the posterior
+covariance are unchanged by the reversal of the test grid.  `posterior._fold`
+splits each into its even and odd halves, so that `posterior` conditions
+and samples in half-size problems.  No matrix is inspected
 numerically for this: K_CC's entries carry the grid's ulp-level asymmetry
 amplified by r / l^2, so a tolerance test would flip from one λ to the
 next.

@@ -6,10 +6,11 @@ Conditioning the zero-mean GP prior on the assembled constraint rows gives
     mean = K_tC (K_CC + jitter I)^+ rhs
 
 with a regularized Moore-Penrose pseudoinverse, held as the square-root
-factor U of the downdate (see `posterior_covariance`).  For eigenproblems
-the rhs is zero, the mean vanishes identically, and all information sits
-in the covariance: its trace J(λ) stays near zero away from eigenvalues
-and peaks when λ hits one.
+factor U of the downdate (see `posterior_covariance`), per parity half
+when the problem is symmetric under reflection.  For eigenproblems the rhs
+is zero, the mean vanishes identically, and all information sits in the
+covariance: its trace J(λ) stays near zero away from eigenvalues and
+peaks when λ hits one.
 """
 
 from __future__ import annotations
@@ -172,22 +173,31 @@ class PseudoinverseDiag:
 class PosteriorSummary:
     """Posterior at the test points for one λ, held as the downdate factor.
 
-    U and W are the square-root factors of `posterior_covariance`, and w
-    the kept eigenvalues of K_CC + jitter I.  `cov`, `mean` and
+    `factors` holds the square-root factors (U, W) of `posterior_covariance`:
+    one pair, or for a mirror split the even and the odd half's in the
+    parity bases of `_fold`; w the kept eigenvalues of K_CC + jitter I in
+    W's column order.  U and W in row order, `cov`, `mean` and
     `neg_log_likelihood` are formed on first read and cached, so a caller
     that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
     """
 
     trace_J: float
     diag: PseudoinverseDiag
-    U: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
+    factors: tuple = field(repr=False)
     w: np.ndarray = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
 
     @property
     def x_test(self) -> np.ndarray:
         return self.blocks.x_test
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        return _unfold([U for U, _ in self.factors], _test_mirror(self.blocks))
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        return _unfold([W for _, W in self.factors], self.blocks.mirror)
 
     @functools.cached_property
     def cov(self) -> np.ndarray:
@@ -231,11 +241,12 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
 
 def _eigh(M, jitter: float = 0.0, mirror=None):
     """Eigenpairs (w, V) of the symmetric M + jitter*I: from `_mirror_eigh`
-    when the row involution `mirror` is set, even eigenpairs first, else
-    from one full `eigh` in increasing order.  This is the one place that
-    chooses the split."""
+    when the row involution `mirror` is set, even eigenpairs first and V
+    unfolded to the original row order, else from one full `eigh` in
+    increasing order."""
     if mirror is not None:
-        return _mirror_eigh(M, mirror, jitter)
+        (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(M, mirror, jitter)
+        return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
     if jitter:
         M = M.copy()  # shift the diagonal in place; no identity matrix
         M.flat[:: len(M) + 1] += jitter
@@ -278,32 +289,70 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     return P, _diagnostics(w, keep)
 
 
-def _mirror_eigh(K, mirror, jitter: float):
-    """Eigenpairs of K + jitter*I for K invariant under the row involution
-    `mirror` (K[mirror][:, mirror] == K), from two half-size problems.
+def _test_mirror(blocks: AssembledBlocks):
+    """The test grid's reversal when `blocks.mirror` is set, else None."""
+    return None if blocks.mirror is None else np.arange(blocks.x_test.size)[::-1]
 
-    With rows paired p <-> q = mirror[p] and fixed rows f, the orthogonal
-    basis (e_p + e_q)/sqrt2, e_f, (e_p - e_q)/sqrt2 makes K block diagonal
-    (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288): an even
-    half [[A + B, C], [C^T, K_ff]] and an odd half A - B, built from the
-    averaged mirrored entries below.  Returns (w, V) like `eigh`, the even
-    eigenpairs first, with V in the original row order.
-    """
-    global _odd_worker
+
+def _pairs(mirror):
+    """Rows p < q = mirror[p] of the involution `mirror`, and its fixed rows."""
     rows = np.arange(len(mirror))
-    p, f = rows[mirror > rows], rows[mirror == rows]
-    q = mirror[p]
-    A = 0.5 * (K[np.ix_(p, p)] + K[np.ix_(q, q)])
-    K_pq = K[np.ix_(p, q)]
-    B = 0.5 * (K_pq + K_pq.T)  # K_qp, as K is symmetric
-    C = np.sqrt(0.5) * (K[np.ix_(p, f)] + K[np.ix_(q, f)])
-    odd_half = A - B
+    p = rows[mirror > rows]
+    return p, mirror[p], rows[mirror == rows]
+
+
+def _fold(M, row_mirror, col_mirror):
+    """Even and odd block of M in the parity bases of its row and column
+    involutions, (e_p + e_q)/sqrt2, e_f, (e_p - e_q)/sqrt2 for rows paired
+    p <-> q and fixed rows f.  These make a matrix unchanged by mirroring
+    its rows and columns at once block diagonal (Cantoni & Butler, Linear
+    Algebra Appl. 13 (1976) 275-288), so the dropped cross blocks are
+    roundoff.  On the pairs the even block is A + B and the odd A - B, A and
+    B the means of the direct and the crossed quadrants, so the halves of an
+    exactly symmetric M are exactly symmetric.  Fixed rows and columns join
+    the even block."""
+    (p, q, f), (pc, qc, fc) = _pairs(row_mirror), _pairs(col_mirror)
+    top, bottom, fixed = M[p], M[q], M[f]
+    A = 0.5 * (top[:, pc] + bottom[:, qc])
+    B = 0.5 * (top[:, qc] + bottom[:, pc])
+    s = np.sqrt(0.5)
+    even = np.block([
+        [A + B, s * (top[:, fc] + bottom[:, fc])],
+        [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
+    ])
+    return even, A - B
+
+
+def _unfold(halves, mirror):
+    """The even half's columns, then the odd half's, in the original row
+    order of the involution `mirror`: `_fold` undone on the rows.  With no
+    mirror, `halves` holds one block, returned as it is."""
+    if mirror is None:
+        return halves[0]
+    (even, odd), (p, q, f) = halves, _pairs(mirror)
+    n = even.shape[1]
+    out = np.zeros((len(mirror), n + odd.shape[1]))  # odd columns vanish on f
+    out[p, :n] = out[q, :n] = np.sqrt(0.5) * even[: p.size]
+    out[f, :n] = even[p.size :]
+    out[p, n:] = np.sqrt(0.5) * odd
+    out[q, n:] = -out[p, n:]
+    return out
+
+
+def _mirror_eigh(K, mirror, jitter: float, meanwhile=lambda: None):
+    """Eigenpairs (w, Y) of the even and of the odd half (`_fold`) of
+    K + jitter*I, for K invariant under the row involution `mirror`, and the
+    value of `meanwhile()`, which this thread computes after the even half
+    while the worker thread may still run the odd one."""
+    global _odd_worker
+    even_half, odd_half = _fold(K, mirror, mirror)
     if _odd_worker is None:
         _odd_worker = ThreadPoolExecutor(1)
     # LAPACK releases the GIL: the odd half runs while this thread does the even
     odd = _odd_worker.submit(_eigh, odd_half, jitter)
     try:
-        w_even, Y_even = _eigh(np.block([[A + B, C], [C.T, K[np.ix_(f, f)]]]), jitter)
+        even = _eigh(even_half, jitter)
+        extra = meanwhile()
     finally:
         # The odd half ends inside the caller's scope.  A worker not yet
         # started (slow to wake on a loaded host) is not waited for: this
@@ -312,14 +361,7 @@ def _mirror_eigh(K, mirror, jitter: float):
         started = not odd.cancel()
         while started and not odd.done():
             os.sched_yield()
-    w_odd, Y_odd = odd.result() if started else _eigh(odd_half, jitter)
-    n = w_even.size
-    V = np.zeros((len(K), len(K)))  # odd vectors vanish on fixed rows
-    V[p, :n] = V[q, :n] = np.sqrt(0.5) * Y_even[: p.size]
-    V[f, :n] = Y_even[p.size :]
-    V[p, n:] = np.sqrt(0.5) * Y_odd
-    V[q, n:] = -V[p, n:]
-    return np.concatenate([w_even, w_odd]), V
+    return even, odd.result() if started else _eigh(odd_half, jitter), extra
 
 
 def posterior_covariance(
@@ -334,27 +376,38 @@ def posterior_covariance(
     w > 0: negative eigenvalues of the shifted Gram are roundoff with no
     real square root, so neither the downdate nor the likelihood can use
     them.  Since k(x, x) = variance, the trace is J = N_t * variance -
-    ||U||_F^2; the summary's cov = K_tt - U U^T, mean = U W^T rhs and
+    ||U||_F^2; the summary's U, W, cov = K_tt - U U^T, mean = U W^T rhs and
     `neg_log_likelihood` are formed only when read.  This is the one place
     that eigendecomposes K_CC.
 
     When `blocks.mirror` is set (a problem symmetric under reflection, see
-    `operators`), `_eigh` splits K_CC into its even and odd halves and
-    eigendecomposes each at half the size; the eigenpairs are those of K_CC
+    `operators`), the conditioning runs in parity halves (`_fold`): the even
+    and odd halves of K_CC are eigendecomposed at once, one per thread, while
+    this thread folds K_tC into its even and odd blocks, all on one BLAS
+    thread (`_split_blas`).  The one cut applies to the union of both halves'
+    eigenvalues, and the downdate is two quarter-size products U_h = K_tC,h
+    W_h, with ||U||_F^2 the sum of theirs.  The eigenpairs are those of K_CC
     averaged with its mirror image, which differs from K_CC only by the
-    roundoff of assembly.  W's columns are then the kept even directions
-    followed by the kept odd ones, and the one cut applies to the union of
-    both halves' eigenvalues.  The two halves run at once, one per thread,
-    and the whole conditioning on one BLAS thread (`_split_blas`).
+    roundoff of assembly; W's columns are the kept even directions, then
+    the kept odd ones.
     """
     pin_heap()
-    with _split_blas(blocks.mirror):
-        w, V = _eigh(_checked(blocks.K_CC, jitter, rcond), jitter, blocks.mirror)
+    mirror = blocks.mirror
+    with _split_blas(mirror):
+        K_CC = _checked(blocks.K_CC, jitter, rcond)
+        if mirror is None:
+            eighs, K_tCs = [_eigh(K_CC, jitter)], [blocks.K_tC]
+        else:
+            fold_K_tC = functools.partial(_fold, blocks.K_tC, _test_mirror(blocks), mirror)
+            *eighs, K_tCs = _mirror_eigh(K_CC, mirror, jitter, fold_K_tC)
+        w = np.concatenate([w_h for w_h, _ in eighs])
         keep = _keep(w, rcond) & (w > 0)
-        W = V[:, keep] / np.sqrt(w[keep])
-        U = blocks.K_tC @ W
-    J = blocks.x_test.size * blocks.spec.variance - float(np.sum(U * U))
-    return PosteriorSummary(J, _diagnostics(w, keep), U, W, w[keep], blocks)
+        kept = np.split(keep, np.cumsum([w_h.size for w_h, _ in eighs])[:-1])
+        Ws = [Y[:, k] / np.sqrt(w_h[k]) for (w_h, Y), k in zip(eighs, kept)]
+        factors = tuple((K_tC @ W, W) for K_tC, W in zip(K_tCs, Ws))
+    prior = blocks.x_test.size * blocks.spec.variance
+    J = prior - sum(float(np.sum(U * U)) for U, _ in factors)
+    return PosteriorSummary(J, _diagnostics(w, keep), factors, w[keep], blocks)
 
 
 def sample_posterior(
@@ -388,9 +441,7 @@ def sample_posterior(
     with _split_blas(summary.blocks.mirror):
         if not np.all(np.isfinite(summary.cov)):
             raise DecompositionError("covariance has non-finite entries")
-        mirror = None
-        if summary.blocks.mirror is not None:
-            mirror = np.arange(summary.x_test.size)[::-1]
+        mirror = _test_mirror(summary.blocks)
         w, V = _eigh(summary.cov, mirror=mirror)
         # sort the split's even-first pairs; sorting eigh's own V would gather it
         # into a C-ordered copy and move the draws by roundoff

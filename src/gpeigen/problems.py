@@ -295,10 +295,13 @@ def reference_eigenvalues(problem_id: str, count: int):
 
 
 def references_in_window(problem_id: str, lo: float, hi: float):
-    """Reference eigenvalues falling inside [lo, hi]."""
+    """Reference eigenvalues falling inside [lo, hi], hi finite: the root
+    count doubles until the last root passes hi."""
+    if not np.isfinite(hi):
+        raise ValueError(f"window end must be finite, got {hi}")
     count = 4
     while True:
         refs = reference_eigenvalues(problem_id, count)
-        if refs[-1] > hi or count >= 256:
+        if refs[-1] > hi:
             return [r for r in refs if lo <= r <= hi]
         count *= 2

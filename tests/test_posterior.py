@@ -22,6 +22,8 @@ from gpeigen.posterior import (
     DEFAULT_RCOND,
     DecompositionError,
     _eigh,
+    _fold,
+    _unfold,
     pin_heap,
     regularized_pseudoinverse,
     posterior_covariance,
@@ -106,6 +108,15 @@ class TestRegularizedPseudoinverse:
             regularized_pseudoinverse(M)
 
 
+def _is_the_product(U, K_tC, W):
+    """U equals K_tC @ W to the roundoff of either product.  U is unfolded
+    from the parity halves' products, so it matches a full GEMM only to
+    within a small multiple of eps |K_tC| |W| elementwise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.5); the terms cancel,
+    so that is up to about 1e-11 of max|U|."""
+    return np.all(np.abs(U - K_tC @ W) <= 1e-12 * (np.abs(K_tC) @ np.abs(W)))
+
+
 class TestPosteriorCovariance:
     @pytest.mark.parametrize(
         "preset,lam", [("laplace", 42.0), ("cantilever", 500.0), ("loaded-string", 42.0)]
@@ -137,7 +148,7 @@ class TestPosteriorCovariance:
         assert "K_tt" not in blocks.__dict__
         assert U.shape == (prob.N_t, diag.rank)
         assert W.shape == (blocks.K_CC.shape[0], diag.rank)
-        assert np.array_equal(U, blocks.K_tC @ W)
+        assert _is_the_product(U, blocks.K_tC, W)
         # the trace, the diagnostics and the mean leave the test Gram unbuilt
         assert np.all(summary.mean == 0.0)
         assert "K_tt" not in blocks.__dict__
@@ -145,6 +156,17 @@ class TestPosteriorCovariance:
         cov = summary.cov
         assert blocks.__dict__["K_tt"] is blocks.K_tt
         assert summary.cov is cov
+
+    def test_trace_leaves_the_parity_factors_folded(self):
+        # a mirror split keeps U and W per parity half until they are read
+        prob = g.laplace_dirichlet()
+        summary = posterior_covariance(assemble_blocks(prob, 42.0), prob.jitter)
+        assert summary.blocks.mirror is not None and len(summary.factors) == 2
+        summary.trace_J, summary.diag
+        assert not {"U", "W", "cov", "mean"} & summary.__dict__.keys()
+        U = summary.U
+        assert summary.__dict__["U"] is U
+        assert not {"W", "cov"} & summary.__dict__.keys()
 
     def test_posterior_nearly_psd(self):
         prob = g.laplace_dirichlet()
@@ -406,7 +428,7 @@ class TestMirrorSplit:
         variance = blocks.spec.variance
         assert abs(J - J0) <= 1e-6 * prob.N_t * variance
         assert np.max(np.abs(U @ U.T - U0 @ U0.T)) <= 1e-6 * variance
-        assert np.array_equal(U, blocks.K_tC @ W)
+        assert _is_the_product(U, blocks.K_tC, W)
 
         nlml, nlml0 = s.neg_log_likelihood, s0.neg_log_likelihood
         if np.any(blocks.rhs):
@@ -458,6 +480,84 @@ class TestMirrorSplit:
             assert diag.rank == (n - 1 if lam in on else n)
             assert np.max(np.abs(K - U @ U.T - want)) <= 1e-12 * np.max(K)
             assert abs(J - np.trace(want)) <= 1e-12 * n
+
+
+def _parity_basis(mirror):
+    """The orthogonal Q of an involution and its even count: columns
+    (e_p + e_q)/sqrt2 for p < q = mirror[p], then e_f for each fixed row f,
+    then (e_p - e_q)/sqrt2, built entry by entry."""
+    n = len(mirror)
+    pairs = [(i, mirror[i]) for i in range(n) if mirror[i] > i]
+    fixed = [i for i in range(n) if mirror[i] == i]
+    Q, s, odd = np.zeros((n, n)), np.sqrt(0.5), n - len(pairs)
+    for k, (i, j) in enumerate(pairs):
+        Q[i, k] = Q[j, k] = Q[i, odd + k] = s
+        Q[j, odd + k] = -s
+    for k, i in enumerate(fixed):
+        Q[i, len(pairs) + k] = 1.0
+    return Q, odd
+
+
+def _cross_blocks(M, row_mirror, col_mirror):
+    """Largest entry of the blocks of Qr^T M Qc that couple even and odd."""
+    (Qr, er), (Qc, ec) = _parity_basis(row_mirror), _parity_basis(col_mirror)
+    B = Qr.T @ M @ Qc
+    return max(np.max(np.abs(B[:er, ec:]), initial=0.0),
+               np.max(np.abs(B[er:, :ec]), initial=0.0))
+
+
+class TestFold:
+    """The parity fold of K_CC and K_tC, and its premise."""
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), np.pi**2),
+            (g.laplace_dirichlet(), 42.0),
+            (g.laplace_dirichlet(), 4 * np.pi**2),
+            (g.laplace_dirichlet(), 400.0),
+            (_odd_laplace(), np.pi**2),
+            (_odd_laplace(), 50.0),
+            (g.poisson_bvp_demo(), 0.0),
+            (dataclasses.replace(g.poisson_bvp_demo(), N=9), 0.0),
+        ],
+        ids=["laplace-pi2", "laplace-42", "laplace-4pi2", "laplace-400",
+             "laplace-odd-pi2", "laplace-odd-50", "poisson-demo", "poisson-odd"],
+    )
+    def test_dropped_cross_blocks_of_K_tC_are_roundoff(self, prob, lam):
+        # reversing the test rows and mirroring the constraint columns at
+        # once leaves K_tC unchanged, so the fold drops only roundoff
+        blocks = assemble_blocks(prob, lam)
+        assert blocks.mirror is not None
+        rev = np.arange(blocks.x_test.size)[::-1]
+        scale = np.max(np.abs(blocks.K_tC))
+        assert _cross_blocks(blocks.K_tC, rev, blocks.mirror) <= 1e-12 * scale
+
+    def test_cross_blocks_of_a_made_up_mirror_are_not(self):
+        # the beam pins u and u' at 0 but u'' and u''' at 1: no mirror pairs
+        prob = g.cantilever()
+        blocks = assemble_blocks(prob, 500.0)
+        assert blocks.mirror is None
+        made_up = np.concatenate([np.arange(prob.N)[::-1], prob.N + np.array([2, 3, 0, 1])])
+        rev = np.arange(prob.N_t)[::-1]
+        scale = np.max(np.abs(blocks.K_tC))
+        assert _cross_blocks(blocks.K_tC, rev, made_up) > 1e-12 * scale
+
+    @pytest.mark.parametrize("rows,cols", [(7, 9), (8, 6), (9, 9)])
+    def test_fold_and_unfold_are_the_parity_basis(self, rows, cols):
+        # column involutions with a fixed row at the end of the order
+        rng = np.random.default_rng(rows * cols)
+        M = rng.standard_normal((rows, cols))
+        row_mirror = np.arange(rows)[::-1]
+        col_mirror = np.append(np.arange(cols - 1)[::-1], cols - 1)
+        (Qr, er), (Qc, ec) = _parity_basis(row_mirror), _parity_basis(col_mirror)
+        B = Qr.T @ M @ Qc
+        even, odd = _fold(M, row_mirror, col_mirror)
+        assert np.max(np.abs(even - B[:er, :ec])) <= 1e-15 * np.max(np.abs(M))
+        assert np.max(np.abs(odd - B[er:, ec:])) <= 1e-15 * np.max(np.abs(M))
+        Y_even, Y_odd = rng.standard_normal((er, 3)), rng.standard_normal((rows - er, 2))
+        block = np.block([[Y_even, np.zeros((er, 2))], [np.zeros((rows - er, 3)), Y_odd]])
+        assert np.max(np.abs(_unfold([Y_even, Y_odd], row_mirror) - Qr @ block)) <= 1e-15
 
 
 @pytest.fixture(scope="module")

@@ -233,13 +233,28 @@ class TestReferenceOracles:
 
     def test_wide_cantilever_window_keeps_its_references(self):
         # the roots run past α = 710, where cosh overflows; any warning
-        # fails the test under the suite's warnings-as-errors setting
+        # fails the test under the suite's warnings-as-errors setting.  The
+        # window holds the 318 roots α_n ≈ (2n - 1)π/2 up to α = 1e3
         refs = references_in_window("cantilever", 1.0, 1e12)
-        assert len(refs) == 256
+        assert len(refs) == 318
         assert refs == sorted(refs) and 1.0 <= refs[0] and refs[-1] <= 1e12
-        assert refs == reference_eigenvalues("cantilever", 256)
+        assert refs == reference_eigenvalues("cantilever", 318)
         # past α = 745 sech(α) underflows, so the roots are the zeros of cos
-        assert refs[-1] ** 0.25 == pytest.approx(511 * np.pi / 2, rel=1e-15)
+        assert refs[-1] ** 0.25 == pytest.approx(635 * np.pi / 2, rel=1e-15)
+
+    def test_window_past_the_256th_root(self):
+        # the root count doubles until the last root passes the window's end
+        refs = references_in_window("laplace", 1e6, 2e6)
+        assert refs == [(n * np.pi) ** 2 for n in range(319, 451)]
+        assert len(references_in_window("laplace", 1.0, 2e6)) == 450
+        beam = references_in_window("cantilever", 1e12, 1e13)
+        assert beam and 1e12 <= beam[0] and beam[-1] <= 1e13
+
+    @pytest.mark.parametrize("hi", [np.inf, np.nan])
+    def test_window_end_must_be_finite(self, hi):
+        # an infinite end would double the root count forever
+        with pytest.raises(ValueError, match="finite"):
+            references_in_window("laplace", 1.0, hi)
 
     def test_window_filtering(self):
         refs = references_in_window("laplace", 10.0, 500.0)
