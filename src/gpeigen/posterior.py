@@ -178,7 +178,8 @@ class PosteriorSummary:
     parity bases of `_fold`; w the kept eigenvalues of K_CC + jitter I in
     W's column order.  U and W in row order, `cov`, `mean` and
     `neg_log_likelihood` are formed on first read and cached, so a caller
-    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix;
+    `sample_posterior` reads `factors` and `mean`, never `cov`.
     """
 
     trace_J: float
@@ -239,14 +240,8 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
     return M
 
 
-def _eigh(M, jitter: float = 0.0, mirror=None):
-    """Eigenpairs (w, V) of the symmetric M + jitter*I: from `_mirror_eigh`
-    when the row involution `mirror` is set, even eigenpairs first and V
-    unfolded to the original row order, else from one full `eigh` in
-    increasing order."""
-    if mirror is not None:
-        (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(M, mirror, jitter)
-        return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
+def _eigh(M, jitter: float = 0.0):
+    """Eigenpairs (w, V) of the symmetric M + jitter*I in increasing order."""
     if jitter:
         M = M.copy()  # shift the diagonal in place; no identity matrix
         M.flat[:: len(M) + 1] += jitter
@@ -310,7 +305,9 @@ def _fold(M, row_mirror, col_mirror):
     roundoff.  On the pairs the even block is A + B and the odd A - B, A and
     B the means of the direct and the crossed quadrants, so the halves of an
     exactly symmetric M are exactly symmetric.  Fixed rows and columns join
-    the even block."""
+    the even block.  With no involutions, M is the one block: (M,)."""
+    if row_mirror is None:
+        return (M,)
     (p, q, f), (pc, qc, fc) = _pairs(row_mirror), _pairs(col_mirror)
     top, bottom, fixed = M[p], M[q], M[f]
     A = 0.5 * (top[:, pc] + bottom[:, qc])
@@ -339,13 +336,15 @@ def _unfold(halves, mirror):
     return out
 
 
-def _mirror_eigh(K, mirror, jitter: float, meanwhile=lambda: None):
-    """Eigenpairs (w, Y) of the even and of the odd half (`_fold`) of
-    K + jitter*I, for K invariant under the row involution `mirror`, and the
-    value of `meanwhile()`, which this thread computes after the even half
-    while the worker thread may still run the odd one."""
+def _mirror_eigh(halves, jitter: float = 0.0, meanwhile=lambda: None):
+    """Eigenpairs (w, Y) of each block of `halves` (`_fold`'s one block, or
+    its even and odd half) plus jitter*I, then `meanwhile()`.  One block
+    runs on this thread; of two, the worker thread takes the odd one while
+    this thread does the even one and then `meanwhile()`."""
     global _odd_worker
-    even_half, odd_half = _fold(K, mirror, mirror)
+    if len(halves) == 1:
+        return _eigh(halves[0], jitter), meanwhile()
+    even_half, odd_half = halves
     if _odd_worker is None:
         _odd_worker = ThreadPoolExecutor(1)
     # LAPACK releases the GIL: the odd half runs while this thread does the even
@@ -395,11 +394,8 @@ def posterior_covariance(
     mirror = blocks.mirror
     with _split_blas(mirror):
         K_CC = _checked(blocks.K_CC, jitter, rcond)
-        if mirror is None:
-            eighs, K_tCs = [_eigh(K_CC, jitter)], [blocks.K_tC]
-        else:
-            fold_K_tC = functools.partial(_fold, blocks.K_tC, _test_mirror(blocks), mirror)
-            *eighs, K_tCs = _mirror_eigh(K_CC, mirror, jitter, fold_K_tC)
+        fold_K_tC = functools.partial(_fold, blocks.K_tC, _test_mirror(blocks), mirror)
+        *eighs, K_tCs = _mirror_eigh(_fold(K_CC, mirror, mirror), jitter, fold_K_tC)
         w = np.concatenate([w_h for w_h, _ in eighs])
         keep = _keep(w, rcond) & (w > 0)
         kept = np.split(keep, np.cumsum([w_h.size for w_h, _ in eighs])[:-1])
@@ -427,34 +423,37 @@ def sample_posterior(
     eigenvalue the posterior is one function and the residual is near 0;
     away from one the sample leaves that direction (see README).
 
-    When `blocks.mirror` is set, the test grid is its own reversal (see
-    `operators`), `_eigh` splits the covariance by that reversal into even
-    and odd halves like K_CC, and the eigenpairs are sorted into the full
-    `eigh`'s increasing order.  The samples of such a problem then differ
-    bitwise from a full `eigh`'s, not in distribution.  Forming cov, its
-    split and the draws then run on one BLAS thread (`_split_blas`).
+    cov is never formed: its halves K_tt,h - U_h U_h^T, from the `_fold`
+    of K_tt by the test grid's reversal and the summary's `factors`, go to
+    `_mirror_eigh` (one block, K_tt - U U^T, when `blocks.mirror` is None;
+    two on one BLAS thread, `_split_blas`, when it is set).  The k-th normal
+    of a draw scales the k-th smallest eigenvalue's direction, as with one
+    full `eigh`; mirror samples differ bitwise from its, not in distribution.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
+    mirror = _test_mirror(summary.blocks)
     with _split_blas(summary.blocks.mirror):
-        if not np.all(np.isfinite(summary.cov)):
+        halves = [K_tt - U @ U.T for K_tt, (U, _) in
+                  zip(_fold(summary.blocks.K_tt, mirror, mirror), summary.factors)]
+        if not all(np.all(np.isfinite(half)) for half in halves):
             raise DecompositionError("covariance has non-finite entries")
-        mirror = _test_mirror(summary.blocks)
-        w, V = _eigh(summary.cov, mirror=mirror)
-        # sort the split's even-first pairs; sorting eigh's own V would gather it
-        # into a C-ordered copy and move the draws by roundoff
-        if mirror is not None:
-            order = np.argsort(w, kind="stable")
-            w, V = w[order], V[:, order]
-        F = V * np.sqrt(np.clip(w, 0.0, None))
-        v1 = V[:, -1]
+        *eighs, _ = _mirror_eigh(halves)
+        w = np.concatenate([w_h for w_h, _ in eighs])
+        V = _unfold([Y for _, Y in eighs], mirror)
+        # permute xi and scale V in place, copying no N_t x N_t array; a copy
+        # of eigh's own V would move an unsplit problem's draws by roundoff
+        order = np.argsort(w, kind="stable")
+        rank = np.argsort(order)
+        v1 = V[:, order[-1]].copy()
+        F = np.multiply(V, np.sqrt(np.clip(w, 0.0, None)), out=V)
 
         out = []
         for child in np.random.SeedSequence(seed).spawn(count):
             xi = np.random.default_rng(child).standard_normal(w.size)
-            raw = summary.mean + F @ xi
+            raw = summary.mean + F @ xi[rank]
             nrm = float(np.linalg.norm(raw))
             residual = 0.0
             if nrm > 0:

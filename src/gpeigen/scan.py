@@ -108,7 +108,7 @@ class HyperSchedule:
     def __post_init__(self):
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
-        if self.p < 0:
+        if not self.p >= 0:  # also rejects nan
             raise ValueError(f"p must be nonnegative, got {self.p}")
         if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")

@@ -23,6 +23,7 @@ from gpeigen.posterior import (
     DecompositionError,
     _eigh,
     _fold,
+    _mirror_eigh,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -357,10 +358,10 @@ class TestSplitBlasThreads:
         worker = gpeigen.posterior._odd_worker
         n_odd = int(np.sum(blocks.mirror > np.arange(blocks.mirror.size)))
 
-        def odd_half_fails(M, jitter=0.0, mirror=None):
+        def odd_half_fails(M, jitter=0.0):
             if len(M) == n_odd:
                 raise np.linalg.LinAlgError("odd half failed")
-            return _eigh(M, jitter, mirror)
+            return _eigh(M, jitter)
 
         monkeypatch.setattr(gpeigen.posterior, "_eigh", odd_half_fails)
         with pytest.raises(np.linalg.LinAlgError, match="odd half failed"):
@@ -443,7 +444,7 @@ class TestMirrorSplit:
     def test_eigenpairs_in_row_order(self):
         prob = _odd_laplace()
         blocks = assemble_blocks(prob, 50.0)
-        w, V = _eigh(blocks.K_CC, prob.jitter, blocks.mirror)
+        w, V = _split_eigh(blocks.K_CC, blocks.mirror, prob.jitter)
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
         K = blocks.K_CC + prob.jitter * np.eye(blocks.K_CC.shape[0])
         assert np.max(np.abs(K @ V - V * w)) <= 1e-12 * np.max(np.abs(w))
@@ -480,6 +481,13 @@ class TestMirrorSplit:
             assert diag.rank == (n - 1 if lam in on else n)
             assert np.max(np.abs(K - U @ U.T - want)) <= 1e-12 * np.max(K)
             assert abs(J - np.trace(want)) <= 1e-12 * n
+
+
+def _split_eigh(M, mirror, jitter=0.0):
+    """Eigenpairs of both parity halves of M + jitter*I, even ones first,
+    with V unfolded to the original row order."""
+    (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(_fold(M, mirror, mirror), jitter)
+    return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
 
 
 def _parity_basis(mirror):
@@ -543,9 +551,15 @@ class TestFold:
         scale = np.max(np.abs(blocks.K_tC))
         assert _cross_blocks(blocks.K_tC, rev, made_up) > 1e-12 * scale
 
-    @pytest.mark.parametrize("rows,cols", [(7, 9), (8, 6), (9, 9)])
+    @pytest.mark.parametrize("rows,cols", [(7, 9), (8, 6), (9, 9), (None, None)])
     def test_fold_and_unfold_are_the_parity_basis(self, rows, cols):
-        # column involutions with a fixed row at the end of the order
+        # column involutions with a fixed row at the end of the order; with
+        # no involutions a matrix is its own one block
+        if rows is None:
+            M = np.random.default_rng(0).standard_normal((7, 9))
+            (block,) = _fold(M, None, None)
+            assert block is M and _unfold([M], None) is M
+            return
         rng = np.random.default_rng(rows * cols)
         M = rng.standard_normal((rows, cols))
         row_mirror = np.arange(rows)[::-1]
@@ -619,29 +633,54 @@ class TestSamplePosterior:
             sample_posterior(peak_summary, 1, seed=0, normalization=normalization)
 
     def test_rejects_nonfinite_cov(self, peak_summary):
+        # the sampler builds the covariance's halves from K_tt and the factors
+        broken = _with_test_gram(peak_summary, peak_summary.blocks.K_tt.copy())
+        broken.blocks.K_tt[0, 0] = np.inf
+        with pytest.raises(DecompositionError):
+            sample_posterior(broken, 1, seed=0)
+        (U, W), *rest = peak_summary.factors
+        U = U.copy()
+        U[0, 0] = np.nan
         broken = copy.copy(peak_summary)
-        broken.cov = peak_summary.cov.copy()  # replaces the cached covariance
-        broken.cov[0, 0] = np.inf
+        broken.factors = ((U, W), *rest)
         with pytest.raises(DecompositionError):
             sample_posterior(broken, 1, seed=0)
 
+    def test_leaves_the_covariance_unformed(self):
+        prob = g.laplace_dirichlet()
+        summary = posterior_covariance(assemble_blocks(prob, np.pi**2), prob.jitter)
+        assert summary.blocks.mirror is not None
+        sample_posterior(summary, 2, seed=0)
+        assert "cov" not in summary.__dict__
+
+
+def _with_test_gram(summary, K_tt):
+    """A shallow copy of `summary` whose blocks read K_tt as the test Gram."""
+    out = copy.copy(summary)
+    out.blocks = copy.copy(summary.blocks)
+    out.blocks.K_tt = K_tt  # replaces the cached test Gram
+    return out
+
+
+_SAMPLE_SPLIT_CASES = pytest.mark.parametrize(
+    "prob,lam",
+    [
+        (g.laplace_dirichlet(), np.pi**2),
+        (g.laplace_dirichlet(), 50.0),
+        (g.laplace_dirichlet("paper"), 4 * np.pi**2),
+        (g.laplace_dirichlet("paper"), 300.0),
+        (dataclasses.replace(g.laplace_dirichlet(), N_t=201), 4 * np.pi**2),
+        (g.poisson_bvp_demo(), 0.0),
+    ],
+    ids=["desk-pi2", "desk-50", "paper-4pi2", "paper-300", "odd-test-grid",
+         "poisson-demo"],
+)
+
 
 class TestSampleSplit:
-    """Both eigendecompositions of `sample_posterior` under the test mirror."""
+    """The parity halves of `sample_posterior` under the test mirror."""
 
-    @pytest.mark.parametrize(
-        "prob,lam",
-        [
-            (g.laplace_dirichlet(), np.pi**2),
-            (g.laplace_dirichlet(), 50.0),
-            (g.laplace_dirichlet("paper"), 4 * np.pi**2),
-            (g.laplace_dirichlet("paper"), 300.0),
-            (dataclasses.replace(g.laplace_dirichlet(), N_t=201), 4 * np.pi**2),
-            (g.poisson_bvp_demo(), 0.0),
-        ],
-        ids=["desk-pi2", "desk-50", "paper-4pi2", "paper-300", "odd-test-grid",
-             "poisson-demo"],
-    )
+    @_SAMPLE_SPLIT_CASES
     def test_split_eigenpairs_match_full_eigh(self, prob, lam):
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
         assert summary.blocks.mirror is not None
@@ -654,7 +693,7 @@ class TestSampleSplit:
             # it is a sizeable part of the tiny cov
             avg = 0.5 * (M + M[np.ix_(mt, mt)])
             assert np.max(np.abs(avg - M)) <= 1e-11 * variance
-            w, V = _eigh(M, mirror=mt)
+            w, V = _split_eigh(M, mt)
             order = np.argsort(w, kind="stable")
             w, V = w[order], V[:, order]
             w0 = np.linalg.eigvalsh(avg)
@@ -688,9 +727,47 @@ class TestSampleSplit:
             want = np.linalg.norm(u - (v1 @ u) * v1) / np.linalg.norm(u)
             assert abs(s.residual - want) <= 2.0 * turn + 1e-14
 
+    @_SAMPLE_SPLIT_CASES
+    def test_halves_are_those_of_the_covariance(self, monkeypatch, prob, lam):
+        # the sampler builds K_tt,h - U_h U_h^T; folding the full cov drops
+        # the cross terms of U U^T, which are roundoff
+        summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
+        seen = []
+
+        def spy(halves, *args):
+            seen.append(halves)
+            return _mirror_eigh(halves, *args)
+
+        monkeypatch.setattr(gpeigen.posterior, "_mirror_eigh", spy)
+        sample_posterior(summary, 1, seed=0)
+        mt = np.arange(prob.N_t)[::-1]
+        (halves,) = seen
+        want = _fold(summary.cov, mt, mt)
+        assert len(halves) == len(want) == 2
+        for half, half0 in zip(halves, want):
+            assert np.max(np.abs(half - half0)) <= 1e-12 * summary.blocks.spec.variance
+
+    def test_kth_normal_draws_along_the_kth_smallest_eigenvalue(self):
+        # the pairing of one full eigh, with both halves' eigenpairs sorted
+        prob = g.laplace_dirichlet()
+        summary = posterior_covariance(assemble_blocks(prob, 50.0), prob.jitter)
+        mt = np.arange(prob.N_t)[::-1]
+        halves = [K - U @ U.T for K, (U, _) in
+                  zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
+        (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(halves)
+        w = np.concatenate([w_even, w_odd])
+        order = np.argsort(w, kind="stable")
+        F = (_unfold([Y_even, Y_odd], mt) * np.sqrt(np.clip(w, 0.0, None)))[:, order]
+        samples = sample_posterior(summary, 3, seed=7, normalization="none")
+        children = np.random.SeedSequence(7).spawn(3)
+        for s, child in zip(samples, children, strict=True):
+            xi = np.random.default_rng(child).standard_normal(w.size)
+            want = summary.mean + F @ xi
+            assert np.max(np.abs(s.values - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_residual_of_a_zero_draw_is_zero(self, peak_summary):
-        zero = copy.copy(peak_summary)
-        zero.cov = np.zeros_like(peak_summary.cov)
+        zero = _with_test_gram(peak_summary, np.zeros_like(peak_summary.blocks.K_tt))
+        zero.factors = tuple((np.zeros_like(U), W) for U, W in peak_summary.factors)
         (s,) = sample_posterior(zero, 1, seed=0, normalization="none")
         assert not np.any(s.values)
         assert s.residual == 0.0

@@ -96,6 +96,8 @@ class TestLengthScale:
         with pytest.raises(ValueError):
             HyperSchedule(C=1.0, p=-0.1, variance=1.0)
         with pytest.raises(ValueError):
+            HyperSchedule(C=1.0, p=float("nan"), variance=1.0)
+        with pytest.raises(ValueError):
             HyperSchedule(C=1.0, p=0.5, variance=0.0)
 
 
