@@ -1,7 +1,7 @@
 """Command-line front end: scan, sample, fd-verify, bvp-demo, list-problems.
 
 Exit codes: 0 success, 1 verification or scan failure, 2 bad input (ConfigError).
-CSV cells use repr() of Python floats, which round-trips doubles exactly.
+CSV float cells use repr(), which round-trips doubles exactly.
 """
 
 from __future__ import annotations
@@ -193,24 +193,35 @@ def _out_dir(args) -> Path:
     return args.out_dir
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """One CSV file; float cells (numpy's too) as repr(), others as they are."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+
+
+def _provenance(problem, rcond) -> dict:
+    """The run record that peaks.json and samples.json share."""
+    return {
+        "problem": problem.problem_id,
+        "version": __version__,
+        "spec": problem_to_obj(problem),
+        "rcond": rcond,
+        "blas_threads": blas_threads(),
+        "heap_pinned": pin_heap(),
+    }
 
 
 # -- subcommands ------------------------------------------------------------
 
-def write_spectrum_csv(path, scan) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SPECTRUM_COLUMNS)
-        for pt in scan.points:
-            if pt.skipped:
-                w.writerow([_fmt(pt.lam), "", "true", "", "", "", "", "", pt.reason])
-            else:
-                d = pt.diag
-                w.writerow([_fmt(pt.lam), _fmt(pt.J), "false", d.rank,
-                            d.truncated_count, _fmt(d.sv_max), _fmt(d.sv_min_kept),
-                            _fmt(pt.length_scale), ""])
+def _spectrum_row(pt) -> list:
+    if pt.skipped:
+        return [pt.lam, "", "true", "", "", "", "", "", pt.reason]
+    d = pt.diag
+    return [pt.lam, pt.J, "false", d.rank, d.truncated_count, d.sv_max,
+            d.sv_min_kept, pt.length_scale, ""]
 
 
 def _preset_references(problem) -> list:
@@ -236,7 +247,7 @@ def cmd_scan(args) -> int:
     try:
         scan = scan_spectrum(problem, jobs=args.jobs, rcond=args.rcond)
         # written before detection so skip reasons survive a failed detection
-        write_spectrum_csv(out / "spectrum.csv", scan)
+        _write_csv(out / "spectrum.csv", SPECTRUM_COLUMNS, map(_spectrum_row, scan.points))
         peaks = detect_peaks(scan, prominence_decades=2.0)
     except (ScanError, TooFewPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -268,16 +279,10 @@ def cmd_scan(args) -> int:
             rec["relative_error"] = abs(p.lam_hat - nearest) / abs(nearest)
         peak_objs.append(rec)
 
-    spec = problem_to_obj(problem)
     doc = {
-        "problem": problem.problem_id,
-        "version": __version__,
-        "spec": spec,
+        **_provenance(problem, args.rcond),
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
-        "rcond": args.rcond,
         "jobs": args.jobs,
-        "blas_threads": blas_threads(),
-        "heap_pinned": pin_heap(),
         "refine_iterations": REFINE_ITERATIONS,
         "refine_rtol": REFINE_RTOL,
         "evaluations": {
@@ -319,30 +324,21 @@ def cmd_sample(args) -> int:
     except EVALUATION_ERRORS as exc:
         raise ConfigError(f"cannot condition at lambda = {args.lam}: {exc}") from exc
 
-    xs = summary.x_test
-    with open(out / "samples.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x"] + [f"sample_{i}" for i in range(len(samples))])
-        for row, x in enumerate(xs):
-            w.writerow([_fmt(x)] + [_fmt(s.values[row]) for s in samples])
+    _write_csv(
+        out / "samples.csv",
+        ["x"] + [f"sample_{i}" for i in range(len(samples))],
+        zip(summary.x_test, *(s.values for s in samples)),
+    )
+    doc = {
+        **_provenance(problem, args.rcond),
+        "lambda": args.lam,
+        "trace_J": summary.trace_J,
+        "seed": args.seed,
+        "normalization": SAMPLE_NORMALIZATION,
+        "residuals": [s.residual for s in samples],
+    }
     with open(out / "samples.json", "w") as fh:
-        json.dump(
-            {
-                "problem": problem.problem_id,
-                "version": __version__,
-                "spec": problem_to_obj(problem),
-                "lambda": args.lam,
-                "trace_J": summary.trace_J,
-                "rcond": args.rcond,
-                "seed": args.seed,
-                "blas_threads": blas_threads(),
-                "heap_pinned": pin_heap(),
-                "normalization": SAMPLE_NORMALIZATION,
-                "residuals": [s.residual for s in samples],
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(doc, fh, indent=2)
     print(
         f"lambda = {args.lam:.6g}  trace_J = {summary.trace_J:.6e}  "
         f"{len(samples)} samples -> {out}"
@@ -371,24 +367,15 @@ def cmd_bvp_demo(args) -> int:
     out = _out_dir(args)
     for nf in [args.nf] if args.nf is not None else [0, 3, 8]:
         summary = solve_bvp(problem, nf)
-        xs = summary.x_test
-        band = 1.96 * np.sqrt(np.clip(np.diag(summary.cov), 0.0, None))
+        xs, mean = summary.x_test, summary.mean
+        # diag(cov) = variance - sum_j U_ij^2, with no N_t x N_t matrix formed
+        var = summary.blocks.spec.variance - np.sum(summary.U**2, axis=1)
+        band = 1.96 * np.sqrt(np.clip(var, 0.0, None))
         exact = -5.0 * xs**2 + 5.0 * xs
         path = out / f"bvp_nf{nf}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "mean", "lower", "upper", "exact"])
-            for i, x in enumerate(xs):
-                w.writerow(
-                    [
-                        _fmt(x),
-                        _fmt(summary.mean[i]),
-                        _fmt(summary.mean[i] - band[i]),
-                        _fmt(summary.mean[i] + band[i]),
-                        _fmt(exact[i]),
-                    ]
-                )
-        err = float(np.max(np.abs(summary.mean - exact)))
+        columns = ["x", "mean", "lower", "upper", "exact"]
+        _write_csv(path, columns, zip(xs, mean, mean - band, mean + band, exact))
+        err = float(np.max(np.abs(mean - exact)))
         print(f"N_f = {nf}: max |mean - exact| = {err:.3e} -> {path}")
     return EXIT_OK
 

@@ -38,18 +38,18 @@ class KernelSpec:
     """Hyperparameters of the squared-exponential covariance.
 
     ``variance`` is the signal variance (k(x, x) == variance) and
-    ``length_scale`` the correlation length, both strictly positive.
+    ``length_scale`` the correlation length, both positive and finite.
     """
 
     variance: float
     length_scale: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if not self.length_scale > 0:
+        if not 0 < self.variance < np.inf:  # also rejects nan
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        if not 0 < self.length_scale < np.inf:
             raise ValueError(
-                f"length_scale must be positive, got {self.length_scale}"
+                f"length_scale must be positive and finite, got {self.length_scale}"
             )
 
 

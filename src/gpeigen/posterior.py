@@ -178,8 +178,10 @@ class PosteriorSummary:
     parity bases of `_fold`; w the kept eigenvalues of K_CC + jitter I in
     W's column order.  U and W in row order, `cov`, `mean` and
     `neg_log_likelihood` are formed on first read and cached, so a caller
-    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix;
-    `sample_posterior` reads `factors` and `mean`, never `cov`.
+    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    The mean of an all-zero rhs (every eigenproblem) is exact zeros, with
+    U and W left unformed, so `sample_posterior`, which reads `factors` and
+    `mean`, caches none of U, W and `cov` for an eigenproblem.
     """
 
     trace_J: float
@@ -207,6 +209,8 @@ class PosteriorSummary:
 
     @functools.cached_property
     def mean(self) -> np.ndarray:
+        if not np.any(self.blocks.rhs):  # every eigenproblem: nothing to unfold
+            return np.zeros(self.blocks.x_test.size)
         return self.U @ (self.W.T @ self.blocks.rhs)
 
     @functools.cached_property
@@ -429,6 +433,7 @@ def sample_posterior(
     two on one BLAS thread, `_split_blas`, when it is set).  The k-th normal
     of a draw scales the k-th smallest eigenvalue's direction, as with one
     full `eigh`; mirror samples differ bitwise from its, not in distribution.
+    An eigenproblem's mean is zeros read off the rhs, so no U or W is unfolded.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")

@@ -82,8 +82,8 @@ class LambdaGrid:
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValueError(f"count must be at least 2, got {self.count}")
         if self.kind == "log" and self.lo <= 0:
@@ -91,8 +91,8 @@ class LambdaGrid:
         if self.kind != "power_root" and self.root is not None:
             raise ValueError(f"{self.kind} grid takes no root")
         if self.kind == "power_root":
-            if self.root is None or not self.root > 0:
-                raise ValueError("power_root grid needs a positive root")
+            if self.root is None or not 0 < self.root < math.inf:
+                raise ValueError("power_root grid needs a finite positive root")
             if self.lo < 0:
                 raise ValueError("power_root grid needs lo >= 0")
 
@@ -106,12 +106,12 @@ class HyperSchedule:
     variance: float
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.p >= 0:  # also rejects nan
-            raise ValueError(f"p must be nonnegative, got {self.p}")
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0 < self.C < math.inf:  # also rejects nan
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if not 0 <= self.p < math.inf:
+            raise ValueError(f"p must be nonnegative and finite, got {self.p}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
 
 
 @dataclass(frozen=True)

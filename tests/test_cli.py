@@ -111,6 +111,26 @@ class TestBvpDemo:
         code = main(["bvp-demo", "--nf", "-2", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_band_comes_from_the_factors(self, tmp_path, monkeypatch, capsys):
+        summaries = []  # those solve_bvp returned to the command
+
+        def spy(problem, nf):
+            summaries.append(g.solve_bvp(problem, nf))
+            return summaries[-1]
+
+        monkeypatch.setattr(gpeigen.cli, "solve_bvp", spy)
+        assert main(["bvp-demo", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(summaries) == 3
+        for nf, summary in zip((0, 3, 8), summaries):
+            assert "cov" not in summary.__dict__  # no N_t x N_t covariance
+            with open(tmp_path / f"bvp_nf{nf}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            band = 1.96 * np.sqrt(np.clip(np.diag(summary.cov), 0.0, None))
+            mean = np.array([float(r["mean"]) for r in rows])
+            for col, want in (("lower", mean - band), ("upper", mean + band)):
+                got = np.array([float(r[col]) for r in rows])
+                assert np.max(np.abs(got - want)) <= 1e-11, (nf, col)
+
 
 class TestSample:
     def test_deterministic_outputs(self, tmp_path):

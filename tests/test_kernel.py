@@ -29,6 +29,15 @@ def hermite_profile(spec, n, r):
     return spec.variance * factor * Hn * np.exp(-(u**2))
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_hyperparameters(self, bad):
+        with pytest.raises(ValueError, match="variance"):
+            KernelSpec(variance=bad, length_scale=1.0)
+        with pytest.raises(ValueError, match="length_scale"):
+            KernelSpec(variance=1.0, length_scale=bad)
+
+
 class TestRadialProfile:
     def test_zeroth_order_is_kernel(self):
         spec = KernelSpec(variance=2.0, length_scale=0.5)

@@ -653,6 +653,29 @@ class TestSamplePosterior:
         sample_posterior(summary, 2, seed=0)
         assert "cov" not in summary.__dict__
 
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [
+            (g.laplace_dirichlet(), (10 * np.pi) ** 2),
+            (g.cantilever(), 500.0),
+            (g.laplace_dirichlet("paper"), (10 * np.pi) ** 2),
+        ],
+        ids=["laplace-desk", "cantilever-desk", "laplace-paper"],
+    )
+    def test_zero_rhs_draws_unfold_nothing(self, prob, lam):
+        blocks = assemble_blocks(prob, lam)
+        assert not np.any(blocks.rhs)
+        summary = posterior_covariance(blocks, prob.jitter)
+        draws = sample_posterior(summary, 3, seed=5)
+        assert not {"U", "W", "cov"} & summary.__dict__.keys()
+        assert np.array_equal(summary.mean, np.zeros(prob.N_t))
+        # the same draws from the mean U W^T rhs, formed as it was before
+        unfolded = copy.copy(summary)
+        unfolded.mean = unfolded.U @ (unfolded.W.T @ blocks.rhs)
+        for new, old in zip(draws, sample_posterior(unfolded, 3, seed=5)):
+            assert np.array_equal(new.values, old.values)
+            assert new.residual == old.residual
+
 
 def _with_test_gram(summary, K_tt):
     """A shallow copy of `summary` whose blocks read K_tt as the test Gram."""

@@ -70,6 +70,14 @@ class TestLambdaGrid:
             LambdaGrid("power_root", 1.0, 16.0, 10)
         with pytest.raises(ValueError):
             LambdaGrid("power_root", -1.0, 16.0, 10, root=4.0)
+        inf = float("inf")
+        for kind, lo, hi in (("log", 1.0, inf), ("linear", -inf, 1.0),
+                             ("linear", 0.0, inf), ("power_root", 0.0, inf)):
+            root = 4.0 if kind == "power_root" else None
+            with pytest.raises(ValueError, match="finite"):
+                LambdaGrid(kind, lo, hi, 5, root=root)
+        with pytest.raises(ValueError, match="finite"):
+            LambdaGrid("power_root", 1.0, 16.0, 10, root=inf)
 
 
 class TestLengthScale:
@@ -99,6 +107,10 @@ class TestLengthScale:
             HyperSchedule(C=1.0, p=float("nan"), variance=1.0)
         with pytest.raises(ValueError):
             HyperSchedule(C=1.0, p=0.5, variance=0.0)
+        inf = float("inf")
+        for kw in ({"C": inf}, {"p": inf}, {"variance": inf}):
+            with pytest.raises(ValueError, match="finite"):
+                HyperSchedule(**{"C": 1.0, "p": 0.5, "variance": 1.0, **kw})
 
 
 def synthetic_scan(J_values, skipped=()):
