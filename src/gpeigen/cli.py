@@ -245,7 +245,7 @@ def cmd_scan(args) -> int:
     problem = resolve_problem(args)
     out = _out_dir(args)
     try:
-        scan = scan_spectrum(problem, jobs=args.jobs, rcond=args.rcond)
+        scan = scan_spectrum(problem, jobs=args.jobs)
         # written before detection so skip reasons survive a failed detection
         _write_csv(out / "spectrum.csv", SPECTRUM_COLUMNS, map(_spectrum_row, scan.points))
         peaks = detect_peaks(scan, prominence_decades=2.0)
@@ -260,7 +260,7 @@ def cmd_scan(args) -> int:
     for p in peaks:
         error = None
         try:
-            p = refine_peak(problem, p, REFINE_ITERATIONS, rcond=args.rcond)
+            p = refine_peak(problem, p, REFINE_ITERATIONS)
         except EVALUATION_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
         refined.append(p)
@@ -280,7 +280,7 @@ def cmd_scan(args) -> int:
         peak_objs.append(rec)
 
     doc = {
-        **_provenance(problem, args.rcond),
+        **_provenance(problem, SCAN_RCOND),
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "jobs": args.jobs,
         "refine_iterations": REFINE_ITERATIONS,
@@ -317,7 +317,7 @@ def cmd_sample(args) -> int:
         # an overflowing kernel is refused as non-finite K_CC, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = assemble_blocks(problem, args.lam)
-            summary = posterior_covariance(blocks, problem.jitter, args.rcond)
+            summary = posterior_covariance(blocks, problem.jitter)
             samples = sample_posterior(
                 summary, args.count, args.seed, SAMPLE_NORMALIZATION
             )
@@ -330,7 +330,7 @@ def cmd_sample(args) -> int:
         zip(summary.x_test, *(s.values for s in samples)),
     )
     doc = {
-        **_provenance(problem, args.rcond),
+        **_provenance(problem, DEFAULT_RCOND),
         "lambda": args.lam,
         "trace_J": summary.trace_J,
         "seed": args.seed,
@@ -425,17 +425,15 @@ def _number(convert, accept, name):
 
 POSITIVE_INT = _number(int, lambda v: v > 0, "positive int")
 NONNEGATIVE_INT = _number(int, lambda v: v >= 0, "nonnegative int")
-POSITIVE_FLOAT = _number(float, lambda v: 0 < v < math.inf, "finite positive float")
 FINITE_FLOAT = _number(float, math.isfinite, "finite float")
 
 
-def _add_problem_flags(p, rcond):
+def _add_problem_flags(p):
     p.add_argument("problem", nargs="?", help="preset id (see list-problems)")
     p.add_argument("--config", help="JSON problem config file")
     p.add_argument(
         "--paper-scale", action="store_true", help="full published grid sizes"
     )
-    p.add_argument("--rcond", type=POSITIVE_FLOAT, default=rcond)
     p.add_argument("--out-dir", type=Path, default=Path("."))
 
 
@@ -448,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="sweep the λ grid and report peaks")
-    _add_problem_flags(p_scan, SCAN_RCOND)
+    _add_problem_flags(p_scan)
     p_scan.add_argument("--jobs", type=POSITIVE_INT, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_sample = sub.add_parser("sample", help="draw posterior samples at one λ")
-    _add_problem_flags(p_sample, DEFAULT_RCOND)
+    _add_problem_flags(p_sample)
     p_sample.add_argument("--lambda", dest="lam", type=FINITE_FLOAT, required=True)
     p_sample.add_argument("--count", type=POSITIVE_INT, default=5)
     p_sample.add_argument("--seed", type=NONNEGATIVE_INT, default=0)

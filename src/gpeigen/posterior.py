@@ -472,7 +472,7 @@ def sample_posterior(
         return out
 
 
-def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSummary:
+def solve_bvp(problem, N_f: int) -> PosteriorSummary:
     """Posterior for a boundary value problem with N_f interior source rows.
 
     The problem must be in bvp mode (no λ grid); conditioning uses the
@@ -485,11 +485,11 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
     BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].  The
     variance stays at the preset's value; fitting it as well drives the
     demo's l to about 0.9, where cond(K_CC) is about 1e12.  Each kernel,
-    the preset's and each probe's, is conditioned once, and the summary
-    that scores best is returned, the preset's on a tie and when the
-    constraint values are all zero (N_f = 0 with homogeneous boundary
-    rows), where the likelihood carries no data and is degenerate.  The
-    summary's `blocks.spec` is the kernel that was used.
+    the preset's and each probe's, is conditioned once at DEFAULT_RCOND,
+    and the summary that scores best is returned, the preset's on a tie
+    and when the constraint values are all zero (N_f = 0 with homogeneous
+    boundary rows), where the likelihood carries no data and is
+    degenerate.  The summary's `blocks.spec` is the kernel that was used.
     """
     if problem.mode != "bvp":
         raise ValueError(f"problem {problem.problem_id!r} is not in bvp mode")
@@ -501,7 +501,7 @@ def solve_bvp(problem, N_f: int, rcond: float = DEFAULT_RCOND) -> PosteriorSumma
     def condition(length_scale):
         spec = dataclasses.replace(preset, length_scale=length_scale)
         blocks = assemble_blocks(dataclasses.replace(prob, fixed_kernel=spec), 0.0)
-        return posterior_covariance(blocks, prob.jitter, rcond)
+        return posterior_covariance(blocks, prob.jitter)
 
     best = condition(preset.length_scale)
     if np.any(best.blocks.rhs):

@@ -9,6 +9,7 @@ grid neighbors by a bounded Brent search on -log10 J.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,12 +25,12 @@ from .posterior import (
     posterior_covariance,
 )
 
-# Truncation default for the scan stage. Looser than the posterior module's
-# 1e-12 on purpose: dropping the smallest kept directions widens the resonance
+# The scan stage's truncation cut, looser than the posterior module's 1e-12
+# on purpose: dropping the smallest kept directions widens the resonance
 # peaks enough that a few-hundred-point grid cannot step over them, and it
 # removes the rank flicker (jitter floor in, jitter floor out) that shows up
-# as spurious baseline bumps on coarse grids. Callers that want the sharp
-# posterior can always pass rcond explicitly.
+# as spurious baseline bumps on coarse grids. Every sweep and refinement
+# conditions at it; the sharper posterior is `posterior_covariance`'s default.
 SCAN_RCOND = 1e-11
 
 # Refinement's bracket width relative to |λ|: J is flat to roundoff over about
@@ -167,20 +168,20 @@ def length_scale(schedule: HyperSchedule, lam: float, N: int) -> float:
     return schedule.C / N * lam ** (-schedule.p)
 
 
-def evaluate_trace(problem, lam: float, rcond: float = SCAN_RCOND):
-    """J(λ) and pseudoinverse diagnostics for a single grid point.
+def evaluate_trace(problem, lam: float):
+    """J(λ) at SCAN_RCOND and pseudoinverse diagnostics for one grid point.
 
     Forms no N_t x N_t matrix.  J is clipped at zero: tiny negatives are
     round-off, and downstream log processing needs J >= 0.
     """
-    summary = posterior_covariance(assemble_blocks(problem, lam), problem.jitter, rcond)
+    blocks = assemble_blocks(problem, lam)
+    summary = posterior_covariance(blocks, problem.jitter, SCAN_RCOND)
     return max(summary.trace_J, 0.0), summary.diag
 
 
-def _scan_one(args) -> ScanPoint:
-    problem, lam, rcond = args
+def _scan_one(problem, lam) -> ScanPoint:
     try:
-        J, diag = evaluate_trace(problem, lam, rcond)
+        J, diag = evaluate_trace(problem, lam)
     except EVALUATION_ERRORS as exc:
         return ScanPoint(
             lam=float(lam),
@@ -193,8 +194,8 @@ def _scan_one(args) -> ScanPoint:
     return ScanPoint(lam=float(lam), J=J, diag=diag, length_scale=ell)
 
 
-def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> SpectralScan:
-    """Evaluate J over the problem's λ grid.
+def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
+    """Evaluate J over the problem's λ grid, conditioned at SCAN_RCOND.
 
     Serial by default (bitwise reproducible); jobs > 1 evaluates grid
     points in worker processes, each on one BLAS thread, and gathers
@@ -205,15 +206,15 @@ def scan_spectrum(problem, jobs: int = 1, rcond: float = SCAN_RCOND) -> Spectral
     skipped with the reason; the scan fails only if every point does.
     """
     lams = make_lambda_grid(problem.grid)
-    tasks = [(problem, lam, rcond) for lam in lams]
+    evaluate = functools.partial(_scan_one, problem)
     # fork starts every worker at the first submit: no more than there are λ
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(lams))
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            points = list(pool.map(_scan_one, tasks, chunksize=chunk))
+            chunk = max(1, len(lams) // (4 * workers))
+            points = list(pool.map(evaluate, lams, chunksize=chunk))
     else:
-        points = [_scan_one(t) for t in tasks]
+        points = list(map(evaluate, lams))
     if all(p.skipped for p in points):
         reasons = {p.reason for p in points}
         raise ScanError(f"all {len(points)} grid points failed: {sorted(reasons)}")
@@ -245,9 +246,7 @@ def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
     return peaks
 
 
-def refine_peak(
-    problem, peak: PeakRecord, iterations: int, rcond: float = SCAN_RCOND
-) -> PeakRecord:
+def refine_peak(problem, peak: PeakRecord, iterations: int) -> PeakRecord:
     """Maximize J between the peak's grid neighbors by Brent's method.
 
     Minimizes -log10 J over the bracket with `_search.minimize_bounded`,
@@ -277,7 +276,7 @@ def refine_peak(
 
         def neg_log_J(lam):
             nonlocal best_lam, best_J
-            J = evaluate_trace(problem, lam, rcond)[0]
+            J = evaluate_trace(problem, lam)[0]
             if J > best_J:
                 best_lam, best_J = lam, J
             return -math.log10(max(J, 1e-300))

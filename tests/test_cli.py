@@ -170,16 +170,14 @@ class TestSample:
             (["--lambda", "10.0", "--count", "0"], "--count"),
             # the length-scale schedule needs lambda > 0
             (["--lambda", "-5"], "lambda"),
-            (["--lambda", "10.0", "--rcond", "-1"], "--rcond"),
             (["--lambda", "10.0", "--seed", "-1"], "--seed"),
             # K_CC is not finite this far out
             (["--lambda", "1e200"], "lambda"),
             # a later --out-dir overrides the default one
             (["--lambda", "10.0", "--out-dir", "FILE"], "blocker"),
-            (["--lambda", "10.0", "--rcond", "inf"], "--rcond"),
         ],
-        ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed",
-             "lambda-1e200", "out-dir-is-file", "rcond-inf"],
+        ids=["count-0", "negative-lambda", "negative-seed", "lambda-1e200",
+             "out-dir-is-file"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags, named):
         blocker = tmp_path / "blocker"
@@ -319,6 +317,20 @@ def test_refused_argument_prints_its_subcommand_usage(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["scan", "laplace"], ["sample", "laplace", "--lambda", "9.87"]],
+    ids=["scan", "sample"],
+)
+def test_rcond_flag_is_gone(tmp_path, capsys, argv):
+    # each stage conditions at its own fixed cut, SCAN_RCOND or DEFAULT_RCOND
+    assert main([*argv, "--rcond", "1e-9", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    [line] = error_lines(err)
+    assert "unrecognized arguments: --rcond" in line
+    assert f"usage: gpeigen {argv[0]} [-h]" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_refused_command_prints_root_usage(capsys):
     assert main(["bogus"]) == EXIT_CONFIG
     assert "usage: gpeigen [-h] {scan,sample," in capsys.readouterr().err
@@ -330,15 +342,10 @@ class TestScan:
         [
             ["--jobs", "0"],
             ["--jobs", "-3"],
-            ["--rcond", "-1"],
-            ["--rcond", "0"],
-            ["--rcond", "nan"],
             ["--jobs", "abc"],
             ["--bogus"],
-            ["--rcond", "inf"],
         ],
-        ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
-             "jobs-abc", "unknown-flag", "rcond-inf"],
+        ids=["jobs-0", "jobs-negative", "jobs-abc", "unknown-flag"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
         # refused before the sweep: no λ is evaluated, no spectrum written

@@ -19,7 +19,6 @@ from gpeigen.matrixcase import RCOND_EXACT, FiniteDimCase, fd_posterior_covarian
 from gpeigen.operators import AssembledBlocks, assemble_blocks
 from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
-    DEFAULT_RCOND,
     DecompositionError,
     _eigh,
     _fold,
@@ -31,7 +30,7 @@ from gpeigen.posterior import (
     sample_posterior,
     solve_bvp,
 )
-from gpeigen.scan import blas_threads, evaluate_trace
+from gpeigen.scan import SCAN_RCOND, blas_threads, evaluate_trace
 
 from conftest import run_fresh_interpreter
 
@@ -125,14 +124,13 @@ class TestPosteriorCovariance:
     def test_eigen_posterior_basics(self, preset, lam):
         prob = g.build_preset(preset)
         blocks = assemble_blocks(prob, lam)
-        rcond = DEFAULT_RCOND
-        summary = posterior_covariance(blocks, prob.jitter, rcond)
+        summary = posterior_covariance(blocks, prob.jitter, SCAN_RCOND)
         assert summary.blocks.lam == lam
         assert summary.cov.shape == (prob.N_t, prob.N_t)
         assert np.array_equal(summary.cov, summary.cov.T)
-        # the scan reads the same core: J agrees exactly, and the factor's
-        # trace agrees with the formed covariance to roundoff
-        J, diag = evaluate_trace(prob, lam, rcond)
+        # the scan conditions at SCAN_RCOND through the same core: J agrees
+        # exactly, and the factor's trace agrees with cov to roundoff
+        J, diag = evaluate_trace(prob, lam)
         assert J == max(summary.trace_J, 0.0)
         assert diag == summary.diag
         prior_trace = prob.N_t * prob.schedule.variance

@@ -11,7 +11,6 @@ import gpeigen.scan
 from gpeigen.operators import assemble_blocks
 from gpeigen.scan import (
     REFINE_RTOL,
-    SCAN_RCOND,
     HyperSchedule,
     InsufficientPeaksError,
     LambdaGrid,
@@ -449,6 +448,6 @@ class TestScanSpectrum:
 
     def test_evaluate_trace_nonnegative(self):
         prob = small_laplace()
-        J, diag = evaluate_trace(prob, 42.0, SCAN_RCOND)
+        J, diag = evaluate_trace(prob, 42.0)
         assert J >= 0.0
         assert diag.rank >= 1
