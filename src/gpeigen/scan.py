@@ -58,6 +58,17 @@ def _one_blas_thread():
     _openblas_call("set_num_threads", 1)
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least (an integral float converts, as cli._decode
+    converts a config's); else a ValueError naming the field."""
+    try:
+        if int(value) == value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class ScanError(RuntimeError):
     """Every grid point failed; there is no spectrum to return."""
 
@@ -85,8 +96,7 @@ class LambdaGrid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if self.count < 2:
-            raise ValueError(f"count must be at least 2, got {self.count}")
+        object.__setattr__(self, "count", _count("count", self.count, 2))
         if self.kind == "log" and self.lo <= 0:
             raise ValueError("log grid needs lo > 0")
         if self.kind != "power_root" and self.root is not None:
@@ -205,6 +215,7 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     EVALUATION_ERRORS (coefficient poles, degenerate assemblies) are marked
     skipped with the reason; the scan fails only if every point does.
     """
+    jobs = _count("jobs", jobs, 1)
     lams = make_lambda_grid(problem.grid)
     evaluate = functools.partial(_scan_one, problem)
     # fork starts every worker at the first submit: no more than there are λ
@@ -262,8 +273,7 @@ def refine_peak(problem, peak: PeakRecord, iterations: int) -> PeakRecord:
     evaluations spent (0 when iterations is 0).  Evaluation errors
     propagate.
     """
-    if iterations < 0:
-        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+    iterations = _count("iterations", iterations, 0)
     lams = make_lambda_grid(problem.grid)
     gi = peak.grid_index
     if gi <= 0 or gi >= len(lams) - 1:

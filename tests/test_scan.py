@@ -78,6 +78,14 @@ class TestLambdaGrid:
         with pytest.raises(ValueError, match="finite"):
             LambdaGrid("power_root", 1.0, 16.0, 10, root=inf)
 
+    def test_count_must_be_integral(self):
+        # an integral float converts, as a config's does in cli._decode
+        with pytest.raises(ValueError, match="count"):
+            LambdaGrid("log", 5.0, 120.0, 2.5)
+        grid = LambdaGrid("log", 5.0, 120.0, 24.0)
+        assert type(grid.count) is int
+        assert make_lambda_grid(grid).size == 24
+
 
 class TestLengthScale:
     def test_closed_form(self):
@@ -278,6 +286,12 @@ class TestRefinePeak:
         with pytest.raises(ValueError):
             refine_peak(laplace_desk.problem, laplace_desk.peaks[0], iterations=-1)
 
+    def test_iterations_must_be_integral(self, laplace_desk):
+        prob, peak = laplace_desk.problem, laplace_desk.peaks[0]
+        with pytest.raises(ValueError, match="iterations"):
+            refine_peak(prob, peak, iterations=2.5)
+        assert refine_peak(prob, peak, 4.0) == refine_peak(prob, peak, 4)
+
     def test_rejects_edge_peak(self, laplace_desk):
         edge = PeakRecord(lam_hat=1.0, J_peak=1.0, grid_index=0)
         with pytest.raises(ValueError):
@@ -387,6 +401,14 @@ class TestScanSpectrum:
         scan = scan_spectrum(prob, jobs=100_000)
         assert sizes == [3]
         assert [p.J for p in scan.points] == [p.J for p in scan_spectrum(prob).points]
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2"])
+    def test_rejects_jobs_that_are_not_a_positive_integer(self, monkeypatch, jobs):
+        # refused before any λ is evaluated or any worker started
+        monkeypatch.setattr(gpeigen.scan, "_scan_one", None)
+        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", None)
+        with pytest.raises(ValueError, match="jobs"):
+            scan_spectrum(small_laplace(), jobs=jobs)
 
     def test_small_scan_finds_first_two_modes(self):
         scan = scan_spectrum(small_laplace())
