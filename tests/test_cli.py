@@ -170,14 +170,17 @@ class TestSample:
             (["--lambda", "10.0", "--count", "0"], "--count"),
             # the length-scale schedule needs lambda > 0
             (["--lambda", "-5"], "lambda"),
+            # --rcond is gone: any value of it is an unrecognized argument
+            (["--lambda", "10.0", "--rcond", "-1"], "--rcond"),
             (["--lambda", "10.0", "--seed", "-1"], "--seed"),
             # K_CC is not finite this far out
             (["--lambda", "1e200"], "lambda"),
             # a later --out-dir overrides the default one
             (["--lambda", "10.0", "--out-dir", "FILE"], "blocker"),
+            (["--lambda", "10.0", "--rcond", "inf"], "--rcond"),
         ],
-        ids=["count-0", "negative-lambda", "negative-seed", "lambda-1e200",
-             "out-dir-is-file"],
+        ids=["count-0", "negative-lambda", "negative-rcond", "negative-seed",
+             "lambda-1e200", "out-dir-is-file", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags, named):
         blocker = tmp_path / "blocker"
@@ -342,10 +345,16 @@ class TestScan:
         [
             ["--jobs", "0"],
             ["--jobs", "-3"],
+            # --rcond is gone: any value of it is an unrecognized argument
+            ["--rcond", "-1"],
+            ["--rcond", "0"],
+            ["--rcond", "nan"],
             ["--jobs", "abc"],
             ["--bogus"],
+            ["--rcond", "inf"],
         ],
-        ids=["jobs-0", "jobs-negative", "jobs-abc", "unknown-flag"],
+        ids=["jobs-0", "jobs-negative", "rcond-negative", "rcond-0", "rcond-nan",
+             "jobs-abc", "unknown-flag", "rcond-inf"],
     )
     def test_rejects_bad_arguments(self, tmp_path, capsys, flags):
         # refused before the sweep: no λ is evaluated, no spectrum written
