@@ -33,6 +33,20 @@ class UnsupportedOrderError(ValueError):
     """A requested kernel derivative order exceeds the supported cap."""
 
 
+def _count(name: str, value, least: int, most: int = None, error=ValueError) -> int:
+    """value as an int in least..most (no upper end when most is None); else
+    `error` naming the field.  An integral float converts, as cli._decode
+    converts a config's; a bool, a string and a fraction are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value >= least and (most is None or value <= most):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    span = f">= {least}" if most is None else f"in {least}..{most}"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Hyperparameters of the squared-exponential covariance.
@@ -59,10 +73,8 @@ def radial_profile_derivatives(spec: KernelSpec, n_max: int, r) -> np.ndarray:
     Returns an array of shape (n_max + 1,) + r.shape.  ``n_max`` may go up
     to 2 * MAX_DERIV_ORDER (both arguments differentiated at the cap).
     """
-    if int(n_max) != n_max or n_max < 0 or n_max > 2 * MAX_DERIV_ORDER:
-        raise UnsupportedOrderError(
-            f"total derivative order {n_max} outside 0..{2 * MAX_DERIV_ORDER}"
-        )
+    n_max = _count("total derivative order", n_max, 0, 2 * MAX_DERIV_ORDER,
+                   UnsupportedOrderError)
     r = np.asarray(r, dtype=float)
     inv_l2 = 1.0 / (spec.length_scale * spec.length_scale)
     out = np.empty((n_max + 1,) + r.shape, dtype=float)
@@ -79,14 +91,9 @@ def kernel_mixed_derivative(spec: KernelSpec, orders, x, x2):
 
     Scalar inputs give a float; array inputs broadcast.
     """
-    a, b = orders
-    for name, order in (("a", a), ("b", b)):
-        if int(order) != order or order < 0 or order > MAX_DERIV_ORDER:
-            raise UnsupportedOrderError(
-                f"derivative order {name}={order} outside 0..{MAX_DERIV_ORDER}"
-            )
+    a, b = (_count(f"derivative order {name}", order, 0, MAX_DERIV_ORDER,
+                   UnsupportedOrderError) for name, order in zip("ab", orders, strict=True))
     r = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    total = int(a + b)  # an integral float such as 2.0 passes the check
-    g = radial_profile_derivatives(spec, total, r)[total]
+    g = radial_profile_derivatives(spec, a + b, r)[a + b]
     val = g if b % 2 == 0 else -g
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import _count
 from .posterior import regularized_pseudoinverse
 
 # The dichotomy is a statement about the exact pseudoinverse, so this path
@@ -112,9 +113,9 @@ def null_space_factor(case: FiniteDimCase) -> np.ndarray:
 
 
 def fd_sample(case: FiniteDimCase, count: int, seed: int):
-    """Draw count vectors u* = B ξ, ξ ~ N(0, I), one substream per sample."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    """Draw count vectors u* = B ξ, ξ ~ N(0, I), one substream per sample;
+    count is an integer >= 1 and seed one >= 0."""
+    count, seed = _count("count", count, 1), _count("seed", seed, 0)
     B = null_space_factor(case)
     return [
         B @ np.random.default_rng(child).standard_normal(case.dim)
@@ -289,12 +290,11 @@ def _run_trial(index: int, child, max_dim: int) -> FdTrialResult:
 def fd_theorem_suite(trials: int = 100, max_dim: int = 8, seed: int = 0) -> FdReport:
     """Check both dichotomy branches on random exactly-spectrumed cases.
 
-    Failures are collected in the report, never raised.
+    Failures are collected in the report, never raised.  trials and
+    max_dim are integers >= 1, seed one >= 0.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be positive, got {max_dim}")
+    trials, max_dim = _count("trials", trials, 1), _count("max_dim", max_dim, 1)
+    seed = _count("seed", seed, 0)
     report = FdReport(trials=trials, max_dim=max_dim, seed=seed)
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         report.results.append(_run_trial(index, child, max_dim))

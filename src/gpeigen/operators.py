@@ -56,6 +56,7 @@ import numpy as np
 from .kernel import (
     MAX_DERIV_ORDER,
     KernelSpec,
+    _count,
     radial_profile_derivatives,
 )
 
@@ -76,6 +77,8 @@ class OperatorTermSpec:
     c(λ) = num(λ) / den(λ), each given by its coefficients from the highest
     power down: (-1.0, 0.0) is -λ, and num (1.0, 0.0) over den (1.0, -1.0)
     is λ/(λ - 1).  A constant is a one-element num over the default den.
+    Both are non-empty and finite; deriv_order is an integer in
+    0..MAX_DERIV_ORDER, stored as an int (2.0 becomes 2).
     """
 
     deriv_order: int
@@ -83,15 +86,15 @@ class OperatorTermSpec:
     den: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        d = self.deriv_order
-        if int(d) != d or d < 0 or d > MAX_DERIV_ORDER:
-            raise ValueError(
-                f"term derivative order {d} outside 0..{MAX_DERIV_ORDER}"
-            )
+        object.__setattr__(
+            self, "deriv_order", _count("deriv_order", self.deriv_order, 0, MAX_DERIV_ORDER)
+        )
         for name in ("num", "den"):
             poly = tuple(getattr(self, name))
             if not poly:
                 raise ValueError(f"term {name} needs at least one coefficient")
+            if not np.all(np.isfinite(poly)):  # inf in den drops the term, nan poisons it
+                raise ValueError(f"term {name} coefficients must be finite, got {poly}")
             object.__setattr__(self, name, poly)
 
     def coeff(self, lam: float) -> float:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._search import minimize_bounded
+from .kernel import _count
 from .operators import AssembledBlocks, assemble_blocks
 
 DEFAULT_RCOND = 1e-12
@@ -416,13 +417,14 @@ def sample_posterior(
     seed: int,
     normalization: str = "sup_norm",
 ):
-    """Draw `count` reproducible samples from N(mean, cov).
+    """Draw `count` (an integer >= 1) reproducible samples from N(mean, cov).
 
     The covariance is factored by symmetric eigendecomposition with
     negative eigenvalues clipped at zero; the subtraction that forms cov
     makes small negatives inevitable off-peak.  Each sample gets its own
-    substream derived from (seed, index).  A sample's residual is the sine
-    of its angle to v1, the unit eigenvector of cov's largest eigenvalue:
+    substream derived from (seed, index), the seed an integer >= 0.  A
+    sample's residual is the sine of its angle to v1, the unit eigenvector
+    of cov's largest eigenvalue:
     ||u - (v1^T u) v1|| / ||u|| for the raw sample u, 0 when u = 0.  At an
     eigenvalue the posterior is one function and the residual is near 0;
     away from one the sample leaves that direction (see README).
@@ -435,8 +437,7 @@ def sample_posterior(
     full `eigh`; mirror samples differ bitwise from its, not in distribution.
     An eigenproblem's mean is zeros read off the rhs, so no U or W is unfolded.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    count, seed = _count("count", count, 1), _count("seed", seed, 0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     mirror = _test_mirror(summary.blocks)
@@ -473,7 +474,8 @@ def sample_posterior(
 
 
 def solve_bvp(problem, N_f: int) -> PosteriorSummary:
-    """Posterior for a boundary value problem with N_f interior source rows.
+    """Posterior for a boundary value problem with N_f (an integer >= 0)
+    interior source rows.
 
     The problem must be in bvp mode (no λ grid); conditioning uses the
     two boundary rows plus N_f equispaced interior rows carrying the source
@@ -493,9 +495,7 @@ def solve_bvp(problem, N_f: int) -> PosteriorSummary:
     """
     if problem.mode != "bvp":
         raise ValueError(f"problem {problem.problem_id!r} is not in bvp mode")
-    if int(N_f) != N_f or N_f < 0:
-        raise ValueError(f"N_f must be a nonnegative integer, got {N_f}")
-    prob = dataclasses.replace(problem, N=int(N_f))
+    prob = dataclasses.replace(problem, N=_count("N_f", N_f, 0))
     preset = prob.fixed_kernel
 
     def condition(length_scale):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec
+from .kernel import KernelSpec, _count
 from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
 
@@ -27,7 +27,9 @@ class ProblemSpec:
     """A scan or BVP problem on a 1D interval: an eigenproblem (`mode`
     "eigen") exactly when it has a λ `grid`, and then homogeneous
     (`rhs_const` and each site's `rhs` are 0).  The kernel comes from exactly
-    one of `schedule` (which needs a grid) and `fixed_kernel`."""
+    one of `schedule` (which needs a grid) and `fixed_kernel`.  The domain
+    ends and `jitter` (>= 0) are finite; `N` (>= 1 with a grid, >= 0
+    without) and `N_t` (>= 2) are integers, stored as ints."""
 
     problem_id: str
     domain: tuple[float, float]
@@ -45,19 +47,17 @@ class ProblemSpec:
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
         object.__setattr__(self, "boundary", tuple(self.boundary))
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"domain must satisfy lo < hi, got {self.domain}")
-        if self.N_t < 2:
-            raise ValueError(f"N_t must be at least 2, got {self.N_t}")
-        if not self.jitter >= 0:  # also rejects nan
-            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"domain must satisfy finite lo < hi, got {self.domain}")
+        object.__setattr__(self, "N_t", _count("N_t", self.N_t, 2))
+        if not 0 <= self.jitter < np.inf:  # also rejects nan
+            raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter}")
         if (self.schedule is None) == (self.fixed_kernel is None):
             raise ValueError("give exactly one kernel source: schedule or fixed_kernel")
         if self.schedule is not None and self.grid is None:
             raise ValueError("schedule needs a lambda grid")
         eigen = self.mode == "eigen"
-        if self.N < (1 if eigen else 0):
-            raise ValueError(f"N must be at least 1 with a grid, 0 without, got {self.N}")
+        object.__setattr__(self, "N", _count("N", self.N, 1 if eigen else 0))
         if eigen and self.rhs_const != 0:  # an eigenproblem is homogeneous
             raise ValueError(f"rhs_const must be 0 with a grid, got {self.rhs_const}")
         for i, site in enumerate(self.boundary):
@@ -257,14 +257,14 @@ def _sign_change_roots(fn, grid, count: int):
 
 
 def reference_eigenvalues(problem_id: str, count: int):
-    """Independent reference eigenvalues, smallest first.
+    """The first `count` (an integer >= 1) independent reference
+    eigenvalues, smallest first.
 
     Laplace is closed form; the other two are the sign changes of their
     characteristic equations on a fine grid, with the loaded-string search
     skipping the pole at λ = κ.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    count = _count("count", count, 1)
     if problem_id == "laplace":
         return [(n * np.pi) ** 2 for n in range(1, count + 1)]
     if problem_id == "cantilever":

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import minimize_bounded
+from .kernel import _count
 from .operators import assemble_blocks
 from .posterior import (
     DecompositionError,
@@ -56,17 +57,6 @@ def _one_blas_thread():
     thread; two BLAS threads per worker made a 4-worker desk scan on two
     cores 3-7 times slower."""
     _openblas_call("set_num_threads", 1)
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as an int >= least (an integral float converts, as cli._decode
-    converts a config's); else a ValueError naming the field."""
-    try:
-        if int(value) == value >= least:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class ScanError(RuntimeError):
@@ -170,12 +160,10 @@ def make_lambda_grid(grid: LambdaGrid) -> np.ndarray:
 
 
 def length_scale(schedule: HyperSchedule, lam: float, N: int) -> float:
-    """l = C * N**-1 * λ**-p."""
+    """l = C * N**-1 * λ**-p, N an integer >= 1."""
     if not lam > 0:
         raise ValueError(f"length-scale schedule needs lambda > 0, got {lam}")
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    return schedule.C / N * lam ** (-schedule.p)
+    return schedule.C / _count("N", N, 1) * lam ** (-schedule.p)
 
 
 def evaluate_trace(problem, lam: float):

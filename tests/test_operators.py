@@ -63,6 +63,16 @@ class TestEvalCoeff:
         with pytest.raises(ValueError, match="den needs at least one"):
             OperatorTermSpec(0, (1.0,), ())
 
+    @pytest.mark.parametrize(
+        "name, poly",
+        [("num", (np.nan,)), ("num", (1.0, np.inf)),
+         ("den", (np.inf,)), ("den", (1.0, np.nan))],
+    )
+    def test_rejects_non_finite_coefficients(self, name, poly):
+        # den=(inf,) made coeff 0.0, silently dropping the term; nan made it nan
+        with pytest.raises(ValueError, match=f"term {name} coefficients must be finite"):
+            OperatorTermSpec(0, **{"num": (1.0,), name: poly})
+
     def test_lists_become_hashable_tuples(self):
         term = OperatorTermSpec(0, [1.0, 0.0], [1.0, -1.0])
         assert term == OperatorTermSpec(0, (1.0, 0.0), (1.0, -1.0))

@@ -115,6 +115,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
 
+    @pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_rejects_a_non_finite_domain_end(self, domain):
+        # (0, inf) used to build, then fail every λ with RuntimeWarnings
+        kw = self.base_kwargs()
+        kw["domain"] = domain
+        with pytest.raises(ValueError, match="domain"):
+            ProblemSpec(**kw)
+
     def test_rejects_small_test_grid(self):
         kw = self.base_kwargs()
         kw["N_t"] = 1
@@ -125,6 +133,13 @@ class TestProblemValidation:
         kw = self.base_kwargs()
         kw["jitter"] = -1e-8
         with pytest.raises(ValueError):
+            ProblemSpec(**kw)
+
+    def test_rejects_infinite_jitter(self):
+        # used to build, then fail every λ with DecompositionError
+        kw = self.base_kwargs()
+        kw["jitter"] = np.inf
+        with pytest.raises(ValueError, match="jitter"):
             ProblemSpec(**kw)
 
     def test_eigen_needs_schedule_and_grid(self):
