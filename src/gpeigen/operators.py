@@ -141,11 +141,16 @@ def identity_op() -> LinearOperatorSpec:
 
 @dataclass(frozen=True)
 class ConstraintSite:
-    """A single constraint row: operator applied at one location, = rhs."""
+    """A single constraint row: operator applied at one location, = rhs
+    (finite)."""
 
     location: float
     operator: LinearOperatorSpec
     rhs: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.rhs):
+            raise ValueError(f"rhs must be finite, got {self.rhs}")
 
 
 @dataclass

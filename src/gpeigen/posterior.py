@@ -245,11 +245,23 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
     return M
 
 
+def _shifted(halves, jitter: float):
+    """`_fold`'s blocks plus jitter*I, added to the diagonal (no identity
+    matrix): two halves, new arrays, in place; one block, the caller's
+    array, in a copy."""
+    if not jitter:
+        return halves
+    if len(halves) == 1:
+        halves = (halves[0].copy(),)
+    for half in halves:
+        half.flat[:: len(half) + 1] += jitter
+    return halves
+
+
 def _eigh(M, jitter: float = 0.0):
-    """Eigenpairs (w, V) of the symmetric M + jitter*I in increasing order."""
-    if jitter:
-        M = M.copy()  # shift the diagonal in place; no identity matrix
-        M.flat[:: len(M) + 1] += jitter
+    """Eigenpairs (w, V) of the symmetric M + jitter*I in increasing order;
+    M is left as it is."""
+    (M,) = _shifted((M,), jitter)
     w, V = np.linalg.eigh(M)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("eigendecomposition returned non-finite values")
@@ -301,6 +313,24 @@ def _pairs(mirror):
     return p, mirror[p], rows[mirror == rows]
 
 
+def _pieces(mirror):
+    """The pairs of `_pairs` as pieces (rows p, rows q, their rows in the
+    half), with the pair count and the fixed rows.  Every involution made
+    here reverses a prefix 0..n-1 and pairs or fixes the rows after it, so
+    the prefix's pairs come as basic slices, which index without a copy;
+    the pairs after it, or all of them for an involution of another shape,
+    come as index arrays."""
+    p, q, f = _pairs(mirror)
+    n = int(mirror[0]) + 1 if len(mirror) else 0
+    if not np.array_equal(mirror[:n], np.arange(n)[::-1]):
+        n = 0
+    h = n // 2  # the prefix's pairs: p = 0..h-1, q = n-1..n-h
+    pieces = [(p[h:], q[h:], slice(h, p.size))]
+    if h:  # h > 0 keeps the reversed slice's stop off -1, the last row
+        pieces.insert(0, (slice(0, h), slice(n - 1, n - h - 1, -1), slice(0, h)))
+    return pieces, p.size, f
+
+
 def _fold(M, row_mirror, col_mirror):
     """Even and odd block of M in the parity bases of its row and column
     involutions, (e_p + e_q)/sqrt2, e_f, (e_p - e_q)/sqrt2 for rows paired
@@ -310,19 +340,29 @@ def _fold(M, row_mirror, col_mirror):
     roundoff.  On the pairs the even block is A + B and the odd A - B, A and
     B the means of the direct and the crossed quadrants, so the halves of an
     exactly symmetric M are exactly symmetric.  Fixed rows and columns join
-    the even block.  With no involutions, M is the one block: (M,)."""
+    the even block.  The quadrants are read piece by piece (`_pieces`), the
+    bulk as views, into two new arrays.  With no involutions, M is the one
+    block: (M,)."""
     if row_mirror is None:
         return (M,)
-    (p, q, f), (pc, qc, fc) = _pairs(row_mirror), _pairs(col_mirror)
-    top, bottom, fixed = M[p], M[q], M[f]
-    A = 0.5 * (top[:, pc] + bottom[:, qc])
-    B = 0.5 * (top[:, qc] + bottom[:, pc])
-    s = np.sqrt(0.5)
-    even = np.block([
-        [A + B, s * (top[:, fc] + bottom[:, fc])],
-        [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
-    ])
-    return even, A - B
+    (rows, P, f), (cols, PC, fc) = _pieces(row_mirror), _pieces(col_mirror)
+    even = np.empty((P + f.size, PC + fc.size))
+    A, B = np.empty((P, PC)), even[:P, :PC]
+    for p, q, i in rows:
+        for pc, qc, j in cols:
+            np.add(M[p][:, pc], M[q][:, qc], out=A[i, j])
+            np.add(M[p][:, qc], M[q][:, pc], out=B[i, j])
+        np.add(M[p][:, fc], M[q][:, fc], out=even[i, PC:])
+    for pc, qc, j in cols:
+        np.add(M[f][:, pc], M[f][:, qc], out=even[P:, j])
+    even[P:, PC:] = M[f][:, fc]
+    A *= 0.5
+    B *= 0.5
+    odd = A - B
+    B += A
+    even[:P, PC:] *= np.sqrt(0.5)
+    even[P:, :PC] *= np.sqrt(0.5)
+    return even, odd
 
 
 def _unfold(halves, mirror):
@@ -341,21 +381,21 @@ def _unfold(halves, mirror):
     return out
 
 
-def _mirror_eigh(halves, jitter: float = 0.0, meanwhile=lambda: None):
+def _mirror_eigh(halves, meanwhile=lambda: None):
     """Eigenpairs (w, Y) of each block of `halves` (`_fold`'s one block, or
-    its even and odd half) plus jitter*I, then `meanwhile()`.  One block
+    its even and odd half), then `meanwhile()`.  One block
     runs on this thread; of two, the worker thread takes the odd one while
     this thread does the even one and then `meanwhile()`."""
     global _odd_worker
     if len(halves) == 1:
-        return _eigh(halves[0], jitter), meanwhile()
+        return _eigh(halves[0]), meanwhile()
     even_half, odd_half = halves
     if _odd_worker is None:
         _odd_worker = ThreadPoolExecutor(1)
     # LAPACK releases the GIL: the odd half runs while this thread does the even
-    odd = _odd_worker.submit(_eigh, odd_half, jitter)
+    odd = _odd_worker.submit(_eigh, odd_half)
     try:
-        even = _eigh(even_half, jitter)
+        even = _eigh(even_half)
         extra = meanwhile()
     finally:
         # The odd half ends inside the caller's scope.  A worker not yet
@@ -365,7 +405,7 @@ def _mirror_eigh(halves, jitter: float = 0.0, meanwhile=lambda: None):
         started = not odd.cancel()
         while started and not odd.done():
             os.sched_yield()
-    return even, odd.result() if started else _eigh(odd_half, jitter), extra
+    return even, odd.result() if started else _eigh(odd_half), extra
 
 
 def posterior_covariance(
@@ -386,7 +426,8 @@ def posterior_covariance(
 
     When `blocks.mirror` is set (a problem symmetric under reflection, see
     `operators`), the conditioning runs in parity halves (`_fold`): the even
-    and odd halves of K_CC are eigendecomposed at once, one per thread, while
+    and odd halves of K_CC, shifted in place (`_shifted`) and held no longer
+    than their eigh, are eigendecomposed at once, one per thread, while
     this thread folds K_tC into its even and odd blocks, all on one BLAS
     thread (`_split_blas`).  The one cut applies to the union of both halves'
     eigenvalues, and the downdate is two quarter-size products U_h = K_tC,h
@@ -400,7 +441,9 @@ def posterior_covariance(
     with _split_blas(mirror):
         K_CC = _checked(blocks.K_CC, jitter, rcond)
         fold_K_tC = functools.partial(_fold, blocks.K_tC, _test_mirror(blocks), mirror)
-        *eighs, K_tCs = _mirror_eigh(_fold(K_CC, mirror, mirror), jitter, fold_K_tC)
+        *eighs, K_tCs = _mirror_eigh(
+            _shifted(_fold(K_CC, mirror, mirror), jitter), fold_K_tC
+        )
         w = np.concatenate([w_h for w_h, _ in eighs])
         keep = _keep(w, rcond) & (w > 0)
         kept = np.split(keep, np.cumsum([w_h.size for w_h, _ in eighs])[:-1])

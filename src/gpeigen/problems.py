@@ -28,8 +28,8 @@ class ProblemSpec:
     "eigen") exactly when it has a λ `grid`, and then homogeneous
     (`rhs_const` and each site's `rhs` are 0).  The kernel comes from exactly
     one of `schedule` (which needs a grid) and `fixed_kernel`.  The domain
-    ends and `jitter` (>= 0) are finite; `N` (>= 1 with a grid, >= 0
-    without) and `N_t` (>= 2) are integers, stored as ints."""
+    ends, `jitter` (>= 0) and `rhs_const` are finite; `N` (>= 1 with a grid,
+    >= 0 without) and `N_t` (>= 2) are integers, stored as ints."""
 
     problem_id: str
     domain: tuple[float, float]
@@ -52,6 +52,8 @@ class ProblemSpec:
         object.__setattr__(self, "N_t", _count("N_t", self.N_t, 2))
         if not 0 <= self.jitter < np.inf:  # also rejects nan
             raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter}")
+        if not np.isfinite(self.rhs_const):
+            raise ValueError(f"rhs_const must be finite, got {self.rhs_const}")
         if (self.schedule is None) == (self.fixed_kernel is None):
             raise ValueError("give exactly one kernel source: schedule or fixed_kernel")
         if self.schedule is not None and self.grid is None:

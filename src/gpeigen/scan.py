@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +208,9 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     # fork starts every worker at the first submit: no more than there are λ
     workers = min(jobs, len(lams))
     if workers > 1:
+        # imported only here: loading multiprocessing takes 10-20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, len(lams) // (4 * workers))
             points = list(pool.map(evaluate, lams, chunksize=chunk))

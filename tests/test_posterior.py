@@ -8,6 +8,7 @@ import platform
 import statistics
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from gpeigen.posterior import (
     _eigh,
     _fold,
     _mirror_eigh,
+    _pairs,
+    _shifted,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -155,6 +158,37 @@ class TestPosteriorCovariance:
         cov = summary.cov
         assert blocks.__dict__["K_tt"] is blocks.K_tt
         assert summary.cov is cov
+
+    @pytest.mark.parametrize(
+        "preset", ["laplace", "cantilever"], ids=["mirror", "unsplit"]
+    )
+    def test_leaves_the_blocks_bitwise_unmodified(self, preset):
+        # a split shifts the diagonals of its own halves in place; an
+        # unsplit Gram is the caller's array, so it is shifted in a copy
+        prob = g.build_preset(preset)
+        blocks = assemble_blocks(prob, 88.83)
+        assert (blocks.mirror is None) == (preset == "cantilever") and prob.jitter > 0
+        K_CC, K_tC = blocks.K_CC.tobytes(), blocks.K_tC.tobytes()
+        posterior_covariance(blocks, prob.jitter)
+        assert blocks.K_CC.tobytes() == K_CC and blocks.K_tC.tobytes() == K_tC
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_paper_conditioning_peak_memory(self, n):
+        # 6.25 MB while the fold copied whole mirrored rows and eigh copied
+        # the halves again to shift them; 3.4 MB with neither copy
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing this process")
+        prob = g.laplace_dirichlet(scale="paper")
+        blocks = assemble_blocks(prob, (n * np.pi) ** 2)
+        assert blocks.mirror is not None
+        posterior_covariance(blocks, prob.jitter)  # caches, the odd-half worker
+        tracemalloc.start()
+        try:
+            posterior_covariance(blocks, prob.jitter)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
     def test_trace_leaves_the_parity_factors_folded(self):
         # a mirror split keeps U and W per parity half until they are read
@@ -487,7 +521,8 @@ class TestMirrorSplit:
 def _split_eigh(M, mirror, jitter=0.0):
     """Eigenpairs of both parity halves of M + jitter*I, even ones first,
     with V unfolded to the original row order."""
-    (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(_fold(M, mirror, mirror), jitter)
+    halves = _shifted(_fold(M, mirror, mirror), jitter)
+    (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(halves)
     return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
 
 
@@ -573,6 +608,63 @@ class TestFold:
         Y_even, Y_odd = rng.standard_normal((er, 3)), rng.standard_normal((rows - er, 2))
         block = np.block([[Y_even, np.zeros((er, 2))], [np.zeros((rows - er, 3)), Y_odd]])
         assert np.max(np.abs(_unfold([Y_even, Y_odd], row_mirror) - Qr @ block)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [(g.laplace_dirichlet(), lam) for lam in (5.0, np.pi**2, 42.0, 88.83, 400.0, 999.0)]
+        + [(g.laplace_dirichlet(scale="paper"), lam) for lam in (np.pi**2, 88.83)]
+        + [(_odd_laplace(), 50.0)]
+        + [(dataclasses.replace(g.poisson_bvp_demo(), N=n), 0.0) for n in (8, 9)],
+        ids=[f"laplace-{i}" for i in range(6)] + ["paper-pi2", "paper-88"]
+        + ["laplace-odd", "poisson-8", "poisson-9"],
+    )
+    def test_halves_are_bitwise_the_row_copy_fold(self, prob, lam):
+        # the slices read the same entries and do the same arithmetic as
+        # gathering whole mirrored rows, so the spectra cannot move
+        blocks = assemble_blocks(prob, lam)
+        mc, mt = blocks.mirror, np.arange(blocks.x_test.size)[::-1]
+        assert mc is not None
+        for M, rows, cols in ((blocks.K_CC, mc, mc), (blocks.K_tC, mt, mc),
+                              (blocks.K_tt, mt, mt)):
+            _assert_bitwise(_fold(M, rows, cols), _row_copy_fold(M, rows, cols))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_involution_of_shuffled_pairs_folds_too(self, seed):
+        # pairs in no reversed prefix, which the fold gathers by index
+        rng = np.random.default_rng(seed)
+        rows, cols = _shuffled_involution(rng, 11), _shuffled_involution(rng, 9)
+        for M, col_mirror in ((rng.standard_normal((11, 9)), cols),
+                              (random_psd(rng, 11), rows)):
+            want = _row_copy_fold(M, rows, col_mirror)
+            _assert_bitwise(_fold(M, rows, col_mirror), want)
+
+
+def _row_copy_fold(M, row_mirror, col_mirror):
+    """`_fold` as it was, gathering whole mirrored rows before the quadrants:
+    the reference the sliced fold must match bit for bit."""
+    (p, q, f), (pc, qc, fc) = _pairs(row_mirror), _pairs(col_mirror)
+    top, bottom, fixed = M[p], M[q], M[f]
+    A = 0.5 * (top[:, pc] + bottom[:, qc])
+    B = 0.5 * (top[:, qc] + bottom[:, pc])
+    s = np.sqrt(0.5)
+    even = np.block([
+        [A + B, s * (top[:, fc] + bottom[:, fc])],
+        [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
+    ])
+    return even, A - B
+
+
+def _shuffled_involution(rng, n):
+    """An involution of n (odd) rows: random pairs and one fixed row."""
+    order, mirror = rng.permutation(n), np.arange(n)
+    mirror[order[0:-1:2]], mirror[order[1::2]] = order[1::2], order[0:-1:2]
+    return mirror
+
+
+def _assert_bitwise(halves, want):
+    assert len(halves) == len(want) == 2
+    for half, half0 in zip(halves, want):
+        assert half.shape == half0.shape and half.tobytes() == half0.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -193,6 +193,17 @@ class TestProblemValidation:
         kw["schedule"] = None
         assert ProblemSpec(**kw).kernel_at(7.0) == kw["fixed_kernel"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_rhs_const(self, value):
+        # used to build, then give solve_bvp an all-NaN mean with no error
+        with pytest.raises(ValueError, match="rhs_const must be finite"):
+            dataclasses.replace(build_preset("poisson-demo"), rhs_const=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_site_rhs(self, value):
+        with pytest.raises(ValueError, match="^rhs must be finite"):
+            ConstraintSite(0.0, identity_op(), value)
+
     def test_rejects_boundary_outside_domain(self):
         kw = self.base_kwargs()
         kw["boundary"] = (ConstraintSite(1.5, identity_op()),)

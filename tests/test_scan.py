@@ -1,5 +1,6 @@
 """λ grids, length-scale schedule, scanning, peak detection, refinement."""
 
+import concurrent.futures
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 
@@ -325,6 +326,15 @@ print(sum(not p.skipped for p in scan_spectrum(prob, jobs=2).points))
 """
 
 
+SERIAL_SCAN = """
+import sys
+import gpeigen as g
+
+scan = g.scan_spectrum(g.build_preset("laplace", "desk"), jobs=1)
+print(sum(not p.skipped for p in scan.points), "multiprocessing" in sys.modules)
+"""
+
+
 class TestScanSpectrum:
     def test_serial_determinism(self):
         prob = small_laplace()
@@ -353,6 +363,12 @@ class TestScanSpectrum:
         scan = scan_spectrum(laplace_desk.problem)
         assert [p.J for p in scan.points] == [p.J for p in laplace_desk.scan.points]
 
+    def test_serial_scan_never_loads_multiprocessing(self, tmp_path):
+        # scan_spectrum imports the process pool only when jobs > 1 starts it
+        proc = run_fresh_interpreter(["-c", SERIAL_SCAN], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["300", "False"]
+
     def test_pool_after_a_split_conditioning(self, tmp_path):
         # a forked child must not inherit the parent's worker thread, which
         # does not exist there; and a fork must leave no lock held.  The fresh
@@ -372,7 +388,7 @@ class TestScanSpectrum:
                 seen.append(self.submit(blas_threads).result())
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         scan_spectrum(small_laplace(), jobs=2)
         assert seen == [1]
 
@@ -394,7 +410,7 @@ class TestScanSpectrum:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         prob = dataclasses.replace(
             small_laplace(), grid=LambdaGrid("log", 5.0, 120.0, 3)
         )
@@ -406,7 +422,7 @@ class TestScanSpectrum:
     def test_rejects_jobs_that_are_not_a_positive_integer(self, monkeypatch, jobs):
         # refused before any λ is evaluated or any worker started
         monkeypatch.setattr(gpeigen.scan, "_scan_one", None)
-        monkeypatch.setattr(gpeigen.scan, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         with pytest.raises(ValueError, match="jobs"):
             scan_spectrum(small_laplace(), jobs=jobs)
 
