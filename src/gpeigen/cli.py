@@ -270,6 +270,7 @@ def cmd_scan(args) -> int:
             "grid_index": p.grid_index,
             "refined": p.refined,
             "evaluations": p.evaluations,
+            "polish_evaluations": p.polish_evaluations,
         }
         if error is not None:
             rec["refine_error"] = error

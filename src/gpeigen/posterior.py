@@ -2,15 +2,16 @@
 
 Conditioning the zero-mean GP prior on the assembled constraint rows gives
 
-    cov  = K_tt - K_tC (K_CC + jitter I)^+ K_tC^T
-    mean = K_tC (K_CC + jitter I)^+ rhs
+    cov  = K_tt - K_tC (K_CC + jitter diag(K_CC))^-1 K_tC^T
+    mean = K_tC (K_CC + jitter diag(K_CC))^-1 rhs
 
-with a regularized Moore-Penrose pseudoinverse, held as the square-root
-factor U of the downdate (see `posterior_covariance`), per parity half
-when the problem is symmetric under reflection.  For eigenproblems the rhs
-is zero, the mean vanishes identically, and all information sits in the
-covariance: its trace J(λ) stays near zero away from eigenvalues and
-peaks when λ hits one.
+computed on the Jacobi-equilibrated Gram D K_CC D + jitter I, D =
+diag(K_CC)^-1/2, through its Cholesky factor and held as the square-root
+factor U of the downdate (see `posterior_covariance`), per parity half when
+the problem is symmetric under reflection.  For eigenproblems the rhs is
+zero, the mean vanishes identically, and all information sits in the
+covariance: its trace J(λ) stays near zero away from eigenvalues and peaks
+when λ hits one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import dataclasses
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +31,8 @@ from ._search import minimize_bounded
 from .kernel import _count
 from .operators import AssembledBlocks, assemble_blocks
 
+# The cut of `regularized_pseudoinverse`.  `posterior_covariance` takes it as
+# its third argument and makes no cut: it factors the equilibrated Gram.
 DEFAULT_RCOND = 1e-12
 
 # solve_bvp fits the length scale inside [lo * l0, hi * l0], l0 the preset's
@@ -60,8 +62,8 @@ def pin_heap() -> bool:
     2.36).  Pinning M_MMAP_THRESHOLD at 32 MiB (glibc's own ceiling on
     64-bit) and M_TRIM_THRESHOLD at twice that (glibc's own rule) reuses
     them instead, at the price of keeping up to 64 MiB of freed heap.
-    M_ARENA_MAX at 1 serves the thread that runs a mirror split's odd half
-    from that same heap instead of a second arena.  A no-op where libc has
+    M_ARENA_MAX at 1 serves the thread that samples a mirror split's odd
+    half from that same heap instead of a second arena.  A no-op where libc has
     no `mallopt` or the environment already tunes malloc.
     """
     tuned = any(name in os.environ for name in _MALLOC_ENV)
@@ -79,13 +81,13 @@ def pin_heap() -> bool:
 
 @functools.cache
 def _openblas(name: str):
-    """The function `name` (e.g. "get_num_threads") of the OpenBLAS numpy
-    loaded, or None when none is found.
+    """The function `name` (e.g. "get_num_threads" or "dtrsm") of the
+    OpenBLAS numpy loaded, or None when none is found.
 
     Looks in the wheel's numpy.libs for a library already in the process,
-    and in it for the scipy-openblas (numpy 2), the 64-bit (numpy 1) and the
-    plain symbol.  Cached: the lookup takes about 85 µs, and a split
-    conditioning makes two calls.
+    and in it for the scipy-openblas (numpy 2), its CBLAS, the 64-bit
+    (numpy 1) and the plain symbol.  Cached: the lookup takes about 85 µs,
+    and every conditioning solves with "dtrsm".
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
@@ -93,7 +95,8 @@ def _openblas(name: str):
             lib = ctypes.CDLL(str(path), mode=_LOADED_ONLY)
         except OSError:
             continue  # not loaded in this process
-        syms = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
+        syms = (f"scipy_openblas_{name}64_", f"scipy_cblas_{name}64_",
+                f"openblas_{name}64_", f"openblas_{name}")
         for sym in syms:
             fn = getattr(lib, sym, None)
             if fn is not None:
@@ -107,16 +110,42 @@ def _openblas_call(name: str, *args):
     return None if fn is None else fn(*args)
 
 
-# Held over each split conditioning, so two concurrent callers cannot leave
-# the BLAS thread count at 1; and the thread that runs a split's odd half.
+@functools.cache
+def _trsm():
+    """cblas_dtrsm of the OpenBLAS numpy loaded (ILP64: 64-bit sizes), with
+    its argument types set, or None when none is found."""
+    fn = _openblas("dtrsm")
+    if fn is not None:
+        size, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.restype = None
+        fn.argtypes = [ctypes.c_int] * 5 + [size, size, ctypes.c_double, ptr, size, ptr, size]
+    return fn
+
+
+def _right_solve(L, B):
+    """B L^-T for the lower-triangular L, in B's own memory when the loaded
+    OpenBLAS has a dtrsm; else by `numpy.linalg.solve`, correct and slower."""
+    trsm = _trsm()
+    if trsm is None or B.size == 0:
+        return np.linalg.solve(L, B.T).T
+    L, B = np.ascontiguousarray(L), np.ascontiguousarray(B)
+    m, n = B.shape
+    # row major, L on the right, lower, transposed, non-unit diagonal
+    trsm(101, 142, 122, 112, 131, m, n, 1.0, L.ctypes.data, n, B.ctypes.data, n)
+    return B
+
+
+# Held over each split conditioning or sampling, so two concurrent callers
+# cannot leave the BLAS thread count at 1; and the thread that samples a
+# split's odd half.
 _SPLIT_LOCK = threading.Lock()
 _odd_worker = None
 
 
 def _before_fork():
-    """Fork between split conditionings, with no worker thread: a forked
-    child has no copy of it, and work submitted there would wait forever.
-    The next split conditioning on either side starts a new one."""
+    """Fork outside any split conditioning or sampling, with no worker
+    thread: a forked child has no copy of it, and work submitted there would
+    wait forever.  The next split sampling on either side starts a new one."""
     global _odd_worker
     _SPLIT_LOCK.acquire()
     if _odd_worker is not None:
@@ -134,14 +163,14 @@ if hasattr(os, "register_at_fork"):
 
 @contextlib.contextmanager
 def _split_blas(mirror):
-    """One BLAS thread over all of a mirror-split conditioning.
+    """One BLAS thread over all of a mirror-split conditioning or sampling.
 
-    `_mirror_eigh` runs the two halves at once, one per thread; at their
-    101-251 rows OpenBLAS's own threading gains almost nothing.  The scope
-    covers every BLAS call of the conditioning, not just the `eigh`s: after
-    a two-thread call OpenBLAS's helper busy-waits on the second core.  The
-    caller's count comes back on exit.  An unsplit Gram (mirror None) keeps
-    the library's count.
+    `_mirror_eigh` runs the sampler's two halves at once, one per thread;
+    at their 100-250 rows OpenBLAS's own threading gains almost nothing.
+    The scope covers every BLAS call, not just the `eigh`s: after a
+    two-thread call OpenBLAS's helper busy-waits on the second core.  The
+    caller's count comes back on exit.  An unsplit problem (mirror None)
+    keeps the library's count.
     """
     if mirror is None:
         yield
@@ -157,12 +186,20 @@ def _split_blas(mirror):
 
 
 class DecompositionError(RuntimeError):
-    """A matrix factorization produced or received non-finite values."""
+    """A matrix to factor has non-finite entries or a non-positive
+    diagonal, or its factorization produced non-finite values."""
 
 
 @dataclass
 class PseudoinverseDiag:
-    """Diagnostics of one regularized pseudoinverse."""
+    """Diagnostics of one conditioning or regularized pseudoinverse.
+
+    From `regularized_pseudoinverse`: the kept rank, the largest and the
+    smallest kept eigenvalue magnitude, and the count the cut dropped.  From
+    `posterior_covariance`, which cuts nothing: the row count, the largest
+    and the smallest squared Cholesky pivot diag(L)^2 (both lie within the
+    eigenvalues of the shifted, equilibrated Gram), and 0.
+    """
 
     rank: int
     sv_max: float
@@ -174,21 +211,21 @@ class PseudoinverseDiag:
 class PosteriorSummary:
     """Posterior at the test points for one λ, held as the downdate factor.
 
-    `factors` holds the square-root factors (U, W) of `posterior_covariance`:
-    one pair, or for a mirror split the even and the odd half's in the
-    parity bases of `_fold`; w the kept eigenvalues of K_CC + jitter I in
-    W's column order.  U and W in row order, `cov`, `mean` and
-    `neg_log_likelihood` are formed on first read and cached, so a caller
-    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
-    The mean of an all-zero rhs (every eigenproblem) is exact zeros, with
-    U and W left unformed, so `sample_posterior`, which reads `factors` and
-    `mean`, caches none of U, W and `cov` for an eigenproblem.
+    `factors` holds the pairs (U, L) of `posterior_covariance`: one pair, or
+    for a mirror split the even and the odd half's in the parity bases of
+    `_fold`; `scales` the matching Jacobi scales D.  U and W in row order,
+    `cov`, `mean` and `neg_log_likelihood` are formed on first read and
+    cached, so a caller that reads only `trace_J` and `diag` never builds an
+    N_t x N_t matrix.  The mean of an all-zero rhs (every eigenproblem) is
+    exact zeros, with U and W left unformed, so `sample_posterior`, which
+    reads `factors` and `mean`, caches none of U, W and `cov` for an
+    eigenproblem.
     """
 
     trace_J: float
     diag: PseudoinverseDiag
     factors: tuple = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    scales: tuple = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
 
     @property
@@ -201,7 +238,10 @@ class PosteriorSummary:
 
     @functools.cached_property
     def W(self) -> np.ndarray:
-        return _unfold([W for _, W in self.factors], self.blocks.mirror)
+        """D L^-T per half in row order, so that U = K_tC W and W^T rhs is
+        the whitened rhs L^-1 D rhs."""
+        halves = [_right_solve(L, np.diag(d)) for (_, L), d in zip(self.factors, self.scales)]
+        return _unfold(halves, self.blocks.mirror)
 
     @functools.cached_property
     def cov(self) -> np.ndarray:
@@ -216,11 +256,15 @@ class PosteriorSummary:
 
     @functools.cached_property
     def neg_log_likelihood(self) -> float:
-        """-log p(rhs) under the zero-mean prior, on the r kept eigenvectors
-        of K_CC + jitter I: 0.5 (a^T a + sum(log w) + r log(2 pi)), a = W^T rhs."""
+        """-log N(rhs; 0, K_CC + jitter diag(K_CC)) of the raw rhs, for m
+        rows: 0.5 (a^T a + log det + m log(2 pi)) with a = W^T rhs and
+        log det = 2 sum(log diag L) - 2 sum(log D).  D depends on the kernel,
+        so its term keeps the likelihood comparable across length scales."""
         a = self.W.T @ self.blocks.rhs
-        logdet = np.sum(np.log(self.w))
-        return float(0.5 * (a @ a + logdet + self.w.size * np.log(2.0 * np.pi)))
+        logdet = 2.0 * sum(np.sum(np.log(np.diagonal(L))) - np.sum(np.log(d))
+                           for (_, L), d in zip(self.factors, self.scales))
+        m = sum(d.size for d in self.scales)
+        return float(0.5 * (a @ a + logdet + m * np.log(2.0 * np.pi)))
 
 
 @dataclass
@@ -245,23 +289,13 @@ def _checked(M, jitter: float, rcond: float) -> np.ndarray:
     return M
 
 
-def _shifted(halves, jitter: float):
-    """`_fold`'s blocks plus jitter*I, added to the diagonal (no identity
-    matrix): two halves, new arrays, in place; one block, the caller's
-    array, in a copy."""
-    if not jitter:
-        return halves
-    if len(halves) == 1:
-        halves = (halves[0].copy(),)
-    for half in halves:
-        half.flat[:: len(half) + 1] += jitter
-    return halves
-
-
 def _eigh(M, jitter: float = 0.0):
     """Eigenpairs (w, V) of the symmetric M + jitter*I in increasing order;
-    M is left as it is."""
-    (M,) = _shifted((M,), jitter)
+    the jitter goes onto the diagonal of a copy (no identity matrix), and M
+    is left as it is."""
+    if jitter:
+        M = M.copy()
+        M.flat[:: len(M) + 1] += jitter
     w, V = np.linalg.eigh(M)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("eigendecomposition returned non-finite values")
@@ -381,22 +415,24 @@ def _unfold(halves, mirror):
     return out
 
 
-def _mirror_eigh(halves, meanwhile=lambda: None):
+def _mirror_eigh(halves):
     """Eigenpairs (w, Y) of each block of `halves` (`_fold`'s one block, or
-    its even and odd half), then `meanwhile()`.  One block
-    runs on this thread; of two, the worker thread takes the odd one while
-    this thread does the even one and then `meanwhile()`."""
+    its even and odd half).  One block runs on this thread; of two, the
+    worker thread takes the odd one while this thread does the even one."""
     global _odd_worker
     if len(halves) == 1:
-        return _eigh(halves[0]), meanwhile()
+        return [_eigh(halves[0])]
     even_half, odd_half = halves
     if _odd_worker is None:
+        # imported only here: a process that samples no mirror split, every
+        # scan among them, never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         _odd_worker = ThreadPoolExecutor(1)
     # LAPACK releases the GIL: the odd half runs while this thread does the even
     odd = _odd_worker.submit(_eigh, odd_half)
     try:
         even = _eigh(even_half)
-        extra = meanwhile()
     finally:
         # The odd half ends inside the caller's scope.  A worker not yet
         # started (slow to wake on a loaded host) is not waited for: this
@@ -405,7 +441,35 @@ def _mirror_eigh(halves, meanwhile=lambda: None):
         started = not odd.cancel()
         while started and not odd.done():
             os.sched_yield()
-    return even, odd.result() if started else _eigh(odd_half), extra
+    return [even, odd.result() if started else _eigh(odd_half)]
+
+
+def _scales(K_CC, mirror):
+    """The Jacobi scales diag(K_CC)^-1/2 of each of `_fold`'s blocks, in its
+    row order: the pairs' rows p then the fixed rows, and the pairs' rows.
+    A twin row has its pair's diagonal, so the scaling keeps the mirror."""
+    d = np.diagonal(K_CC)
+    if not np.all(d > 0):
+        i = int(np.argmin(d > 0))
+        raise DecompositionError(f"constraint row {i} has prior variance {d[i]!r}")
+    d = 1.0 / np.sqrt(d)
+    if mirror is None:
+        return (d,)
+    p, _, f = _pairs(mirror)
+    return d[np.concatenate([p, f])], d[p]
+
+
+def _equilibrated(grams, scales, jitter: float):
+    """D M D + jitter*I for each of `_fold`'s blocks M and its scales D:
+    two halves, new arrays, in place; one block, the caller's array, into a
+    new array."""
+    out = []
+    for M, d in zip(grams, scales):
+        M = np.multiply(M, d[:, None], out=M if len(grams) == 2 else None)
+        M *= d
+        M.flat[:: len(M) + 1] += jitter
+        out.append(M)
+    return out
 
 
 def posterior_covariance(
@@ -413,45 +477,57 @@ def posterior_covariance(
 ) -> PosteriorSummary:
     """Condition the prior on the assembled constraint rows.
 
-    With the kept eigenpairs (w, V) of K_CC + jitter I, W = V / sqrt(w) and
-    U = K_tC W give K_tC (K_CC + jitter I)^+ K_tC^T = U U^T.  U has O(1)
-    entries, so the downdate escapes the 1/w_min roundoff amplification of
-    an explicit pseudoinverse.  The kept set is the rcond cut narrowed to
-    w > 0: negative eigenvalues of the shifted Gram are roundoff with no
-    real square root, so neither the downdate nor the likelihood can use
-    them.  Since k(x, x) = variance, the trace is J = N_t * variance -
-    ||U||_F^2; the summary's U, W, cov = K_tt - U U^T, mean = U W^T rhs and
-    `neg_log_likelihood` are formed only when read.  This is the one place
-    that eigendecomposes K_CC.
+    Conditioning on the rows A u = rhs equals conditioning on D A u = D rhs
+    for any positive diagonal D, so the Gram is equilibrated first (Jacobi
+    scaling, van der Sluis, Numer. Math. 14 (1969) 14-23): D = diag(K_CC)^-1/2
+    gives D K_CC D a unit diagonal, whatever the operators' orders, and
+    `jitter` is a nugget relative to it.  With the Cholesky factor
+    L L^T = D K_CC D + jitter I, U = K_tC D L^-T (one `dtrsm`, `_right_solve`)
+    gives K_tC (K_CC + jitter diag(K_CC))^-1 K_tC^T = U U^T.  Since k(x, x) =
+    variance, the trace is J = N_t * variance - ||U||_F^2; the summary's U,
+    W, cov = K_tt - U U^T, mean = U W^T rhs and `neg_log_likelihood` are
+    formed only when read.  There is no rank cut: `rcond` is checked and
+    otherwise unused.  A Gram that is not positive definite raises
+    `numpy.linalg.LinAlgError`, a row with a non-positive diagonal
+    `DecompositionError`; a scan skips either λ.  This is the one place
+    that factors K_CC.
 
     When `blocks.mirror` is set (a problem symmetric under reflection, see
-    `operators`), the conditioning runs in parity halves (`_fold`): the even
-    and odd halves of K_CC, shifted in place (`_shifted`) and held no longer
-    than their eigh, are eigendecomposed at once, one per thread, while
-    this thread folds K_tC into its even and odd blocks, all on one BLAS
-    thread (`_split_blas`).  The one cut applies to the union of both halves'
-    eigenvalues, and the downdate is two quarter-size products U_h = K_tC,h
-    W_h, with ||U||_F^2 the sum of theirs.  The eigenpairs are those of K_CC
-    averaged with its mirror image, which differs from K_CC only by the
-    roundoff of assembly; W's columns are the kept even directions, then
-    the kept odd ones.
+    `operators`), the conditioning runs in parity halves (`_fold`), one
+    after the other on this thread: each half of K_CC is equilibrated and
+    shifted in place and factored, and each half of K_tC, scaled in place,
+    becomes that half's U.  ||U||_F^2 is the sum of the two halves'.  The
+    factors are those of K_CC averaged with its mirror image, which differs
+    from K_CC only by the roundoff of assembly.  A split conditioning runs
+    on one BLAS thread (`_split_blas`), as the split sampling does: after a
+    two-thread call OpenBLAS's helper thread spins on the second core, where
+    it held up the sampler's worker thread (paper Laplace conditioned and
+    sampled at ten eigenvalues took about a fifth longer on 2 cores).  An
+    unsplit Gram keeps the library's count.
     """
     pin_heap()
+    K_CC = _checked(blocks.K_CC, jitter, rcond)
     mirror = blocks.mirror
+    scales = _scales(K_CC, mirror)
+    factors = []
     with _split_blas(mirror):
-        K_CC = _checked(blocks.K_CC, jitter, rcond)
-        fold_K_tC = functools.partial(_fold, blocks.K_tC, _test_mirror(blocks), mirror)
-        *eighs, K_tCs = _mirror_eigh(
-            _shifted(_fold(K_CC, mirror, mirror), jitter), fold_K_tC
-        )
-        w = np.concatenate([w_h for w_h, _ in eighs])
-        keep = _keep(w, rcond) & (w > 0)
-        kept = np.split(keep, np.cumsum([w_h.size for w_h, _ in eighs])[:-1])
-        Ws = [Y[:, k] / np.sqrt(w_h[k]) for (w_h, Y), k in zip(eighs, kept)]
-        factors = tuple((K_tC @ W, W) for K_tC, W in zip(K_tCs, Ws))
+        grams = _equilibrated(_fold(K_CC, mirror, mirror), scales, jitter)
+        K_tCs = _fold(blocks.K_tC, _test_mirror(blocks), mirror)
+        for gram, K_tC, d in zip(grams, K_tCs, scales):
+            L = np.linalg.cholesky(gram)
+            # the fold's halves are new arrays, scaled in place; one block is the caller's
+            K_tC = np.multiply(K_tC, d, out=K_tC if mirror is not None else None)
+            factors.append((_right_solve(L, K_tC), L))
+    pivots = np.concatenate([np.diagonal(L) for _, L in factors]) ** 2
+    diag = PseudoinverseDiag(
+        rank=pivots.size,
+        sv_max=float(pivots.max(initial=0.0)),
+        sv_min_kept=float(pivots.min()) if pivots.size else 0.0,
+        truncated_count=0,
+    )
     prior = blocks.x_test.size * blocks.spec.variance
     J = prior - sum(float(np.sum(U * U)) for U, _ in factors)
-    return PosteriorSummary(J, _diagnostics(w, keep), factors, w[keep], blocks)
+    return PosteriorSummary(J, diag, tuple(factors), scales, blocks)
 
 
 def sample_posterior(
@@ -489,7 +565,7 @@ def sample_posterior(
                   zip(_fold(summary.blocks.K_tt, mirror, mirror), summary.factors)]
         if not all(np.all(np.isfinite(half)) for half in halves):
             raise DecompositionError("covariance has non-finite entries")
-        *eighs, _ = _mirror_eigh(halves)
+        eighs = _mirror_eigh(halves)
         w = np.concatenate([w_h for w_h, _ in eighs])
         V = _unfold([Y for _, Y in eighs], mirror)
         # permute xi and scale V in place, copying no N_t x N_t array; a copy

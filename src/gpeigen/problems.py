@@ -10,6 +10,10 @@ from .kernel import KernelSpec, _count
 from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
 
+# The relative nugget of every eigenproblem: conditioning adds it to the
+# equilibrated Gram's unit diagonal (see `posterior.posterior_covariance`).
+NUGGET = 1e-10
+
 # Desk scale keeps the whole acceptance suite in the minutes range; paper
 # scale reproduces the published grid sizes.
 SCALES = {
@@ -122,7 +126,7 @@ def laplace_dirichlet(scale: str = "desk") -> ProblemSpec:
         ),
         N=s["N"],
         N_t=s["N_t"],
-        jitter=1e-8,
+        jitter=NUGGET,
         schedule=HyperSchedule(C=150.0, p=0.5, variance=1.0),
         grid=LambdaGrid("log", 1.0, 1000.0, s["n_lambda"]),
     )
@@ -147,7 +151,7 @@ def cantilever(scale: str = "desk") -> ProblemSpec:
         ),
         N=s["N"],
         N_t=s["N_t"],
-        jitter=1e-5,
+        jitter=NUGGET,
         schedule=HyperSchedule(C=1000.0, p=0.25, variance=1.0),
         grid=LambdaGrid("power_root", 1.0, 15.0**4, s["n_lambda"], root=4.0),
     )
@@ -172,7 +176,7 @@ def loaded_string(scale: str = "desk") -> ProblemSpec:
         ),
         N=s["N"],
         N_t=s["N_t"],
-        jitter=1e-8,
+        jitter=NUGGET,
         schedule=HyperSchedule(C=150.0, p=0.5, variance=1.0),
         grid=LambdaGrid("log", 10.0, 500.0, s["n_lambda"]),
     )

@@ -2,20 +2,22 @@
 
 The per-λ work (assemble blocks, condition, take the trace) is pure, so
 grid points can be evaluated in parallel and gathered back in grid order.
-Peaks are strict local maxima of log10 J with at least `prominence_decades`
-of height over the scan median; refinement maximizes J between the peak's
-grid neighbors by a bounded Brent search on -log10 J.
+Near an eigenvalue J is a Lorentzian in λ, so 1/J is a parabola there: each
+grid candidate (a strict local maximum, or a window end above its
+neighbour) is polished by parabola steps on 1/J before detection keeps the
+peaks whose polished J stands at least `prominence_decades` over the scan
+median, and refinement continues the same steps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import minimize_bounded
 from .kernel import _count
 from .operators import assemble_blocks
 from .posterior import (
@@ -25,17 +27,18 @@ from .posterior import (
     posterior_covariance,
 )
 
-# The scan stage's truncation cut, looser than the posterior module's 1e-12
-# on purpose: dropping the smallest kept directions widens the resonance
-# peaks enough that a few-hundred-point grid cannot step over them, and it
-# removes the rank flicker (jitter floor in, jitter floor out) that shows up
-# as spurious baseline bumps on coarse grids. Every sweep and refinement
-# conditions at it; the sharper posterior is `posterior_covariance`'s default.
+# The scan's former truncation cut.  `posterior_covariance` factors the
+# equilibrated Gram and cuts nothing, so no scan passes it; it stays the
+# nominal `rcond` of the scan manifest.
 SCAN_RCOND = 1e-11
 
-# Refinement's bracket width relative to |λ|: J is flat to roundoff over about
-# 2e-5 of λ near a desk peak, and the indicator's own bias is 0.2-1%.
+# The polish stops after a step that moved the best λ by at most this much
+# of |λ|: a peak's relative half-width is about 2e-5, and each step that
+# close to the vertex gains digits.
 REFINE_RTOL = 1e-5
+
+# The evaluations `scan_spectrum` may spend polishing one grid candidate.
+POLISH_EVALUATIONS = 8
 
 GRID_KINDS = ("linear", "log", "power_root")
 
@@ -126,16 +129,25 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class PeakRecord:
+    """A peak: the best λ evaluated and its J, the grid candidate it grew
+    from, and the polish state, the nearest evaluated (λ, J) on each side."""
+
     lam_hat: float
     J_peak: float
     grid_index: int
     refined: bool = False
     evaluations: int = 0  # λ-evaluations refinement spent on this peak
+    polish_evaluations: int = 0  # those the scan's polish spent on it
+    bracket: tuple = None  # ((λ, J) below, (λ, J) above); None off the polish
 
 
 @dataclass
 class SpectralScan:
+    """One J per grid point, and the polished grid candidates of
+    `scan_spectrum` (None for a scan assembled by hand)."""
+
     points: list
+    candidates: list = None
 
 
 def make_lambda_grid(grid: LambdaGrid) -> np.ndarray:
@@ -166,13 +178,13 @@ def length_scale(schedule: HyperSchedule, lam: float, N: int) -> float:
 
 
 def evaluate_trace(problem, lam: float):
-    """J(λ) at SCAN_RCOND and pseudoinverse diagnostics for one grid point.
+    """J(λ) and the conditioning's diagnostics for one grid point.
 
     Forms no N_t x N_t matrix.  J is clipped at zero: tiny negatives are
     round-off, and downstream log processing needs J >= 0.
     """
     blocks = assemble_blocks(problem, lam)
-    summary = posterior_covariance(blocks, problem.jitter, SCAN_RCOND)
+    summary = posterior_covariance(blocks, problem.jitter)
     return max(summary.trace_J, 0.0), summary.diag
 
 
@@ -191,16 +203,119 @@ def _scan_one(problem, lam) -> ScanPoint:
     return ScanPoint(lam=float(lam), J=J, diag=diag, length_scale=ell)
 
 
+def _best(pts) -> int:
+    """Index of the largest J among (λ, J) points, the first on a tie."""
+    return max(range(len(pts)), key=lambda i: pts[i][1])
+
+
+def _vertex(pts):
+    """λ at the vertex of the parabola through (λ, 1/J) at the three points
+    `pts`, increasing in λ, or None when it opens downward or is not
+    finite."""
+    (x0, J0), (x1, J1), (x2, J2) = pts
+    f0, f1, f2 = (1.0 / max(J, 1e-300) for J in (J0, J1, J2))
+    slope = (f1 - f0) / (x1 - x0)
+    curvature = ((f2 - f1) / (x2 - x1) - slope) / (x2 - x0)
+    if not curvature > 0:
+        return None
+    x = 0.5 * (x0 + x1) - slope / (2.0 * curvature)
+    return x if math.isfinite(x) else None
+
+
+def _polish(problem, pts, cap: int):
+    """Up to `cap` polish steps from `pts`, three (λ, J) increasing in λ.
+
+    The best point is the middle one, or an end one when that end is a
+    window end (a one-sided bracket).  Each step evaluates J once: at the
+    vertex of the parabola through 1/J at the three points or, when that
+    parabola opens downward or its vertex leaves the bracket, halfway from
+    the best point toward its higher neighbour (its one neighbour, at a
+    window end).  The best of the four points then keeps its nearest
+    evaluated neighbour on each side (its two nearest, at a window end).
+    The polish stops after a step of at most REFINE_RTOL of |λ| from three
+    points of which one lay within 100 REFINE_RTOL of the best: a parabola
+    through points far out on the flanks, where J's background bends 1/J,
+    moves little from a biased vertex and proves nothing.  It also stops at
+    a step onto a λ already evaluated and, one-sided, once the vertex lies
+    at or beyond the window end, where no peak inside the window is left.
+    Returns (pts, evaluations): the peak is interior when the middle point
+    is the best.  Evaluation errors propagate.
+    """
+    evaluations = 0
+    while evaluations < cap:
+        k = _best(pts)
+        best, x = pts[k][0], _vertex(pts)
+        if k == 1:
+            if x is None or not pts[0][0] < x < pts[2][0]:
+                x = 0.5 * (best + pts[0 if pts[0][1] > pts[2][1] else 2][0])
+        else:
+            inner = pts[1][0]
+            if x is not None and (x - best) * (best - inner) >= 0:
+                break
+            if x is None or not min(inner, best) < x < max(inner, best):
+                x = 0.5 * (inner + best)
+        if any(x == lam for lam, _ in pts):
+            break
+        tol = REFINE_RTOL * abs(best)
+        near = min(abs(lam - best) for lam, _ in pts if lam != best) <= 100 * tol
+        four = sorted(pts + [(x, evaluate_trace(problem, x)[0])])
+        evaluations += 1
+        start = 0 if _best(four) <= 1 else 1
+        pts = four[start : start + 3]
+        if near and abs(x - best) <= tol:
+            break
+    return pts, evaluations
+
+
+def _log10_J(live) -> np.ndarray:
+    return np.log10(np.maximum([p.J for _, p in live], 1e-300))
+
+
+def _maxima(logJ, ends: bool) -> list:
+    """Positions of the strict local maxima of logJ; with `ends`, also an
+    end above its one neighbour."""
+    n = len(logJ)
+    ks = [k for k in range(1, n - 1) if logJ[k] > logJ[k - 1] and logJ[k] > logJ[k + 1]]
+    if ends:
+        ks = [0] * bool(logJ[0] > logJ[1]) + ks + [n - 1] * bool(logJ[-1] > logJ[-2])
+    return ks
+
+
+def _polish_candidates(problem, points) -> list:
+    """Every grid candidate of the scan's evaluated points, polished
+    (`_polish`, at most POLISH_EVALUATIONS steps) into a PeakRecord, in
+    increasing λ.  A window end whose polish finds no interior maximum is
+    dropped; a candidate whose polish raises one of EVALUATION_ERRORS
+    stands unpolished."""
+    live = [(i, p) for i, p in enumerate(points) if not p.skipped]
+    if len(live) < 3:
+        return []
+    out = []
+    for k in _maxima(_log10_J(live), ends=True):
+        start = min(max(k - 1, 0), len(live) - 3)
+        pts = [(p.lam, p.J) for _, p in live[start : start + 3]]
+        try:
+            pts, n = _polish(problem, pts, POLISH_EVALUATIONS)
+        except EVALUATION_ERRORS:
+            n = 0
+        if _best(pts) == 1:
+            (lam, J), bracket = pts[1], (pts[0], pts[2])
+            out.append(PeakRecord(lam, J, live[k][0], polish_evaluations=n, bracket=bracket))
+    return out
+
+
 def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
-    """Evaluate J over the problem's λ grid, conditioned at SCAN_RCOND.
+    """Evaluate J over the problem's λ grid, then polish every candidate.
 
     Serial by default (bitwise reproducible); jobs > 1 evaluates grid
     points in worker processes, each on one BLAS thread, and gathers
     results in grid order; J then matches the serial J bit for bit where
     the Gram is mirror-split (its serial conditioning runs one BLAS thread
-    too), to roundoff elsewhere.  Points whose evaluation raises one of
-    EVALUATION_ERRORS (coefficient poles, degenerate assemblies) are marked
-    skipped with the reason; the scan fails only if every point does.
+    too), to roundoff elsewhere.  Points whose
+    evaluation raises one of EVALUATION_ERRORS (coefficient poles,
+    degenerate assemblies, a Gram that is not positive definite) are marked
+    skipped with the reason; the scan fails only if every point does.  The
+    candidates (`_polish_candidates`) are polished on this thread.
     """
     jobs = _count("jobs", jobs, 1)
     lams = make_lambda_grid(problem.grid)
@@ -219,16 +334,20 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     if all(p.skipped for p in points):
         reasons = {p.reason for p in points}
         raise ScanError(f"all {len(points)} grid points failed: {sorted(reasons)}")
-    return SpectralScan(points=points)
+    return SpectralScan(points, _polish_candidates(problem, points))
 
 
 def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
-    """Interior strict local maxima of log10 J, prominent over the median.
+    """The candidates whose log10 J stands `prominence_decades` or more
+    over the median of the scan's log10 J.
 
-    Skipped points are dropped before neighbor comparison, so a peak's
-    neighbors are the nearest evaluated points.  grid_index refers back to
-    the original grid.  Returned in increasing λ (so equal-height peaks
-    resolve toward smaller λ).
+    The candidates are `scan.candidates`, polished by `scan_spectrum`, so
+    both the floor and any ranking by `J_peak` see polished heights.  A
+    scan without them offers the interior strict local maxima of its grid's
+    log10 J as they stand.  Skipped points are dropped before neighbor
+    comparison, so a peak's neighbors are the nearest evaluated points.
+    grid_index refers back to the original grid.  Returned in increasing λ
+    (so equal-height peaks resolve toward smaller λ).
     """
     if not prominence_decades > 0:
         raise ValueError("prominence_decades must be positive")
@@ -237,58 +356,46 @@ def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
         raise TooFewPointsError(
             f"peak detection needs >= 3 evaluated points, got {len(live)}"
         )
-    logJ = np.log10(np.maximum([p.J for _, p in live], 1e-300))
+    logJ = _log10_J(live)
     floor = float(np.median(logJ)) + prominence_decades
-    peaks = []
-    for k in range(1, len(live) - 1):
-        if logJ[k] > logJ[k - 1] and logJ[k] > logJ[k + 1] and logJ[k] >= floor:
-            idx, pt = live[k]
-            peaks.append(PeakRecord(lam_hat=pt.lam, J_peak=pt.J, grid_index=idx))
-    return peaks
+    peaks = scan.candidates
+    if peaks is None:
+        peaks = [
+            PeakRecord(lam_hat=live[k][1].lam, J_peak=live[k][1].J, grid_index=live[k][0])
+            for k in _maxima(logJ, ends=False)
+        ]
+    return [p for p in peaks if np.log10(max(p.J_peak, 1e-300)) >= floor]
 
 
 def refine_peak(problem, peak: PeakRecord, iterations: int) -> PeakRecord:
-    """Maximize J between the peak's grid neighbors by Brent's method.
+    """Continue the polish of `peak` for at most `iterations` steps.
 
-    Minimizes -log10 J over the bracket with `_search.minimize_bounded`,
-    the package's port of SciPy's bounded Brent search (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5), asking for xatol =
-    max((neighbor gap) / 2**iterations, REFINE_RTOL * |λ_peak|), so the
-    search ends when its bracket is about REFINE_RTOL of the peak's |λ|
-    wide, or 2**-iterations of the gap if that is wider.  Near a
-    desk-scale peak J is flat to its roundoff (about 1e-8 relative) over
-    some 2e-5 of λ, so the maximizer is only defined to that width, and the
-    indicator's own bias of 0.2-1% lies far above it.  Returns the best λ
-    evaluated, never worse than the input peak, with the number of J
-    evaluations spent (0 when iterations is 0).  Evaluation errors
-    propagate.
+    `_polish` resumes from the peak and its bracket, and stops after a step
+    of at most REFINE_RTOL of |λ| (or at the cap).  A record without a
+    bracket, one not made by `scan_spectrum`, is bracketed by its two grid
+    neighbours, evaluated first.  Near a peak 1/J is a parabola in λ (J
+    is a Lorentzian of relative half-width about 2e-5), so each step close
+    to the vertex gains digits.  Returns the best λ evaluated, never worse
+    than the input peak, with the number of J evaluations spent (0 when
+    iterations is 0).  Evaluation errors propagate.
     """
     iterations = _count("iterations", iterations, 0)
-    lams = make_lambda_grid(problem.grid)
-    gi = peak.grid_index
-    if gi <= 0 or gi >= len(lams) - 1:
-        raise ValueError(f"peak at grid index {gi} lacks a neighbor to bracket with")
-    a, b = float(lams[gi - 1]), float(lams[gi + 1])
-    best_lam, best_J = peak.lam_hat, peak.J_peak
+    bracket = peak.bracket
+    if bracket is None:
+        lams = make_lambda_grid(problem.grid)
+        gi = peak.grid_index
+        if gi <= 0 or gi >= len(lams) - 1:
+            raise ValueError(f"peak at grid index {gi} lacks a neighbor to bracket with")
     evaluations = 0
     if iterations > 0:
-        xatol = max(math.ldexp(b - a, -iterations), REFINE_RTOL * abs(peak.lam_hat))
-
-        def neg_log_J(lam):
-            nonlocal best_lam, best_J
-            J = evaluate_trace(problem, lam)[0]
-            if J > best_J:
-                best_lam, best_J = lam, J
-            return -math.log10(max(J, 1e-300))
-
-        evaluations = minimize_bounded(neg_log_J, a, b, xatol)[1]
-    return PeakRecord(
-        lam_hat=float(best_lam),
-        J_peak=float(best_J),
-        grid_index=gi,
-        refined=True,
-        evaluations=evaluations,
-    )
+        if bracket is None:
+            bracket = [(float(lam), evaluate_trace(problem, lam)[0]) for lam in lams[[gi - 1, gi + 1]]]
+            evaluations = 2
+        pts = [bracket[0], (peak.lam_hat, peak.J_peak), bracket[1]]
+        pts, n = _polish(problem, pts, iterations)
+        (lam, J), bracket, evaluations = pts[_best(pts)], (pts[0], pts[2]), evaluations + n
+        peak = dataclasses.replace(peak, lam_hat=float(lam), J_peak=float(J), bracket=bracket)
+    return dataclasses.replace(peak, refined=True, evaluations=evaluations)
 
 
 def fit_decay_slope(peaks):

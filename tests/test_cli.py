@@ -23,7 +23,7 @@ from gpeigen.cli import (
 import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
-from gpeigen.operators import PoleError
+from gpeigen.operators import PoleError, assemble_blocks
 from gpeigen.posterior import DEFAULT_RCOND, pin_heap
 from gpeigen.problems import references_in_window
 from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
@@ -426,6 +426,27 @@ class TestScan:
             assert float(rec["length_scale"]) == scanned.kernel_at(lam).length_scale
             assert int(rec["truncated"]) + int(rec["rank"]) == 62  # N + 2 rows
 
+    def test_spectrum_diagnostics_bound_the_factored_gram(self, tmp_path):
+        # no cut: rank is the row count and truncated 0 at every λ; sv_max
+        # and sv_min_kept are the largest and the smallest squared Cholesky
+        # pivot, within the spectrum of the shifted, equilibrated Gram
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        assert main(["scan", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        problem = problem_from_obj(doc["spec"])
+        with open(tmp_path / "spectrum.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        for rec in recs[::4]:
+            K = assemble_blocks(problem, float(rec["lambda"])).K_CC
+            d = 1.0 / np.sqrt(np.diagonal(K))
+            ev = np.linalg.eigvalsh(K * np.outer(d, d) + problem.jitter * np.eye(d.size))
+            slack = ev.size * np.finfo(float).eps * ev.max()
+            assert (int(rec["rank"]), int(rec["truncated"])) == (62, 0)
+            lo, hi = float(rec["sv_min_kept"]), float(rec["sv_max"])
+            assert ev.min() - slack <= lo <= hi <= ev.max() + slack
+        # every peak was polished before detection kept it
+        assert doc["peaks"] and all(rec["polish_evaluations"] > 0 for rec in doc["peaks"])
+
     def test_other_physics_under_a_preset_id_gets_no_references(self, tmp_path):
         # -u'' = λu on [0, 2] has eigenvalues (nπ/2)², not the preset's (nπ)²
         identity = {"terms": [{"deriv_order": 0, "num": [1.0]}]}
@@ -509,19 +530,20 @@ class TestScan:
         assert "decay_slope" not in doc and "decay_intercept" not in doc
 
     def test_failed_refinement_keeps_grid_peak(self, tmp_path, monkeypatch, capsys):
-        # the second J evaluation after the sweep, inside the first peak's
-        # bracket, hits a pole: that peak stays at its grid point and says why
+        # the first J evaluation after the scan, inside the first peak's
+        # bracket, hits a pole: that peak stays where detection put it (its
+        # polished λ) and says why
         inner_scan, inner_eval = gpeigen.cli.scan_spectrum, gpeigen.scan.evaluate_trace
-        calls = []
+        calls, scans = [], [None]
 
         def failing_eval(*args, **kwargs):
             calls.append(args[1])
-            if len(calls) == 2:
+            if len(calls) == 1:
                 raise PoleError("coefficient denominator vanishes")
             return inner_eval(*args, **kwargs)
 
         def scan_then_fail(*args, **kwargs):
-            scan = inner_scan(*args, **kwargs)
+            scan = scans[0] = inner_scan(*args, **kwargs)
             monkeypatch.setattr(gpeigen.scan, "evaluate_trace", failing_eval)
             return scan
 
@@ -535,8 +557,9 @@ class TestScan:
         assert first["refine_error"].startswith("PoleError: ")
         assert not first["refined"]
         assert first["evaluations"] == 0
-        rows = read_spectrum_csv(tmp_path / "spectrum.csv")
-        assert first["lambda_hat"] == rows[first["grid_index"]][0]
+        detected = g.detect_peaks(scans[0], prominence_decades=2.0)[0]
+        assert first["lambda_hat"] == detected.lam_hat
+        assert first["polish_evaluations"] == detected.polish_evaluations > 0
         assert rest and all(rec["refined"] for rec in rest)
         assert all("refine_error" not in rec for rec in rest)
         assert "not refined: PoleError" in capsys.readouterr().out

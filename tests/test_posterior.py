@@ -18,6 +18,7 @@ import gpeigen.posterior
 from gpeigen.kernel import KernelSpec, kernel_mixed_derivative
 from gpeigen.matrixcase import RCOND_EXACT, FiniteDimCase, fd_posterior_covariance
 from gpeigen.operators import AssembledBlocks, assemble_blocks
+from gpeigen.problems import NUGGET, references_in_window
 from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
     DecompositionError,
@@ -25,7 +26,7 @@ from gpeigen.posterior import (
     _fold,
     _mirror_eigh,
     _pairs,
-    _shifted,
+    _split_blas,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -33,7 +34,16 @@ from gpeigen.posterior import (
     sample_posterior,
     solve_bvp,
 )
-from gpeigen.scan import SCAN_RCOND, blas_threads, evaluate_trace
+from gpeigen.scan import (
+    SCAN_RCOND,
+    LambdaGrid,
+    ScanError,
+    _scan_one,
+    blas_threads,
+    evaluate_trace,
+    make_lambda_grid,
+    scan_spectrum,
+)
 
 from conftest import run_fresh_interpreter
 
@@ -111,13 +121,23 @@ class TestRegularizedPseudoinverse:
             regularized_pseudoinverse(M)
 
 
-def _is_the_product(U, K_tC, W):
-    """U equals K_tC @ W to the roundoff of either product.  U is unfolded
-    from the parity halves' products, so it matches a full GEMM only to
-    within a small multiple of eps |K_tC| |W| elementwise (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, sec. 3.5); the terms cancel,
-    so that is up to about 1e-11 of max|U|."""
-    return np.all(np.abs(U - K_tC @ W) <= 1e-12 * (np.abs(K_tC) @ np.abs(W)))
+def _regularized(blocks, jitter):
+    """K_CC + jitter diag(K_CC), the Gram the conditioning factors, and the
+    eigenvalues of its equilibrated form D K_CC D + jitter I."""
+    d = np.diagonal(blocks.K_CC)
+    D = 1.0 / np.sqrt(d)
+    equilibrated = blocks.K_CC * np.outer(D, D) + jitter * np.eye(d.size)
+    return blocks.K_CC + jitter * np.diag(d), np.linalg.eigvalsh(equilibrated)
+
+
+def _whitens(W, blocks, jitter):
+    """W^T (K_CC + jitter diag(K_CC)) W is the identity to the roundoff of
+    the triangular inverse in W = D L^-T, m eps / lambda_min of the
+    equilibrated Gram (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 8)."""
+    K, ev = _regularized(blocks, jitter)
+    m = ev.size
+    return np.max(np.abs(W.T @ K @ W - np.eye(m))) <= m * np.finfo(float).eps / ev.min()
 
 
 class TestPosteriorCovariance:
@@ -150,7 +170,11 @@ class TestPosteriorCovariance:
         assert "K_tt" not in blocks.__dict__
         assert U.shape == (prob.N_t, diag.rank)
         assert W.shape == (blocks.K_CC.shape[0], diag.rank)
-        assert _is_the_product(U, blocks.K_tC, W)
+        # U U^T is the downdate of a dense solve with the same Gram
+        K, _ = _regularized(blocks, prob.jitter)
+        want = blocks.K_tC @ np.linalg.solve(K, blocks.K_tC.T)
+        assert np.max(np.abs(U @ U.T - want)) <= 1e-10 * blocks.spec.variance
+        assert _whitens(W, blocks, prob.jitter)
         # the trace, the diagnostics and the mean leave the test Gram unbuilt
         assert np.all(summary.mean == 0.0)
         assert "K_tt" not in blocks.__dict__
@@ -237,16 +261,18 @@ class TestPosteriorCovariance:
 
     @pytest.mark.parametrize("n_f", [2, 3, 8])
     def test_neg_log_likelihood_is_the_gaussian_density(self, n_f):
-        # with nothing truncated the value is -log N(rhs; 0, K_CC + jitter I)
-        prob = dataclasses.replace(g.poisson_bvp_demo(), N=n_f)
-        blocks = assemble_blocks(prob, 0.0)
-        summary = posterior_covariance(blocks, prob.jitter)
-        assert summary.diag.truncated_count == 0
-        K = blocks.K_CC + prob.jitter * np.eye(blocks.K_CC.shape[0])
-        _, logdet = np.linalg.slogdet(K)
-        quad = blocks.rhs @ np.linalg.solve(K, blocks.rhs)
-        want = 0.5 * (quad + logdet + K.shape[0] * np.log(2.0 * np.pi))
-        assert abs(summary.neg_log_likelihood - want) <= 1e-12 * abs(want)
+        # the value is -log N(rhs; 0, K_CC + jitter diag(K_CC)) of the raw rhs:
+        # the equilibration's log det D is taken back out
+        for jitter in (0.0, 1e-6):
+            prob = dataclasses.replace(g.poisson_bvp_demo(), N=n_f, jitter=jitter)
+            blocks = assemble_blocks(prob, 0.0)
+            summary = posterior_covariance(blocks, prob.jitter)
+            assert summary.diag.truncated_count == 0
+            K, _ = _regularized(blocks, prob.jitter)
+            _, logdet = np.linalg.slogdet(K)
+            quad = blocks.rhs @ np.linalg.solve(K, blocks.rhs)
+            want = 0.5 * (quad + logdet + K.shape[0] * np.log(2.0 * np.pi))
+            assert abs(summary.neg_log_likelihood - want) <= 1e-12 * abs(want)
 
 
 FAULTS_PER_PAPER_LAMBDA = """
@@ -332,8 +358,8 @@ class TestPinHeap:
 
 
 class TestSplitBlasThreads:
-    """A mirror-split conditioning runs on one BLAS thread and hands the
-    caller's thread count back, also when a half fails."""
+    """A mirror-split conditioning or sampling runs on one BLAS thread and
+    hands the caller's thread count back, also when a sampled half fails."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_caller_count_restored(self, set_blas_threads, threads):
@@ -350,14 +376,14 @@ class TestSplitBlasThreads:
         # unlocked, a caller could save another caller's 1 and restore it last
         set_blas_threads(2)
         prob = g.laplace_dirichlet()
-        blocks = assemble_blocks(prob, 88.83)
-        J = []
+        summary = posterior_covariance(assemble_blocks(prob, 88.83), prob.jitter)
+        draws = []
 
-        def condition():
+        def sample():
             for _ in range(5):
-                J.append(posterior_covariance(blocks, prob.jitter).trace_J)
+                draws.append(sample_posterior(summary, 1, seed=0)[0].values.tobytes())
 
-        threads = [threading.Thread(target=condition) for _ in range(4)]
+        threads = [threading.Thread(target=sample) for _ in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -369,17 +395,18 @@ class TestSplitBlasThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert blas_threads() == 2
-        assert len(J) == 20 and len(set(J)) == 1
+        assert len(draws) == 20 and len(set(draws)) == 1
 
     def test_unstarted_odd_half_runs_on_the_caller(self):
         # a worker slow to start (here: busy) is not waited for
         prob = g.laplace_dirichlet()
-        blocks = assemble_blocks(prob, 88.83)
-        J = posterior_covariance(blocks, prob.jitter).trace_J
+        summary = posterior_covariance(assemble_blocks(prob, 88.83), prob.jitter)
+        (want,) = sample_posterior(summary, 1, seed=0)  # starts the worker
         release = threading.Event()
         busy = gpeigen.posterior._odd_worker.submit(release.wait, 10)
         try:
-            assert posterior_covariance(blocks, prob.jitter).trace_J == J
+            (got,) = sample_posterior(summary, 1, seed=0)
+            assert np.array_equal(got.values, want.values)
             assert not busy.done()
         finally:
             release.set()
@@ -387,11 +414,12 @@ class TestSplitBlasThreads:
 
     def test_failed_odd_half_restores_count(self, monkeypatch, set_blas_threads):
         set_blas_threads(2)
-        prob = _odd_laplace()  # its middle row is fixed: the odd half is smaller
-        blocks = assemble_blocks(prob, 88.83)
-        J = posterior_covariance(blocks, prob.jitter).trace_J
+        # an odd test grid has a fixed middle point: the odd half is smaller
+        prob = dataclasses.replace(g.laplace_dirichlet(), N_t=201)
+        summary = posterior_covariance(assemble_blocks(prob, 88.83), prob.jitter)
+        (want,) = sample_posterior(summary, 1, seed=0)
         worker = gpeigen.posterior._odd_worker
-        n_odd = int(np.sum(blocks.mirror > np.arange(blocks.mirror.size)))
+        n_odd = prob.N_t // 2
 
         def odd_half_fails(M, jitter=0.0):
             if len(M) == n_odd:
@@ -400,10 +428,11 @@ class TestSplitBlasThreads:
 
         monkeypatch.setattr(gpeigen.posterior, "_eigh", odd_half_fails)
         with pytest.raises(np.linalg.LinAlgError, match="odd half failed"):
-            posterior_covariance(blocks, prob.jitter)
+            sample_posterior(summary, 1, seed=0)
         assert blas_threads() == 2
         monkeypatch.undo()
-        assert posterior_covariance(blocks, prob.jitter).trace_J == J
+        (got,) = sample_posterior(summary, 1, seed=0)
+        assert np.array_equal(got.values, want.values)
         assert gpeigen.posterior._odd_worker is worker
 
 
@@ -432,8 +461,90 @@ class TestEighJitter:
         assert np.array_equal(K, before)
 
 
+def _same_J(J, J0, rel, prior):
+    """J equals J0 within `rel` of J0, above the roundoff floor of J =
+    N_t variance - ||U||_F^2, a difference of numbers of the prior's size."""
+    return abs(J - J0) <= rel * J0 + 1e-13 * prior
+
+
+def _scaled_site(site, c):
+    """`site` with its operator, and so its constraint row, times c."""
+    terms = tuple(dataclasses.replace(t, num=tuple(c * v for v in t.num))
+                  for t in site.operator.terms)
+    return dataclasses.replace(site, operator=g.LinearOperatorSpec(terms))
+
+
+def _eigh_trace(blocks, jitter):
+    """J from one eigendecomposition of the equilibrated, shifted Gram,
+    with no cut: U = K_tC D V w^-1/2."""
+    d = 1.0 / np.sqrt(np.diagonal(blocks.K_CC))
+    w, V = np.linalg.eigh(blocks.K_CC * np.outer(d, d) + jitter * np.eye(d.size))
+    U = (blocks.K_tC * d) @ (V / np.sqrt(w))
+    return blocks.x_test.size * blocks.spec.variance - np.sum(U * U)
+
+
+class TestEquilibratedCholesky:
+    """The conditioning factors D K_CC D + jitter I, D = diag(K_CC)^-1/2."""
+
+    @pytest.mark.parametrize("preset", ["laplace", "cantilever", "loaded-string"])
+    def test_J_ignores_the_scale_of_a_boundary_row(self, preset):
+        # conditioning on A u = 0 equals conditioning on D A u = 0; the
+        # equilibration makes the numbers agree too, at the first five modes
+        prob = g.build_preset(preset)
+        prior = prob.N_t * prob.schedule.variance
+        lams = references_in_window(preset, prob.grid.lo, prob.grid.hi)[:5]
+        want = [evaluate_trace(prob, lam)[0] for lam in lams]
+        for k, site in enumerate(prob.boundary):
+            sites = list(prob.boundary)
+            sites[k] = _scaled_site(site, 1e4)
+            scaled = dataclasses.replace(prob, boundary=tuple(sites))
+            for lam, J0 in zip(lams, want):
+                assert _same_J(evaluate_trace(scaled, lam)[0], J0, 1e-8, prior)
+
+    @pytest.mark.parametrize("preset", ["laplace", "cantilever"], ids=["mirror", "unsplit"])
+    def test_solve_fallback_gives_the_same_J(self, monkeypatch, preset):
+        # no dtrsm found: numpy.linalg.solve on the same factor
+        prob = g.build_preset(preset)
+        prior = prob.N_t * prob.schedule.variance
+        lams = list(make_lambda_grid(prob.grid)[::60])
+        lams += references_in_window(preset, prob.grid.lo, prob.grid.hi)[:5]
+        want = [evaluate_trace(prob, lam)[0] for lam in lams]
+        monkeypatch.setattr(gpeigen.posterior, "_trsm", lambda: None)
+        for lam, J0 in zip(lams, want):
+            assert _same_J(evaluate_trace(prob, lam)[0], J0, 1e-10, prior)
+
+    def test_a_gram_that_is_not_positive_definite_is_a_skipped_point(self):
+        # a duplicated row and no nugget: Cholesky meets a zero pivot
+        prob = g.laplace_dirichlet()
+        dup = dataclasses.replace(
+            prob, jitter=0.0, N=40, N_t=40, boundary=prob.boundary + prob.boundary[:1],
+            grid=LambdaGrid("log", 5.0, 120.0, 5),
+        )
+        point = _scan_one(dup, 42.0)
+        assert point.skipped and point.reason.startswith("LinAlgError: ")
+        with pytest.raises(ScanError, match="LinAlgError"):
+            scan_spectrum(dup)
+
+    def test_a_row_of_no_variance_is_a_skipped_point(self):
+        # an operator whose coefficient vanishes has no Jacobi scale
+        prob = g.laplace_dirichlet()
+        zero = _scaled_site(prob.boundary[0], 0.0)
+        point = _scan_one(dataclasses.replace(prob, boundary=(zero, prob.boundary[1])), 42.0)
+        assert point.skipped and point.reason.startswith("DecompositionError: ")
+
+    @pytest.mark.parametrize("preset", ["laplace", "cantilever", "loaded-string"])
+    def test_J_matches_an_equilibrated_eigh(self, preset):
+        # every 10th point of the desk grid, within 1e-4 decades
+        prob = g.build_preset(preset)
+        for lam in make_lambda_grid(prob.grid)[::10]:
+            J = evaluate_trace(prob, lam)[0]
+            J0 = _eigh_trace(assemble_blocks(prob, lam), prob.jitter)
+            assert abs(np.log10(J) - np.log10(J0)) <= 1e-4
+
+
 class TestMirrorSplit:
-    """The even/odd split of a mirror-symmetric K_CC against the full eigh."""
+    """The even/odd split of a mirror-symmetric K_CC against the unsplit
+    conditioning and the full eigh."""
 
     @pytest.mark.parametrize(
         "prob,lam",
@@ -458,23 +569,27 @@ class TestMirrorSplit:
         s0 = posterior_covariance(full, prob.jitter)
         U, W, J, diag = s.U, s.W, s.trace_J, s.diag
         U0, J0, diag0 = s0.U, s0.trace_J, s0.diag
-        assert diag.rank == diag0.rank
-        assert diag.truncated_count == diag0.truncated_count
-        assert abs(diag.sv_max - diag0.sv_max) <= 1e-13 * diag0.sv_max
+        _, ev = _regularized(blocks, prob.jitter)
+        for d in (diag, diag0):
+            # every row kept, and the squared pivots within the spectrum of
+            # the shifted equilibrated Gram, up to its roundoff
+            assert (d.rank, d.truncated_count) == (ev.size, 0)
+            slack = ev.size * np.finfo(float).eps * ev.max()
+            assert ev.min() - slack <= d.sv_min_kept <= d.sv_max <= ev.max() + slack
         variance = blocks.spec.variance
         assert abs(J - J0) <= 1e-6 * prob.N_t * variance
         assert np.max(np.abs(U @ U.T - U0 @ U0.T)) <= 1e-6 * variance
-        assert _is_the_product(U, blocks.K_tC, W)
+        assert _whitens(W, blocks, prob.jitter)
 
         nlml, nlml0 = s.neg_log_likelihood, s0.neg_log_likelihood
         if np.any(blocks.rhs):
             assert abs(nlml - nlml0) <= 1e-9 * abs(nlml0)
         else:
-            # with no data the value is 0.5 sum(log w) + const down to the
-            # rcond cut, so an eigenvalue error of delta (Weyl: at most the
-            # roundoff m eps sv_max of either path) moves it by delta / 2w
-            delta = blocks.K_CC.shape[0] * np.finfo(float).eps * diag0.sv_max
-            assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (s0.w - delta))
+            # with no data the value is 0.5 log det + const, so an eigenvalue
+            # error of delta (Weyl: at most the roundoff m eps max|ev| of
+            # either path) moves it by at most delta / 2 ev
+            delta = ev.size * np.finfo(float).eps * ev.max()
+            assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (ev - delta))
 
     def test_eigenpairs_in_row_order(self):
         prob = _odd_laplace()
@@ -510,19 +625,24 @@ class TestMirrorSplit:
                 x_constraint=x,
                 mirror=np.arange(n)[::-1],
             )
-            s = posterior_covariance(blocks, 0.0, RCOND_EXACT)
-            U, J, diag = s.U, s.trace_J, s.diag
             want = fd_posterior_covariance(case)
-            assert diag.rank == (n - 1 if lam in on else n)
-            assert np.max(np.abs(K - U @ U.T - want)) <= 1e-12 * np.max(K)
-            assert abs(J - np.trace(want)) <= 1e-12 * n
+            # the truth conditions on the range of a singular Gram (rcond
+            # cut), the factor on Gram plus nugget: they differ by O(nugget).
+            # A nonsingular Gram factors with no nugget, to the truth's roundoff
+            cases = [(NUGGET, 100 * NUGGET)] + [(0.0, 1e-12)] * (lam in off)
+            for jitter, tol in cases:
+                s = posterior_covariance(blocks, jitter, RCOND_EXACT)
+                U, J, diag = s.U, s.trace_J, s.diag
+                assert (diag.rank, diag.truncated_count) == (n, 0)
+                assert np.max(np.abs(K - U @ U.T - want)) <= tol * np.max(K)
+                assert abs(J - np.trace(want)) <= tol * n
 
 
 def _split_eigh(M, mirror, jitter=0.0):
     """Eigenpairs of both parity halves of M + jitter*I, even ones first,
     with V unfolded to the original row order."""
-    halves = _shifted(_fold(M, mirror, mirror), jitter)
-    (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(halves)
+    halves = [half + jitter * np.eye(len(half)) for half in _fold(M, mirror, mirror)]
+    (w_even, Y_even), (w_odd, Y_odd) = _mirror_eigh(halves)
     return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
 
 
@@ -827,9 +947,11 @@ class TestSampleSplit:
     )
     def test_residual_is_the_sine_to_the_leading_eigenvector(self, prob, lam):
         # v1 from one full eigh of cov.  A mirror split decomposes cov
-        # averaged with its mirror image, which turns v1 by at most
-        # ||cov - avg||_2 / (w1 - w2) (Davis & Kahan, SIAM J. Numer. Anal. 7
-        # (1970)); the residual moves by at most twice that
+        # averaged with its mirror image, formed as the halves K_tt,h - U_h
+        # U_h^T, which differ from the fold of cov by their own roundoff
+        # Delta; each turns v1 by at most its 2-norm over w1 - w2 (Davis &
+        # Kahan, SIAM J. Numer. Anal. 7 (1970)); the residual moves by at
+        # most twice that
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
         cov = summary.cov
         w, V = np.linalg.eigh(cov)
@@ -837,7 +959,11 @@ class TestSampleSplit:
         turn = 0.0
         if summary.blocks.mirror is not None:
             mt = np.arange(prob.N_t)[::-1]
-            turn = np.linalg.norm(0.5 * (cov - cov[np.ix_(mt, mt)]), 2) / (w[-1] - w[-2])
+            halves = [K - U @ U.T for K, (U, _) in
+                      zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
+            delta = max(np.linalg.norm(h - f, 2) for h, f in zip(halves, _fold(cov, mt, mt)))
+            asym = np.linalg.norm(0.5 * (cov - cov[np.ix_(mt, mt)]), 2)
+            turn = (asym + delta) / (w[-1] - w[-2])
         for s in sample_posterior(summary, 4, seed=3, normalization="none"):
             u = s.values
             want = np.linalg.norm(u - (v1 @ u) * v1) / np.linalg.norm(u)
@@ -864,13 +990,16 @@ class TestSampleSplit:
             assert np.max(np.abs(half - half0)) <= 1e-12 * summary.blocks.spec.variance
 
     def test_kth_normal_draws_along_the_kth_smallest_eigenvalue(self):
-        # the pairing of one full eigh, with both halves' eigenpairs sorted
+        # the pairing of one full eigh, with both halves' eigenpairs sorted.
+        # Off the spectrum cov's eigenvalues are roundoff, so the halves are
+        # formed on the sampler's one BLAS thread, bit for bit as it forms them
         prob = g.laplace_dirichlet()
         summary = posterior_covariance(assemble_blocks(prob, 50.0), prob.jitter)
         mt = np.arange(prob.N_t)[::-1]
-        halves = [K - U @ U.T for K, (U, _) in
-                  zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
-        (w_even, Y_even), (w_odd, Y_odd), _ = _mirror_eigh(halves)
+        with _split_blas(summary.blocks.mirror):
+            halves = [K - U @ U.T for K, (U, _) in
+                      zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
+            (w_even, Y_even), (w_odd, Y_odd) = _mirror_eigh(halves)
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
         F = (_unfold([Y_even, Y_odd], mt) * np.sqrt(np.clip(w, 0.0, None)))[:, order]

@@ -9,6 +9,7 @@ import gpeigen as g
 from gpeigen.kernel import KernelSpec
 from gpeigen.operators import ConstraintSite, identity_op
 from gpeigen.problems import (
+    NUGGET,
     PRESET_BUILDERS,
     BracketError,
     ProblemSpec,
@@ -67,7 +68,7 @@ class TestPresets:
     def test_laplace_grid_and_jitter(self):
         prob = g.laplace_dirichlet()
         assert prob.grid == LambdaGrid("log", 1.0, 1000.0, 300)
-        assert prob.jitter == 1e-8
+        assert prob.jitter == NUGGET == 1e-10
         assert prob.schedule == HyperSchedule(C=150.0, p=0.5, variance=1.0)
 
     def test_cantilever_grid_and_jitter(self):
@@ -76,7 +77,7 @@ class TestPresets:
         assert prob.grid.root == 4.0
         assert prob.grid.lo == 1.0
         assert prob.grid.hi == 15.0**4
-        assert prob.jitter == 1e-5
+        assert prob.jitter == NUGGET
         assert prob.schedule == HyperSchedule(C=1000.0, p=0.25, variance=1.0)
         assert len(prob.boundary) == 4
 

@@ -30,7 +30,7 @@ from gpeigen.scan import (
     scan_spectrum,
 )
 
-from conftest import run_fresh_interpreter
+from conftest import match_references, run_fresh_interpreter
 
 
 class TestLambdaGrid:
@@ -283,6 +283,29 @@ class TestRefinePeak:
             assert 0 < out.evaluations <= 16
             assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * abs(ref)
 
+    def test_every_paper_laplace_peak_refines_onto_a_mode(self, laplace_paper):
+        # the fixture refines its six tallest peaks; all ten, refined, are
+        # the ten modes of the window within 2%, with no spurious peak
+        prob = laplace_paper.problem
+        refined = [refine_peak(prob, p, iterations=20) for p in laplace_paper.peaks]
+        refs = [(n * np.pi) ** 2 for n in range(1, 11)]
+        matched, unmatched = match_references(refined, refs, 0.02)
+        assert sorted(matched) == list(range(10))
+        assert not unmatched
+
+    def test_a_record_without_a_bracket_is_bracketed_by_its_grid_neighbours(
+        self, laplace_desk
+    ):
+        # a peak made by hand carries no polish bracket: its two grid
+        # neighbours are evaluated first, then the same steps run
+        peak = laplace_desk.peaks[2]
+        point = laplace_desk.scan.points[peak.grid_index]
+        bare = PeakRecord(lam_hat=point.lam, J_peak=point.J, grid_index=peak.grid_index)
+        out = refine_peak(laplace_desk.problem, bare, iterations=20)
+        ref = laplace_desk.refined[2].lam_hat
+        assert out.refined and 2 < out.evaluations <= 22
+        assert abs(out.lam_hat - ref) <= 2 * REFINE_RTOL * ref
+
     def test_rejects_negative_iterations(self, laplace_desk):
         with pytest.raises(ValueError):
             refine_peak(laplace_desk.problem, laplace_desk.peaks[0], iterations=-1)
@@ -335,6 +358,15 @@ print(sum(not p.skipped for p in scan.points), "multiprocessing" in sys.modules)
 """
 
 
+SERIAL_SCAN_FUTURES = """
+import sys
+import gpeigen as g
+
+scan = g.scan_spectrum(g.build_preset("laplace", "desk"), jobs=1)
+print(len(scan.candidates), "concurrent.futures" in sys.modules)
+"""
+
+
 class TestScanSpectrum:
     def test_serial_determinism(self):
         prob = small_laplace()
@@ -368,6 +400,13 @@ class TestScanSpectrum:
         proc = run_fresh_interpreter(["-c", SERIAL_SCAN], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["300", "False"]
+
+    def test_serial_scan_never_loads_concurrent_futures(self, tmp_path):
+        # the conditioning runs its halves on this thread; only the sampler
+        # starts a worker thread, and only the pool a process
+        proc = run_fresh_interpreter(["-c", SERIAL_SCAN_FUTURES], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["10", "False"]
 
     def test_pool_after_a_split_conditioning(self, tmp_path):
         # a forked child must not inherit the parent's worker thread, which
@@ -479,7 +518,10 @@ class TestScanSpectrum:
         monkeypatch.setattr(gpeigen.scan, "posterior_covariance", counted)
         prob = small_laplace()
         scan = scan_spectrum(prob)
-        assert lams == [p.lam for p in scan.points]
+        # the grid in order, then the polish of every candidate
+        n = len(scan.points)
+        assert lams[:n] == [p.lam for p in scan.points]
+        assert len(lams) == n + sum(c.polish_evaluations for c in scan.candidates)
         lams.clear()
         peak = refine_peak(prob, detect_peaks(scan)[0], iterations=8)
         assert len(lams) == peak.evaluations > 0
