@@ -16,12 +16,10 @@ when λ hits one.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import functools
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,14 +38,6 @@ BVP_LENGTH_BRACKET = (0.25, 5.0)
 
 NORMALIZATIONS = ("none", "sup_norm")
 
-# Environment variables through which a user already tunes glibc's malloc
-_MALLOC_ENV = (
-    "MALLOC_MMAP_THRESHOLD_",
-    "MALLOC_TRIM_THRESHOLD_",
-    "MALLOC_TOP_PAD_",
-    "MALLOC_ARENA_MAX",
-)
-
 # dlopen flags that open a library only if the process has loaded it (POSIX)
 _LOADED_ONLY = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_LAZY", 0)
 
@@ -61,19 +51,18 @@ def pin_heap() -> bool:
     anew each time (about 2,200 minor faults per paper-scale λ on glibc
     2.36).  Pinning M_MMAP_THRESHOLD at 32 MiB (glibc's own ceiling on
     64-bit) and M_TRIM_THRESHOLD at twice that (glibc's own rule) reuses
-    them instead, at the price of keeping up to 64 MiB of freed heap.
-    M_ARENA_MAX at 1 serves the thread that samples a mirror split's odd
-    half from that same heap instead of a second arena.  A no-op where libc has
-    no `mallopt` or the environment already tunes malloc.
+    them instead, at the price of keeping up to 64 MiB of freed heap.  A
+    no-op where libc has no `mallopt` or the environment already tunes
+    malloc.
     """
-    tuned = any(name in os.environ for name in _MALLOC_ENV)
+    # every MALLOC_* variable glibc reads is an alias of a glibc.malloc.* tunable
+    tuned = any(name.startswith("MALLOC_") for name in os.environ)
     if tuned or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
         return False
     try:
         mallopt = ctypes.CDLL(None).mallopt
-        # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1, M_ARENA_MAX = -8;
-        # mallopt returns 1 on success
-        settings = ((-3, 32 << 20), (-1, 64 << 20), (-8, 1))
+        # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1; mallopt returns 1 on success
+        settings = ((-3, 32 << 20), (-1, 64 << 20))
         return all(mallopt(param, value) == 1 for param, value in settings)
     except (OSError, AttributeError, TypeError):
         return False
@@ -133,56 +122,6 @@ def _right_solve(L, B):
     # row major, L on the right, lower, transposed, non-unit diagonal
     trsm(101, 142, 122, 112, 131, m, n, 1.0, L.ctypes.data, n, B.ctypes.data, n)
     return B
-
-
-# Held over each split conditioning or sampling, so two concurrent callers
-# cannot leave the BLAS thread count at 1; and the thread that samples a
-# split's odd half.
-_SPLIT_LOCK = threading.Lock()
-_odd_worker = None
-
-
-def _before_fork():
-    """Fork outside any split conditioning or sampling, with no worker
-    thread: a forked child has no copy of it, and work submitted there would
-    wait forever.  The next split sampling on either side starts a new one."""
-    global _odd_worker
-    _SPLIT_LOCK.acquire()
-    if _odd_worker is not None:
-        _odd_worker.shutdown()
-        _odd_worker = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_before_fork,
-        after_in_parent=_SPLIT_LOCK.release,
-        after_in_child=_SPLIT_LOCK.release,
-    )
-
-
-@contextlib.contextmanager
-def _split_blas(mirror):
-    """One BLAS thread over all of a mirror-split conditioning or sampling.
-
-    `_mirror_eigh` runs the sampler's two halves at once, one per thread;
-    at their 100-250 rows OpenBLAS's own threading gains almost nothing.
-    The scope covers every BLAS call, not just the `eigh`s: after a
-    two-thread call OpenBLAS's helper busy-waits on the second core.  The
-    caller's count comes back on exit.  An unsplit problem (mirror None)
-    keeps the library's count.
-    """
-    if mirror is None:
-        yield
-        return
-    with _SPLIT_LOCK:
-        before = _openblas_call("get_num_threads")
-        _openblas_call("set_num_threads", 1)
-        try:
-            yield
-        finally:
-            if before is not None:
-                _openblas_call("set_num_threads", before)
 
 
 class DecompositionError(RuntimeError):
@@ -415,35 +354,6 @@ def _unfold(halves, mirror):
     return out
 
 
-def _mirror_eigh(halves):
-    """Eigenpairs (w, Y) of each block of `halves` (`_fold`'s one block, or
-    its even and odd half).  One block runs on this thread; of two, the
-    worker thread takes the odd one while this thread does the even one."""
-    global _odd_worker
-    if len(halves) == 1:
-        return [_eigh(halves[0])]
-    even_half, odd_half = halves
-    if _odd_worker is None:
-        # imported only here: a process that samples no mirror split, every
-        # scan among them, never loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        _odd_worker = ThreadPoolExecutor(1)
-    # LAPACK releases the GIL: the odd half runs while this thread does the even
-    odd = _odd_worker.submit(_eigh, odd_half)
-    try:
-        even = _eigh(even_half)
-    finally:
-        # The odd half ends inside the caller's scope.  A worker not yet
-        # started (slow to wake on a loaded host) is not waited for: this
-        # thread runs the odd half itself.  A started one is polled, not slept
-        # on, so that this core is not handed back to the host meanwhile.
-        started = not odd.cancel()
-        while started and not odd.done():
-            os.sched_yield()
-    return [even, odd.result() if started else _eigh(odd_half)]
-
-
 def _scales(K_CC, mirror):
     """The Jacobi scales diag(K_CC)^-1/2 of each of `_fold`'s blocks, in its
     row order: the pairs' rows p then the fixed rows, and the pairs' rows.
@@ -498,26 +408,20 @@ def posterior_covariance(
     shifted in place and factored, and each half of K_tC, scaled in place,
     becomes that half's U.  ||U||_F^2 is the sum of the two halves'.  The
     factors are those of K_CC averaged with its mirror image, which differs
-    from K_CC only by the roundoff of assembly.  A split conditioning runs
-    on one BLAS thread (`_split_blas`), as the split sampling does: after a
-    two-thread call OpenBLAS's helper thread spins on the second core, where
-    it held up the sampler's worker thread (paper Laplace conditioned and
-    sampled at ten eigenvalues took about a fifth longer on 2 cores).  An
-    unsplit Gram keeps the library's count.
+    from K_CC only by the roundoff of assembly.
     """
     pin_heap()
     K_CC = _checked(blocks.K_CC, jitter, rcond)
     mirror = blocks.mirror
     scales = _scales(K_CC, mirror)
     factors = []
-    with _split_blas(mirror):
-        grams = _equilibrated(_fold(K_CC, mirror, mirror), scales, jitter)
-        K_tCs = _fold(blocks.K_tC, _test_mirror(blocks), mirror)
-        for gram, K_tC, d in zip(grams, K_tCs, scales):
-            L = np.linalg.cholesky(gram)
-            # the fold's halves are new arrays, scaled in place; one block is the caller's
-            K_tC = np.multiply(K_tC, d, out=K_tC if mirror is not None else None)
-            factors.append((_right_solve(L, K_tC), L))
+    grams = _equilibrated(_fold(K_CC, mirror, mirror), scales, jitter)
+    K_tCs = _fold(blocks.K_tC, _test_mirror(blocks), mirror)
+    for gram, K_tC, d in zip(grams, K_tCs, scales):
+        L = np.linalg.cholesky(gram)
+        # the fold's halves are new arrays, scaled in place; one block is the caller's
+        K_tC = np.multiply(K_tC, d, out=K_tC if mirror is not None else None)
+        factors.append((_right_solve(L, K_tC), L))
     pivots = np.concatenate([np.diagonal(L) for _, L in factors]) ** 2
     diag = PseudoinverseDiag(
         rank=pivots.size,
@@ -549,47 +453,46 @@ def sample_posterior(
     away from one the sample leaves that direction (see README).
 
     cov is never formed: its halves K_tt,h - U_h U_h^T, from the `_fold`
-    of K_tt by the test grid's reversal and the summary's `factors`, go to
-    `_mirror_eigh` (one block, K_tt - U U^T, when `blocks.mirror` is None;
-    two on one BLAS thread, `_split_blas`, when it is set).  The k-th normal
-    of a draw scales the k-th smallest eigenvalue's direction, as with one
-    full `eigh`; mirror samples differ bitwise from its, not in distribution.
-    An eigenproblem's mean is zeros read off the rhs, so no U or W is unfolded.
+    of K_tt by the test grid's reversal and the summary's `factors`, are
+    eigendecomposed one after the other (one block, K_tt - U U^T, when
+    `blocks.mirror` is None).  The k-th normal of a draw scales the k-th
+    smallest eigenvalue's direction, as with one full `eigh`; mirror samples
+    differ bitwise from its, not in distribution.  An eigenproblem's mean is
+    zeros read off the rhs, so no U or W is unfolded.
     """
     count, seed = _count("count", count, 1), _count("seed", seed, 0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     mirror = _test_mirror(summary.blocks)
-    with _split_blas(summary.blocks.mirror):
-        halves = [K_tt - U @ U.T for K_tt, (U, _) in
-                  zip(_fold(summary.blocks.K_tt, mirror, mirror), summary.factors)]
-        if not all(np.all(np.isfinite(half)) for half in halves):
-            raise DecompositionError("covariance has non-finite entries")
-        eighs = _mirror_eigh(halves)
-        w = np.concatenate([w_h for w_h, _ in eighs])
-        V = _unfold([Y for _, Y in eighs], mirror)
-        # permute xi and scale V in place, copying no N_t x N_t array; a copy
-        # of eigh's own V would move an unsplit problem's draws by roundoff
-        order = np.argsort(w, kind="stable")
-        rank = np.argsort(order)
-        v1 = V[:, order[-1]].copy()
-        F = np.multiply(V, np.sqrt(np.clip(w, 0.0, None)), out=V)
+    halves = [K_tt - U @ U.T for K_tt, (U, _) in
+              zip(_fold(summary.blocks.K_tt, mirror, mirror), summary.factors)]
+    if not all(np.all(np.isfinite(half)) for half in halves):
+        raise DecompositionError("covariance has non-finite entries")
+    eighs = [_eigh(half) for half in halves]
+    w = np.concatenate([w_h for w_h, _ in eighs])
+    V = _unfold([Y for _, Y in eighs], mirror)
+    # permute xi and scale V in place, copying no N_t x N_t array; a copy
+    # of eigh's own V would move an unsplit problem's draws by roundoff
+    order = np.argsort(w, kind="stable")
+    rank = np.argsort(order)
+    v1 = V[:, order[-1]].copy()
+    F = np.multiply(V, np.sqrt(np.clip(w, 0.0, None)), out=V)
 
-        out = []
-        for child in np.random.SeedSequence(seed).spawn(count):
-            xi = np.random.default_rng(child).standard_normal(w.size)
-            raw = summary.mean + F @ xi[rank]
-            nrm = float(np.linalg.norm(raw))
-            residual = 0.0
-            if nrm > 0:
-                residual = float(np.linalg.norm(raw - (v1 @ raw) * v1) / nrm)
-            values = raw
-            if normalization == "sup_norm":
-                peak = float(np.max(np.abs(raw)))
-                if peak > 0:
-                    values = raw / peak
-            out.append(EigenfunctionSample(values=values, residual=residual))
-        return out
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        xi = np.random.default_rng(child).standard_normal(w.size)
+        raw = summary.mean + F @ xi[rank]
+        nrm = float(np.linalg.norm(raw))
+        residual = 0.0
+        if nrm > 0:
+            residual = float(np.linalg.norm(raw - (v1 @ raw) * v1) / nrm)
+        values = raw
+        if normalization == "sup_norm":
+            peak = float(np.max(np.abs(raw)))
+            if peak > 0:
+                values = raw / peak
+        out.append(EigenfunctionSample(values=values, residual=residual))
+    return out
 
 
 def solve_bvp(problem, N_f: int) -> PosteriorSummary:
@@ -606,11 +509,12 @@ def solve_bvp(problem, N_f: int) -> PosteriorSummary:
     BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].  The
     variance stays at the preset's value; fitting it as well drives the
     demo's l to about 0.9, where cond(K_CC) is about 1e12.  Each kernel,
-    the preset's and each probe's, is conditioned once at DEFAULT_RCOND,
-    and the summary that scores best is returned, the preset's on a tie
-    and when the constraint values are all zero (N_f = 0 with homogeneous
-    boundary rows), where the likelihood carries no data and is
-    degenerate.  The summary's `blocks.spec` is the kernel that was used.
+    the preset's and each probe's, is conditioned once, with the problem's
+    jitter and no cut, and the summary that scores best is returned, the
+    preset's on a tie and when the constraint values are all zero (N_f = 0
+    with homogeneous boundary rows), where the likelihood carries no data
+    and is degenerate.  The summary's `blocks.spec` is the kernel that was
+    used.
     """
     if problem.mode != "bvp":
         raise ValueError(f"problem {problem.problem_id!r} is not in bvp mode")

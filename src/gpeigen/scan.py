@@ -309,13 +309,12 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
 
     Serial by default (bitwise reproducible); jobs > 1 evaluates grid
     points in worker processes, each on one BLAS thread, and gathers
-    results in grid order; J then matches the serial J bit for bit where
-    the Gram is mirror-split (its serial conditioning runs one BLAS thread
-    too), to roundoff elsewhere.  Points whose
-    evaluation raises one of EVALUATION_ERRORS (coefficient poles,
-    degenerate assemblies, a Gram that is not positive definite) are marked
-    skipped with the reason; the scan fails only if every point does.  The
-    candidates (`_polish_candidates`) are polished on this thread.
+    results in grid order; J then matches the serial J, conditioned at the
+    library's thread count, to roundoff.  Points whose evaluation raises
+    one of EVALUATION_ERRORS (coefficient poles, degenerate assemblies, a
+    Gram that is not positive definite) are marked skipped with the reason;
+    the scan fails only if every point does.  The candidates
+    (`_polish_candidates`) are polished on this thread.
     """
     jobs = _count("jobs", jobs, 1)
     lams = make_lambda_grid(problem.grid)

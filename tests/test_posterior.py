@@ -24,9 +24,7 @@ from gpeigen.posterior import (
     DecompositionError,
     _eigh,
     _fold,
-    _mirror_eigh,
     _pairs,
-    _split_blas,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -314,7 +312,7 @@ class FakeLibc:
 def mallopt_calls(monkeypatch):
     """An environment that tunes no malloc setting and a recording libc."""
     calls = []
-    for name in MALLOC_TUNING:
+    for name in [*MALLOC_TUNING, *(k for k in os.environ if k.startswith("MALLOC_"))]:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(gpeigen.posterior.ctypes, "CDLL", lambda name: FakeLibc(calls))
     return calls
@@ -339,8 +337,9 @@ class TestPinHeap:
     def test_sets_thresholds_and_arena_cap(self, monkeypatch, mallopt_calls, tunables):
         if tunables is not None:  # a tunable of another subsystem tunes no malloc
             monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        # the two thresholds only: the arena count stays glibc's own
         assert pin_heap.__wrapped__() is True
-        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
     @pytest.mark.parametrize("name", sorted(MALLOC_TUNING))
     def test_leaves_a_tuned_allocator_alone(self, monkeypatch, mallopt_calls, name):
@@ -358,8 +357,9 @@ class TestPinHeap:
 
 
 class TestSplitBlasThreads:
-    """A mirror-split conditioning or sampling runs on one BLAS thread and
-    hands the caller's thread count back, also when a sampled half fails."""
+    """A mirror-split conditioning or sampling leaves the caller's BLAS
+    thread count as it found it, also when a sampled half fails, and
+    concurrent callers draw the same samples."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_caller_count_restored(self, set_blas_threads, threads):
@@ -397,28 +397,12 @@ class TestSplitBlasThreads:
         assert blas_threads() == 2
         assert len(draws) == 20 and len(set(draws)) == 1
 
-    def test_unstarted_odd_half_runs_on_the_caller(self):
-        # a worker slow to start (here: busy) is not waited for
-        prob = g.laplace_dirichlet()
-        summary = posterior_covariance(assemble_blocks(prob, 88.83), prob.jitter)
-        (want,) = sample_posterior(summary, 1, seed=0)  # starts the worker
-        release = threading.Event()
-        busy = gpeigen.posterior._odd_worker.submit(release.wait, 10)
-        try:
-            (got,) = sample_posterior(summary, 1, seed=0)
-            assert np.array_equal(got.values, want.values)
-            assert not busy.done()
-        finally:
-            release.set()
-        assert busy.result(timeout=10)
-
     def test_failed_odd_half_restores_count(self, monkeypatch, set_blas_threads):
         set_blas_threads(2)
         # an odd test grid has a fixed middle point: the odd half is smaller
         prob = dataclasses.replace(g.laplace_dirichlet(), N_t=201)
         summary = posterior_covariance(assemble_blocks(prob, 88.83), prob.jitter)
         (want,) = sample_posterior(summary, 1, seed=0)
-        worker = gpeigen.posterior._odd_worker
         n_odd = prob.N_t // 2
 
         def odd_half_fails(M, jitter=0.0):
@@ -433,7 +417,6 @@ class TestSplitBlasThreads:
         monkeypatch.undo()
         (got,) = sample_posterior(summary, 1, seed=0)
         assert np.array_equal(got.values, want.values)
-        assert gpeigen.posterior._odd_worker is worker
 
 
 def _odd_laplace():
@@ -642,7 +625,7 @@ def _split_eigh(M, mirror, jitter=0.0):
     """Eigenpairs of both parity halves of M + jitter*I, even ones first,
     with V unfolded to the original row order."""
     halves = [half + jitter * np.eye(len(half)) for half in _fold(M, mirror, mirror)]
-    (w_even, Y_even), (w_odd, Y_odd) = _mirror_eigh(halves)
+    (w_even, Y_even), (w_odd, Y_odd) = [_eigh(half) for half in halves]
     return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
 
 
@@ -974,16 +957,15 @@ class TestSampleSplit:
         # the sampler builds K_tt,h - U_h U_h^T; folding the full cov drops
         # the cross terms of U U^T, which are roundoff
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
-        seen = []
+        halves = []
 
-        def spy(halves, *args):
-            seen.append(halves)
-            return _mirror_eigh(halves, *args)
+        def spy(M, *args):
+            halves.append(M)
+            return _eigh(M, *args)
 
-        monkeypatch.setattr(gpeigen.posterior, "_mirror_eigh", spy)
+        monkeypatch.setattr(gpeigen.posterior, "_eigh", spy)
         sample_posterior(summary, 1, seed=0)
         mt = np.arange(prob.N_t)[::-1]
-        (halves,) = seen
         want = _fold(summary.cov, mt, mt)
         assert len(halves) == len(want) == 2
         for half, half0 in zip(halves, want):
@@ -992,14 +974,13 @@ class TestSampleSplit:
     def test_kth_normal_draws_along_the_kth_smallest_eigenvalue(self):
         # the pairing of one full eigh, with both halves' eigenpairs sorted.
         # Off the spectrum cov's eigenvalues are roundoff, so the halves are
-        # formed on the sampler's one BLAS thread, bit for bit as it forms them
+        # formed bit for bit as the sampler forms them
         prob = g.laplace_dirichlet()
         summary = posterior_covariance(assemble_blocks(prob, 50.0), prob.jitter)
         mt = np.arange(prob.N_t)[::-1]
-        with _split_blas(summary.blocks.mirror):
-            halves = [K - U @ U.T for K, (U, _) in
-                      zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
-            (w_even, Y_even), (w_odd, Y_odd) = _mirror_eigh(halves)
+        halves = [K - U @ U.T for K, (U, _) in
+                  zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
+        (w_even, Y_even), (w_odd, Y_odd) = [_eigh(half) for half in halves]
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
         F = (_unfold([Y_even, Y_odd], mt) * np.sqrt(np.clip(w, 0.0, None)))[:, order]

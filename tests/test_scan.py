@@ -333,18 +333,23 @@ SPLIT_THEN_POOL = """
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 import gpeigen as g
-import gpeigen.posterior
-from gpeigen.scan import LambdaGrid, evaluate_trace, scan_spectrum
-
-def no_worker():
-    return gpeigen.posterior._odd_worker is None
+from gpeigen.operators import assemble_blocks
+from gpeigen.posterior import posterior_covariance, sample_posterior
+from gpeigen.scan import LambdaGrid, scan_spectrum
 
 prob = dataclasses.replace(
     g.laplace_dirichlet(), N=40, N_t=40, grid=LambdaGrid("log", 5.0, 120.0, 24)
 )
-evaluate_trace(prob, 50.0)
+
+def draw():
+    blocks = assemble_blocks(prob, 50.0)
+    assert blocks.mirror is not None
+    summary = posterior_covariance(blocks, prob.jitter)
+    return sample_posterior(summary, 1, seed=0)[0].values.tobytes()
+
+want = draw()
 with ProcessPoolExecutor(1) as pool:
-    print(pool.submit(no_worker).result())
+    print(pool.submit(draw).result() == want)
 print(sum(not p.skipped for p in scan_spectrum(prob, jobs=2).points))
 """
 
@@ -359,11 +364,19 @@ print(sum(not p.skipped for p in scan.points), "multiprocessing" in sys.modules)
 
 
 SERIAL_SCAN_FUTURES = """
+import math
 import sys
+import threading
 import gpeigen as g
+from gpeigen.operators import assemble_blocks
+from gpeigen.posterior import posterior_covariance, sample_posterior
 
-scan = g.scan_spectrum(g.build_preset("laplace", "desk"), jobs=1)
-print(len(scan.candidates), "concurrent.futures" in sys.modules)
+prob = g.build_preset("laplace", "desk")
+scan = g.scan_spectrum(prob, jobs=1)
+blocks = assemble_blocks(prob, math.pi**2)
+assert blocks.mirror is not None
+sample_posterior(posterior_covariance(blocks, prob.jitter), 1, seed=0)
+print(len(scan.candidates), threading.active_count(), "concurrent.futures" in sys.modules)
 """
 
 
@@ -382,7 +395,8 @@ class TestScanSpectrum:
         assert [p.J for p in serial.points] == [p.J for p in parallel.points]
 
     def test_split_parallel_matches_serial_bitwise(self, laplace_desk):
-        # a serial split conditioning runs on one BLAS thread, as a worker does
+        # a pool worker runs one BLAS thread, the serial scan the library's
+        # count; at desk scale their Cholesky factors and solves agree bitwise
         assert assemble_blocks(laplace_desk.problem, 88.83).mirror is not None
         parallel = scan_spectrum(laplace_desk.problem, jobs=2)
         assert [p.J for p in parallel.points] == [p.J for p in laplace_desk.scan.points]
@@ -391,6 +405,8 @@ class TestScanSpectrum:
     def test_split_J_ignores_caller_blas_threads(
         self, laplace_desk, set_blas_threads, threads
     ):
+        # every conditioning runs at the caller's count; at desk scale the
+        # Cholesky factors and solves come out bitwise the same at 1 and 2
         set_blas_threads(threads)
         scan = scan_spectrum(laplace_desk.problem)
         assert [p.J for p in scan.points] == [p.J for p in laplace_desk.scan.points]
@@ -402,16 +418,16 @@ class TestScanSpectrum:
         assert proc.stdout.split() == ["300", "False"]
 
     def test_serial_scan_never_loads_concurrent_futures(self, tmp_path):
-        # the conditioning runs its halves on this thread; only the sampler
-        # starts a worker thread, and only the pool a process
+        # the conditioning and the sampling run their halves on this thread;
+        # only the pool starts a process
         proc = run_fresh_interpreter(["-c", SERIAL_SCAN_FUTURES], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["10", "False"]
+        assert proc.stdout.split() == ["10", "1", "False"]
 
     def test_pool_after_a_split_conditioning(self, tmp_path):
-        # a forked child must not inherit the parent's worker thread, which
-        # does not exist there; and a fork must leave no lock held.  The fresh
-        # interpreter's 120 s timeout turns a hang into a failure.
+        # a split sampling, then a fork: the child samples the same draw, and
+        # the pool's scan completes.  The fresh interpreter's 120 s timeout
+        # turns a hang into a failure.
         proc = run_fresh_interpreter(["-c", SPLIT_THEN_POOL], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "24"]
