@@ -23,6 +23,7 @@ from .matrixcase import fd_theorem_suite
 from .operators import assemble_blocks
 from .posterior import (
     DEFAULT_RCOND,
+    EVALUATION_ERRORS,
     pin_heap,
     posterior_covariance,
     sample_posterior,
@@ -36,7 +37,6 @@ from .problems import (
     references_in_window,
 )
 from .scan import (
-    EVALUATION_ERRORS,
     REFINE_RTOL,
     SCAN_RCOND,
     InsufficientPeaksError,
@@ -367,7 +367,10 @@ def cmd_bvp_demo(args) -> int:
     problem = poisson_bvp_demo()
     out = _out_dir(args)
     for nf in [args.nf] if args.nf is not None else [0, 3, 8]:
-        summary = solve_bvp(problem, nf)
+        try:
+            summary = solve_bvp(problem, nf)
+        except EVALUATION_ERRORS as exc:
+            raise ConfigError(f"cannot condition N_f = {nf}: {exc}") from exc
         xs, mean = summary.x_test, summary.mean
         # diag(cov) = variance - sum_j U_ij^2, with no N_t x N_t matrix formed
         var = summary.blocks.spec.variance - np.sum(summary.U**2, axis=1)

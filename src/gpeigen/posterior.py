@@ -19,13 +19,13 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._search import minimize_bounded
 from .kernel import _count
 from .operators import AssembledBlocks, assemble_blocks
 
@@ -127,6 +127,14 @@ def _right_solve(L, B):
 class DecompositionError(RuntimeError):
     """A matrix to factor has non-finite entries or a non-positive
     diagonal, or its factorization produced non-finite values."""
+
+
+# What a failed λ-evaluation or BVP fit probe may raise: ArithmeticError
+# covers PoleError and float overflow; ValueError covers the schedule's
+# λ <= 0, KernelSpec, GridError, UnsupportedOrderError and
+# numpy.linalg.LinAlgError.  Anything else is a programming error and
+# propagates.
+EVALUATION_ERRORS = (ArithmeticError, ValueError, DecompositionError)
 
 
 @dataclass
@@ -504,16 +512,18 @@ def solve_bvp(problem, N_f: int) -> PosteriorSummary:
     values.  λ is irrelevant and fixed at 0 for the assembly call.
 
     The kernel's length scale is fit by type-II maximum likelihood: a
-    bounded Brent minimization (`_search.minimize_bounded`, at its default
-    xatol of 1e-5) of `neg_log_likelihood` over log l inside
-    BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0].  The
-    variance stays at the preset's value; fitting it as well drives the
-    demo's l to about 0.9, where cond(K_CC) is about 1e12.  Each kernel,
-    the preset's and each probe's, is conditioned once, with the problem's
-    jitter and no cut, and the summary that scores best is returned, the
-    preset's on a tie and when the constraint values are all zero (N_f = 0
-    with homogeneous boundary rows), where the likelihood carries no data
-    and is degenerate.  The summary's `blocks.spec` is the kernel that was
+    golden-section search (Kiefer, 1953) of `neg_log_likelihood` over log l
+    inside BVP_LENGTH_BRACKET times the preset's l0, i.e. [l0/4, 5 l0],
+    until the bracket is 1e-5 wide in log l (29 probes).  The variance
+    stays at the preset's value; fitting it as well drives the demo's l to
+    about 0.9, where cond(K_CC) is about 1e12.  Each kernel, the preset's
+    and each probe's, is conditioned once, with the problem's jitter and no
+    cut; a probe whose conditioning raises one of EVALUATION_ERRORS (a Gram
+    that does not factor) scores +inf.  The summary that scores best is
+    returned, the preset's on a tie and when the constraint values are all
+    zero (N_f = 0 with homogeneous boundary rows), where the likelihood
+    carries no data and is degenerate.  An error conditioning the preset's
+    kernel propagates.  The summary's `blocks.spec` is the kernel that was
     used.
     """
     if problem.mode != "bvp":
@@ -527,17 +537,32 @@ def solve_bvp(problem, N_f: int) -> PosteriorSummary:
         return posterior_covariance(blocks, prob.jitter)
 
     best = condition(preset.length_scale)
-    if np.any(best.blocks.rhs):
+    if not np.any(best.blocks.rhs):
+        return best
 
-        def probe(log_ell):
-            nonlocal best
-            summary = condition(float(np.exp(log_ell)))
-            if summary.neg_log_likelihood < best.neg_log_likelihood:
-                best = summary
-            return summary.neg_log_likelihood
+    def probe(log_ell):
+        nonlocal best
+        try:
+            summary = condition(math.exp(log_ell))
+        except EVALUATION_ERRORS:
+            return math.inf
+        if summary.neg_log_likelihood < best.neg_log_likelihood:
+            best = summary
+        return summary.neg_log_likelihood
 
-        lo, hi = BVP_LENGTH_BRACKET
-        minimize_bounded(
-            probe, np.log(lo * preset.length_scale), np.log(hi * preset.length_scale)
-        )
+    # keep the inner points at the golden ratios of [a, b]: each step drops
+    # the end beyond the worse one and probes one new point
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = (math.log(s * preset.length_scale) for s in BVP_LENGTH_BRACKET)
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = probe(c), probe(d)
+    while b - a > 1e-5:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = probe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = probe(d)
     return best

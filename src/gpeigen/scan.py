@@ -21,7 +21,7 @@ import numpy as np
 from .kernel import _count
 from .operators import assemble_blocks
 from .posterior import (
-    DecompositionError,
+    EVALUATION_ERRORS,
     PseudoinverseDiag,
     _openblas_call,
     posterior_covariance,
@@ -41,12 +41,6 @@ REFINE_RTOL = 1e-5
 POLISH_EVALUATIONS = 8
 
 GRID_KINDS = ("linear", "log", "power_root")
-
-# What a failed λ-evaluation may raise: ArithmeticError covers PoleError and
-# float overflow; ValueError covers the schedule's λ <= 0, KernelSpec,
-# GridError, UnsupportedOrderError and numpy.linalg.LinAlgError.  Anything
-# else is a programming error and propagates.
-EVALUATION_ERRORS = (ArithmeticError, ValueError, DecompositionError)
 
 
 def blas_threads():

@@ -107,6 +107,14 @@ class TestBvpDemo:
         out = capsys.readouterr().out
         assert out.count("max |mean - exact|") == 3
 
+    def test_fit_survives_probes_that_do_not_factor(self, tmp_path, capsys):
+        # at N_f = 15 the fit probes length scales whose Gram does not factor
+        assert main(["bvp-demo", "--nf", "15", "--out-dir", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "bvp_nf15.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        err = max(abs(float(r["mean"]) - float(r["exact"])) for r in rows)
+        assert err < 1e-5
+
     def test_rejects_negative_nf(self, tmp_path, capsys):
         code = main(["bvp-demo", "--nf", "-2", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -298,14 +306,15 @@ class TestProblemConflicts:
         (["scan", "cantilever", "--config", "config.json"], "scan"),
         (["scan", "poisson-demo"], "scan"),
         (["sample", "laplace", "--lambda", "1e200"], "sample"),
+        (["bvp-demo", "--nf", "25"], "bvp-demo"),
         (["scan", "laplace", "--out-dir", "blocker"], "scan"),
         # left over after parsing: the root parser would show its own usage
         (["scan", "laplace", "-x"], "scan"),
         (["sample", "laplace", "--lambda", "10.0", "--bogus", "1"], "sample"),
     ],
     ids=["sample", "scan", "fd-verify", "bvp-demo", "config-and-preset",
-         "bvp-problem", "lambda-1e200", "out-dir-is-file", "scan-unknown-flag",
-         "sample-unknown-flag"],
+         "bvp-problem", "lambda-1e200", "bvp-nf-25", "out-dir-is-file",
+         "scan-unknown-flag", "sample-unknown-flag"],
 )
 def test_refused_argument_prints_its_subcommand_usage(
     tmp_path, monkeypatch, capsys, argv, command
@@ -860,7 +869,7 @@ assert not WatchScipy.seen and not loaded, (WatchScipy.seen, loaded)
 
 
 def test_never_loads_scipy(tmp_path):
-    # a fresh interpreter: this process has scipy loaded by the parity tests
+    # a fresh interpreter: this process has scipy loaded by the brentq checks
     proc = run_fresh_interpreter(["-c", NO_SCIPY], tmp_path)
     assert proc.returncode == 0, proc.stderr
 

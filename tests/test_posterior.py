@@ -1064,8 +1064,9 @@ class TestSolveBvp:
         assert summary.neg_log_likelihood < at_preset.neg_log_likelihood
 
     def test_each_gram_conditioned_once(self, monkeypatch):
-        # the preset and every probe of the fit are assembled and
-        # eigendecomposed once each, and the result is one of them
+        # the preset and every probe of the fit are assembled and factored
+        # once each, and the result is one of them; the golden-section
+        # search spends 29 probes to shrink log l's bracket to 1e-5
         grams, specs = [], []
         checked, assemble = gpeigen.posterior._checked, gpeigen.posterior.assemble_blocks
 
@@ -1080,7 +1081,7 @@ class TestSolveBvp:
         monkeypatch.setattr(gpeigen.posterior, "_checked", spy_checked)
         monkeypatch.setattr(gpeigen.posterior, "assemble_blocks", spy_assemble)
         summary = solve_bvp(g.poisson_bvp_demo(), 8)
-        assert len(grams) == len(specs) > 2
+        assert 2 < len(grams) == len(specs) <= 32
         assert len(set(grams)) == len(grams)
         assert len(set(specs)) == len(specs)
         assert summary.blocks.K_CC.tobytes() in grams
@@ -1092,6 +1093,25 @@ class TestSolveBvp:
         exact = -5.0 * summary.x_test**2 + 5.0 * summary.x_test
         assert round(summary.blocks.spec.length_scale, 3) == 0.397
         assert float(f"{np.max(np.abs(summary.mean - exact)):.3g}") == 6.29e-4
+
+    def test_probes_that_do_not_factor_score_worst(self, monkeypatch):
+        # at N_f = 15, jitter 0, some length scales of the bracket give a
+        # Gram that does not factor; the fit steps past them
+        prob = g.poisson_bvp_demo()
+        failed, inner = [], gpeigen.posterior.posterior_covariance
+
+        def spy(blocks, jitter):
+            try:
+                return inner(blocks, jitter)
+            except np.linalg.LinAlgError:
+                failed.append(blocks.spec.length_scale)
+                raise
+
+        monkeypatch.setattr(gpeigen.posterior, "posterior_covariance", spy)
+        summary = solve_bvp(prob, 15)
+        assert failed and summary.blocks.spec.length_scale not in failed
+        exact = -5.0 * summary.x_test**2 + 5.0 * summary.x_test
+        assert np.max(np.abs(summary.mean - exact)) < 1e-5
 
     def test_no_data_keeps_preset_kernel(self):
         prob = g.poisson_bvp_demo()

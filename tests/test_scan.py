@@ -234,8 +234,8 @@ class TestRefinePeak:
         assert a < out.lam_hat < b
 
     def test_counts_its_evaluations(self, laplace_desk, monkeypatch):
-        # every probe of J is counted; Brent needs fewer than the 31 a
-        # golden-section search spends to shrink the bracket by 2**-20
+        # every probe of J is counted; the polish stops at REFINE_RTOL well
+        # before the cap of `iterations` steps
         calls = []
         inner = gpeigen.scan.evaluate_trace
 

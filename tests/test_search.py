@@ -1,101 +1,17 @@
-"""The bounded Brent port against SciPy, its reference, and the
-reference-root search against brentq."""
+"""The reference-root search against brentq."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-import gpeigen as g
-from gpeigen._search import BRENT_MAXFUN, minimize_bounded
-from gpeigen.operators import assemble_blocks
-from gpeigen.posterior import BVP_LENGTH_BRACKET, posterior_covariance
 from gpeigen.problems import (
     _sign_change_roots,
     cantilever_characteristic,
     loaded_string_characteristic,
     reference_eigenvalues,
 )
-from gpeigen.scan import REFINE_RTOL, evaluate_trace, make_lambda_grid
-
-
-def recorded(fn):
-    """fn, and the list of points it is called at, as floats."""
-    calls = []
-
-    def wrapped(x):
-        calls.append(float(x))
-        return fn(x)
-
-    return wrapped, calls
-
-
-def assert_brent_parity(fn, lo, hi, xatol=1e-5):
-    ours, our_calls = recorded(fn)
-    theirs, their_calls = recorded(fn)
-    x, nfev = minimize_bounded(ours, lo, hi, xatol)
-    fit = minimize_scalar(
-        theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-    )
-    assert (x, nfev) == (float(fit.x), fit.nfev)
-    assert our_calls == their_calls
-    return x, nfev
-
-
-class TestMinimizeBounded:
-    @pytest.mark.parametrize(
-        "fn, lo, hi, xatol",
-        [
-            (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-5),
-            (lambda x: math.sin(3.0 * x) + 0.1 * x * x, -4.0, 1.0, 1e-9),
-            (lambda x: abs(x - 1.234), 0.0, 5.0, 1e-12),
-            (lambda x: -math.exp(-((x - 0.77) ** 2) / 1e-4), 0.0, 1.0, 1e-7),
-            (lambda x: 1.0, 2.0, 3.0, 1e-3),
-        ],
-    )
-    def test_matches_scipy(self, fn, lo, hi, xatol):
-        assert_brent_parity(fn, lo, hi, xatol)
-
-    def test_matches_scipy_on_a_refinement(self, laplace_desk):
-        # refine_peak's objective and tolerance at a desk Laplace peak
-        prob, peak = laplace_desk.problem, laplace_desk.peaks[2]
-        lams = make_lambda_grid(prob.grid)
-        a, b = float(lams[peak.grid_index - 1]), float(lams[peak.grid_index + 1])
-        xatol = max((b - a) / 2.0**20, REFINE_RTOL * abs(peak.lam_hat))
-
-        def neg_log_J(lam):
-            return -math.log10(max(evaluate_trace(prob, lam)[0], 1e-300))
-
-        x, nfev = assert_brent_parity(neg_log_J, a, b, xatol)
-        # refine_peak's polish reaches a J at least as high as Brent's
-        assert laplace_desk.refined[2].J_peak >= evaluate_trace(prob, x)[0]
-
-    def test_matches_scipy_on_the_bvp_likelihood(self):
-        # solve_bvp's fit of log l for the poisson demo at N_f = 8
-        prob = dataclasses.replace(g.poisson_bvp_demo(), N=8)
-        l0 = prob.fixed_kernel.length_scale
-
-        def nll(log_ell):
-            ell = float(np.exp(log_ell))
-            spec = dataclasses.replace(prob.fixed_kernel, length_scale=ell)
-            blocks = assemble_blocks(dataclasses.replace(prob, fixed_kernel=spec), 0.0)
-            return posterior_covariance(blocks, prob.jitter).neg_log_likelihood
-
-        lo, hi = BVP_LENGTH_BRACKET
-        x, nfev = assert_brent_parity(nll, np.log(lo * l0), np.log(hi * l0))
-        assert math.exp(x) == pytest.approx(0.39748, abs=1e-5)
-        assert nfev == 12
-
-    def test_stops_at_the_evaluation_cap(self):
-        # |x| over a huge bracket with no absolute tolerance to speak of
-        assert assert_brent_parity(abs, -1e100, 2e100, 1e-300)[1] == BRENT_MAXFUN
-
-    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
-    def test_rejects_bad_bounds(self, lo, hi):
-        with pytest.raises(ValueError):
-            minimize_bounded(abs, lo, hi)
 
 
 def first_roots_by_brentq(fn, grid, count):
