@@ -15,9 +15,9 @@ first row, and expanded from them.  Every other block (a non-uniform grid,
 differing steps, a single boundary site) is evaluated densely on all pairs.
 
 Only the kernel and the operator coefficients change with λ, so the layout
-(each block's place and rule, their radial arguments and `mirror`) is
-cached, keyed on the grid values, the interior operator and the boundary
-sites.  Each λ makes one `radial_profile_derivatives` call over those
+(each block's place and rule, their radial arguments, `mirror` and its
+pairs) is cached, keyed on the grid values, the interior operator and the
+boundary sites.  Each λ makes one `radial_profile_derivatives` call over those
 arguments and forms every block from it exactly as `apply_bilinear` would.
 
 The layout also decides once, from the problem's structure alone, whether
@@ -30,20 +30,29 @@ identical even-order operator (a site at the midpoint pairs with itself).
 Then k(c - x, c - y) = k(x, y) and even-order derivatives keep their sign
 under the reflection, so K_CC is unchanged by permuting its rows and
 columns with the row involution of the reflection, recorded as
-`AssembledBlocks.mirror`; K_tC is unchanged by reversing its test rows and
-mirroring its constraint columns at once; and K_tt and the posterior
-covariance are unchanged by the reversal of the test grid.  `posterior._fold`
-splits each into its even and odd halves, so that `posterior` conditions
-and samples in half-size problems.  No matrix is inspected
-numerically for this: K_CC's entries carry the grid's ulp-level asymmetry
-amplified by r / l^2, so a tolerance test would flip from one λ to the
-next.
+`AssembledBlocks.mirror`, and K_tC and K_tt by reversing the test rows and
+mirroring the columns at once.  In the parity basis (e_p + e_q)/sqrt2, e_f,
+(e_p - e_q)/sqrt2 of rows paired p < q and fixed rows f, each is block
+diagonal (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288), and
+`assemble_blocks` forms the two blocks, the halves, directly.  With D the
+block between the half rows (rows p, then rows f) and themselves, and X
+that between the half rows and their mirror images, the even half is D + X
+with rows and columns f weighted by sqrt(1/2), and the odd half D - X on
+rows p.  Each block is evaluated once, and D and X are two views of it:
+a block with the interior's columns is evaluated on the whole interior,
+whose reversed columns give X, a Hankel view of the Toeplitz lags t,
+X[i, j] = t(i + j - (N - 1)); any other block also on the mirror images
+of the band of rows or columns that comes first in K_CC (the columns in
+K_tC).  No matrix is inspected numerically for the symmetry: K_CC's
+entries carry the grid's ulp-level asymmetry amplified by r / l^2, so a
+tolerance test would flip from one λ to the next.
 
-K_CC is not symmetrized: the profile derivatives are exactly even or odd
-in r, so K_CC[j, i] sums the products of K_CC[i, j], in another order only
-where the two rows carry different multi-term operators (the loaded
-string's rows, symmetric to about 1e-17 of max|K_CC|).  `numpy.linalg.eigh`
-reads one triangle, and the mirror split averages mirrored entries.
+Nothing is symmetrized: the profile derivatives are exactly even or odd in
+r, and X mirrors the earlier of a block's two row groups, so a block and
+its transposed block sum the same products, in another order only where
+the two rows carry different multi-term operators (the loaded string's
+rows, symmetric to about 1e-17 of max|K_CC|).  The Cholesky factorization
+reads one triangle.
 """
 
 from __future__ import annotations
@@ -161,28 +170,42 @@ class AssembledBlocks:
     sites with the operator applied to the second argument, K_CC the
     operator applied to both arguments at the constraint sites.  Constraint
     rows are ordered interior-first, then boundary sites; rhs stacks the
-    same way.  The test-grid kernel K_tt is built on first access, since
-    only the full covariance needs it, as a read-only view of its lags.
-    `mirror` is the row involution of the reflection that maps the
-    constraint rows and the test grid onto themselves (see the module
-    docstring), or None when there is none; when it is set, the test
-    grid's reversal is the test-side mirror.
+    same way.  `parts` holds (K_tC, K_CC), or when `mirror`, the row
+    involution of the reflection (see the module docstring), is set, the
+    even and the odd half's pair.  `pairs` and `test_pairs` are then the
+    rows p < q = mirror[p] and fixed rows f of it and of the test grid's
+    reversal: the even half's rows are p then f, the odd half's p.  K_tt is
+    built on first access, as a read-only view of its lags, and from it
+    `K_tt_parts`, the sampler's (K_tt,) or halves.
     """
 
     lam: float
     spec: KernelSpec
-    K_tC: np.ndarray
-    K_CC: np.ndarray
+    parts: tuple
     rhs: np.ndarray
     x_test: np.ndarray
     x_constraint: np.ndarray
     mirror: np.ndarray = None
+    pairs: tuple = None
+    test_pairs: tuple = None
 
     @functools.cached_property
     def K_tt(self) -> np.ndarray:
         r, toeplitz = _lags(self.x_test, self.x_test)
         k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
         return _expand(k, toeplitz, self.x_test.size)
+
+    @functools.cached_property
+    def K_tt_parts(self) -> tuple:
+        if self.mirror is None:
+            return (self.K_tt,)
+        h = self.test_pairs[0].size
+        c = self.x_test.size - h
+        D, X = self.K_tt[:c, :c], self.K_tt[:c, ::-1][:, :c]
+        even = D + X
+        even[h:] *= np.sqrt(0.5)  # e_f has one entry, not two
+        even[:, h:] *= np.sqrt(0.5)
+        return even, D[:h, :h] - X[:h, :h]
 
 
 def apply_bilinear(
@@ -287,30 +310,63 @@ def _mirror(xt: np.ndarray, x_constraint: np.ndarray, interior_op, sites):
 
 @functools.lru_cache(maxsize=16)
 def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
-    """(x_test, x_constraint, mirror, ops, blocks, r, n_max) for
-    these grids (float64 bytes), operators and sites.  A block is (left, right,
-    rows, cols, span of r, Toeplitz), indexing `ops`; left 0, the identity, is
-    K_tC's."""
+    """(x_test, x_constraint, mirror, pairs, test_pairs, ops, shapes, blocks,
+    r, n_max) for these grids (float64 bytes), operators and sites.
+
+    Rows come in bands, band i with operator ops[i]: the test rows, the
+    interior's and one band per other constraint row; each constraint band
+    is also a band of columns.  With a mirror, the bands hold the even
+    half's rows, p then f of `pairs` and `test_pairs`.  A block is (left,
+    right, rows, cols, corner, span of r, Toeplitz, width, views), left 0
+    being K_tC's: `views` index D and, with a mirror, X in the evaluated
+    block, and `corner` their part in the odd half, or is None.  `shapes`
+    are the parts'."""
     xt, xi = np.frombuffer(xt_bytes), np.frombuffer(xi_bytes)
-    groups = [(xi, interior_op)] if xi.size else []
-    groups += [(np.array([s.location], dtype=float), s.operator) for s in sites]
-    ops = (identity_op(),) + tuple(op for _, op in groups)
-    ends = np.cumsum([pts.size for pts, _ in groups]).tolist()
-    cols = [slice(e - pts.size, e) for e, (pts, _) in zip(ends, groups)]
-    blocks, lags, at = [], [], 0
-    bands = [(xt, slice(None))] + [(pts, c) for (pts, _), c in zip(groups, cols)]
-    for i, (x, rows) in enumerate(bands):
-        for j, (x2, _) in enumerate(groups):
-            r, toeplitz = _lags(x, x2)
-            blocks.append((i, j + 1, rows, cols[j], slice(at, at + r.size), toeplitz))
-            lags.append(r)
-            at += r.size
-    r = np.concatenate(lags)
+    n = xi.size
     x_constraint = np.concatenate([xi, [s.location for s in sites]])
     mirror = _mirror(xt, x_constraint, interior_op, sites)
     x_constraint.flags.writeable = False
+    rows = np.arange(x_constraint.size)
+    order, image, run, h, pairs, test_pairs = rows, rows, n, 0, None, None
+    if mirror is not None:
+        p, t, h = rows[mirror > rows], np.arange(xt.size), xt.size // 2
+        pairs = (p, mirror[p], rows[mirror == rows])
+        test_pairs = (t[:h], t[::-1][:h], t[h : t.size - h])
+        for a in pairs + test_pairs:
+            a.flags.writeable = False  # cached with the layout
+        order, image, run = np.concatenate([p, pairs[2]]), mirror, n // 2
+    # (points, their mirror images, operator, rows in the odd half)
+    bands = [(xt[: xt.size - h], xt[::-1][: xt.size - h], identity_op(), h)]
+    for k in [order[:run]] * bool(run) + [order[i : i + 1] for i in range(run, order.size)]:
+        op = interior_op if k[0] < n else sites[k[0] - n].operator
+        bands.append((x_constraint[k], x_constraint[image[k]], op, int(np.sum(image[k] != k))))
+    sizes = [x.size for x, *_ in bands]
+    ends = np.cumsum([0] + sizes[1:]).tolist()
+    place = [slice(0, sizes[0])] + [slice(a, b) for a, b in zip(ends, ends[1:])]
+    blocks, lags, at = [], [], 0
+    for i, (x, xm, _, odd_rows) in enumerate(bands):
+        for j, (x2, x2m, _, odd_cols) in enumerate(bands[1:], 1):
+            if mirror is None:
+                xr, xc, views = x, x2, [np.s_[:, :]]
+            elif j == 1 and run:  # the interior's X: its block with all of xi, reversed
+                xr, xc, views = x, xi, [np.s_[:, :run], np.s_[:, n - 1 : n - 1 - run : -1]]
+            elif 0 < i <= j:  # X mirrors the earlier band, so the halves are symmetric
+                xr, xc, views = np.concatenate([x, xm]), x2, [np.s_[: x.size], np.s_[x.size :]]
+            else:  # X mirrors the columns
+                xr, xc = x, np.concatenate([x2, x2m])
+                views = [np.s_[:, : x2.size], np.s_[:, x2.size :]]
+            r, toeplitz = _lags(xr, xc)
+            corner = np.s_[:odd_rows, :odd_cols] if odd_rows and odd_cols else None
+            span = slice(at, at + r.size)
+            blocks.append((i, j, place[i], place[j], corner, span, toeplitz, xc.size, views))
+            lags.append(r)
+            at += r.size
+    m, P = ends[-1], sum(band[3] for band in bands[1:])
+    shapes = [((sizes[0], m), (m, m)), ((h, P), (P, P))][: 1 + (mirror is not None)]
+    ops = tuple(band[2] for band in bands)
     n_max = max(ops[i].max_order + ops[j].max_order for i, j, *_ in blocks)
-    return xt, x_constraint, mirror, ops, tuple(blocks), r, n_max
+    r = np.concatenate(lags)
+    return xt, x_constraint, mirror, pairs, test_pairs, ops, shapes, tuple(blocks), r, n_max
 
 
 def assemble_blocks(problem, lam: float) -> AssembledBlocks:
@@ -319,7 +375,8 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     `problem` supplies the grids, the interior operator (already λ-shifted
     in eigen mode), the boundary constraint sites, the right-hand side, and
     the kernel hyperparameters at this λ.  Rows group as N interior
-    collocation rows followed by one row per boundary site.
+    collocation rows followed by one row per boundary site.  With a mirror,
+    each block of a half is D + X or D - X of two views of one evaluation.
     """
     spec = problem.kernel_at(lam)
     xt = np.asarray(problem.test_grid(), dtype=float)
@@ -329,18 +386,26 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
         raise GridError("test grid is empty")
     if xi.size == 0 and not sites:
         raise GridError("no constraint rows to condition on")
-    x_test, x_constraint, mirror, ops, layout, r, n_max = _layout(
+    x_test, x_constraint, mirror, pairs, test_pairs, ops, shapes, layout, r, n_max = _layout(
         xt.tobytes(), xi.tobytes(), problem.interior_op, sites
     )
 
     coeffs = [_coeffs(op, lam) for op in ops]
     stack = radial_profile_derivatives(spec, n_max, r)
-    K_tC = np.empty((xt.size, x_constraint.size))
-    K_CC = np.empty((x_constraint.size, x_constraint.size))
-    for left, right, rows, cols, span, toeplitz in layout:
-        vals = _combine(coeffs[left], coeffs[right], stack[:, span])
-        width = cols.stop - cols.start
-        (K_CC if left else K_tC)[rows, cols] = _expand(vals, toeplitz, width)
+    parts = [tuple(np.empty(shape) for shape in part) for part in shapes]
+    for left, right, rows, cols, corner, span, toeplitz, width, views in layout:
+        B = _expand(_combine(coeffs[left], coeffs[right], stack[:, span]), toeplitz, width)
+        if len(views) == 1:
+            parts[0][left > 0][rows, cols] = B
+            continue
+        D, X = B[views[0]], B[views[1]]
+        np.add(D, X, out=parts[0][left > 0][rows, cols])
+        if corner:  # the odd half's rows p come first, in the even half's places
+            np.subtract(D[corner], X[corner], out=parts[1][left > 0][rows, cols][corner])
+    if mirror is not None:  # rows and columns f: e_f has one entry, not two
+        for even, odd in zip(*parts):
+            even[len(odd) :] *= np.sqrt(0.5)
+            even[:, odd.shape[1] :] *= np.sqrt(0.5)
 
     rhs_parts = []
     if xi.size:
@@ -351,10 +416,11 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     return AssembledBlocks(
         lam=float(lam),
         spec=spec,
-        K_tC=K_tC,
-        K_CC=K_CC,
+        parts=tuple(parts),
         rhs=rhs,
         x_test=x_test,
         x_constraint=x_constraint,
         mirror=mirror,
+        pairs=pairs,
+        test_pairs=test_pairs,
     )

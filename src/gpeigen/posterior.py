@@ -158,15 +158,15 @@ class PseudoinverseDiag:
 class PosteriorSummary:
     """Posterior at the test points for one λ, held as the downdate factor.
 
-    `factors` holds the pairs (U, L) of `posterior_covariance`: one pair, or
-    for a mirror split the even and the odd half's in the parity bases of
-    `_fold`; `scales` the matching Jacobi scales D.  U and W in row order,
-    `cov`, `mean` and `neg_log_likelihood` are formed on first read and
-    cached, so a caller that reads only `trace_J` and `diag` never builds an
-    N_t x N_t matrix.  The mean of an all-zero rhs (every eigenproblem) is
-    exact zeros, with U and W left unformed, so `sample_posterior`, which
-    reads `factors` and `mean`, caches none of U, W and `cov` for an
-    eigenproblem.
+    `factors` holds the Cholesky factors L of `posterior_covariance`, one
+    per part of `blocks.parts` (for a mirror split, the even and the odd
+    half's), and `scales` the matching Jacobi scales D.  The parts' U
+    (`U_parts`), U and W in row order, `cov`, `mean` and
+    `neg_log_likelihood` are formed on first read and cached, so a caller
+    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    The mean of an all-zero rhs (every eigenproblem) is exact zeros, with U
+    and W left unformed, so `sample_posterior`, which reads `U_parts` and
+    `mean`, caches none of U, W and `cov` for an eigenproblem.
     """
 
     trace_J: float
@@ -180,15 +180,19 @@ class PosteriorSummary:
         return self.blocks.x_test
 
     @functools.cached_property
+    def U_parts(self) -> tuple:
+        return tuple(map(_downdate, self.factors, self.blocks.parts, self.scales))
+
+    @functools.cached_property
     def U(self) -> np.ndarray:
-        return _unfold([U for U, _ in self.factors], _test_mirror(self.blocks))
+        return _unfold(self.U_parts, self.blocks.test_pairs)
 
     @functools.cached_property
     def W(self) -> np.ndarray:
-        """D L^-T per half in row order, so that U = K_tC W and W^T rhs is
+        """D L^-T per part in row order, so that U = K_tC W and W^T rhs is
         the whitened rhs L^-1 D rhs."""
-        halves = [_right_solve(L, np.diag(d)) for (_, L), d in zip(self.factors, self.scales)]
-        return _unfold(halves, self.blocks.mirror)
+        parts = [_right_solve(L, np.diag(d)) for L, d in zip(self.factors, self.scales)]
+        return _unfold(parts, self.blocks.pairs)
 
     @functools.cached_property
     def cov(self) -> np.ndarray:
@@ -209,7 +213,7 @@ class PosteriorSummary:
         so its term keeps the likelihood comparable across length scales."""
         a = self.W.T @ self.blocks.rhs
         logdet = 2.0 * sum(np.sum(np.log(np.diagonal(L))) - np.sum(np.log(d))
-                           for (_, L), d in zip(self.factors, self.scales))
+                           for L, d in zip(self.factors, self.scales))
         m = sum(d.size for d in self.scales)
         return float(0.5 * (a @ a + logdet + m * np.log(2.0 * np.pi)))
 
@@ -282,79 +286,15 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     return P, _diagnostics(w, keep)
 
 
-def _test_mirror(blocks: AssembledBlocks):
-    """The test grid's reversal when `blocks.mirror` is set, else None."""
-    return None if blocks.mirror is None else np.arange(blocks.x_test.size)[::-1]
-
-
-def _pairs(mirror):
-    """Rows p < q = mirror[p] of the involution `mirror`, and its fixed rows."""
-    rows = np.arange(len(mirror))
-    p = rows[mirror > rows]
-    return p, mirror[p], rows[mirror == rows]
-
-
-def _pieces(mirror):
-    """The pairs of `_pairs` as pieces (rows p, rows q, their rows in the
-    half), with the pair count and the fixed rows.  Every involution made
-    here reverses a prefix 0..n-1 and pairs or fixes the rows after it, so
-    the prefix's pairs come as basic slices, which index without a copy;
-    the pairs after it, or all of them for an involution of another shape,
-    come as index arrays."""
-    p, q, f = _pairs(mirror)
-    n = int(mirror[0]) + 1 if len(mirror) else 0
-    if not np.array_equal(mirror[:n], np.arange(n)[::-1]):
-        n = 0
-    h = n // 2  # the prefix's pairs: p = 0..h-1, q = n-1..n-h
-    pieces = [(p[h:], q[h:], slice(h, p.size))]
-    if h:  # h > 0 keeps the reversed slice's stop off -1, the last row
-        pieces.insert(0, (slice(0, h), slice(n - 1, n - h - 1, -1), slice(0, h)))
-    return pieces, p.size, f
-
-
-def _fold(M, row_mirror, col_mirror):
-    """Even and odd block of M in the parity bases of its row and column
-    involutions, (e_p + e_q)/sqrt2, e_f, (e_p - e_q)/sqrt2 for rows paired
-    p <-> q and fixed rows f.  These make a matrix unchanged by mirroring
-    its rows and columns at once block diagonal (Cantoni & Butler, Linear
-    Algebra Appl. 13 (1976) 275-288), so the dropped cross blocks are
-    roundoff.  On the pairs the even block is A + B and the odd A - B, A and
-    B the means of the direct and the crossed quadrants, so the halves of an
-    exactly symmetric M are exactly symmetric.  Fixed rows and columns join
-    the even block.  The quadrants are read piece by piece (`_pieces`), the
-    bulk as views, into two new arrays.  With no involutions, M is the one
-    block: (M,)."""
-    if row_mirror is None:
-        return (M,)
-    (rows, P, f), (cols, PC, fc) = _pieces(row_mirror), _pieces(col_mirror)
-    even = np.empty((P + f.size, PC + fc.size))
-    A, B = np.empty((P, PC)), even[:P, :PC]
-    for p, q, i in rows:
-        for pc, qc, j in cols:
-            np.add(M[p][:, pc], M[q][:, qc], out=A[i, j])
-            np.add(M[p][:, qc], M[q][:, pc], out=B[i, j])
-        np.add(M[p][:, fc], M[q][:, fc], out=even[i, PC:])
-    for pc, qc, j in cols:
-        np.add(M[f][:, pc], M[f][:, qc], out=even[P:, j])
-    even[P:, PC:] = M[f][:, fc]
-    A *= 0.5
-    B *= 0.5
-    odd = A - B
-    B += A
-    even[:P, PC:] *= np.sqrt(0.5)
-    even[P:, :PC] *= np.sqrt(0.5)
-    return even, odd
-
-
-def _unfold(halves, mirror):
-    """The even half's columns, then the odd half's, in the original row
-    order of the involution `mirror`: `_fold` undone on the rows.  With no
-    mirror, `halves` holds one block, returned as it is."""
-    if mirror is None:
-        return halves[0]
-    (even, odd), (p, q, f) = halves, _pairs(mirror)
+def _unfold(parts, pairs):
+    """The even half's columns, then the odd half's, in the row order of
+    `pairs`, the rows (p, q, f) of an involution: the parity basis undone on
+    the rows.  With no pairs, `parts` holds one block, returned as it is."""
+    if pairs is None:
+        return parts[0]
+    (even, odd), (p, q, f) = parts, pairs
     n = even.shape[1]
-    out = np.zeros((len(mirror), n + odd.shape[1]))  # odd columns vanish on f
+    out = np.zeros((p.size + q.size + f.size, n + odd.shape[1]))  # odd columns vanish on f
     out[p, :n] = out[q, :n] = np.sqrt(0.5) * even[: p.size]
     out[f, :n] = even[p.size :]
     out[p, n:] = np.sqrt(0.5) * odd
@@ -362,32 +302,33 @@ def _unfold(halves, mirror):
     return out
 
 
-def _scales(K_CC, mirror):
-    """The Jacobi scales diag(K_CC)^-1/2 of each of `_fold`'s blocks, in its
-    row order: the pairs' rows p then the fixed rows, and the pairs' rows.
-    A twin row has its pair's diagonal, so the scaling keeps the mirror."""
-    d = np.diagonal(K_CC)
+def _scales(grams, pairs):
+    """The Jacobi scales diag(K_CC)^-1/2 of each part, in its row order.
+    With a mirror, K_CC's diagonal at a pair's row p is D's, the mean of
+    the halves' (D + X and D - X), and at a fixed row the even half's; a
+    twin row has its pair's diagonal, so the scaling keeps the mirror."""
+    d, *odd = (np.diagonal(M) for M in grams)
+    if odd:
+        d = np.concatenate([0.5 * (d[: odd[0].size] + odd[0]), d[odd[0].size :]])
     if not np.all(d > 0):
         i = int(np.argmin(d > 0))
-        raise DecompositionError(f"constraint row {i} has prior variance {d[i]!r}")
+        row = i if pairs is None else np.concatenate([pairs[0], pairs[2]])[i]
+        raise DecompositionError(f"constraint row {row} has prior variance {d[i]!r}")
     d = 1.0 / np.sqrt(d)
-    if mirror is None:
-        return (d,)
-    p, _, f = _pairs(mirror)
-    return d[np.concatenate([p, f])], d[p]
+    return (d, d[: odd[0].size]) if odd else (d,)
 
 
-def _equilibrated(grams, scales, jitter: float):
-    """D M D + jitter*I for each of `_fold`'s blocks M and its scales D:
-    two halves, new arrays, in place; one block, the caller's array, into a
-    new array."""
-    out = []
-    for M, d in zip(grams, scales):
-        M = np.multiply(M, d[:, None], out=M if len(grams) == 2 else None)
-        M *= d
-        M.flat[:: len(M) + 1] += jitter
-        out.append(M)
-    return out
+def _equilibrated(M, d, jitter: float):
+    """D M D + jitter*I for the Gram M and its scales D, a new array."""
+    M = np.multiply(M, d[:, None])
+    M *= d
+    M.flat[:: len(M) + 1] += jitter
+    return M
+
+
+def _downdate(L, part, d):
+    """U = K_tC D L^-T of one part (K_tC, K_CC), a new array."""
+    return _right_solve(L, part[0] * d)
 
 
 def posterior_covariance(
@@ -410,27 +351,17 @@ def posterior_covariance(
     `DecompositionError`; a scan skips either λ.  This is the one place
     that factors K_CC.
 
-    When `blocks.mirror` is set (a problem symmetric under reflection, see
-    `operators`), the conditioning runs in parity halves (`_fold`), one
-    after the other on this thread: each half of K_CC is equilibrated and
-    shifted in place and factored, and each half of K_tC, scaled in place,
-    becomes that half's U.  ||U||_F^2 is the sum of the two halves'.  The
-    factors are those of K_CC averaged with its mirror image, which differs
-    from K_CC only by the roundoff of assembly.
+    Each part of `blocks.parts`, K_CC or for a problem symmetric under
+    reflection (see `operators`) its even and odd halves, is conditioned in
+    turn; ||U||_F^2 sums the parts'.  Each U is squared in place and summed,
+    and formed again only when read (`PosteriorSummary.U_parts`), so the
+    blocks are left as they are and little more than the factors is held.
     """
     pin_heap()
-    K_CC = _checked(blocks.K_CC, jitter, rcond)
-    mirror = blocks.mirror
-    scales = _scales(K_CC, mirror)
-    factors = []
-    grams = _equilibrated(_fold(K_CC, mirror, mirror), scales, jitter)
-    K_tCs = _fold(blocks.K_tC, _test_mirror(blocks), mirror)
-    for gram, K_tC, d in zip(grams, K_tCs, scales):
-        L = np.linalg.cholesky(gram)
-        # the fold's halves are new arrays, scaled in place; one block is the caller's
-        K_tC = np.multiply(K_tC, d, out=K_tC if mirror is not None else None)
-        factors.append((_right_solve(L, K_tC), L))
-    pivots = np.concatenate([np.diagonal(L) for _, L in factors]) ** 2
+    grams = [_checked(K_CC, jitter, rcond) for _, K_CC in blocks.parts]
+    scales = _scales(grams, blocks.pairs)
+    factors = tuple(np.linalg.cholesky(_equilibrated(M, d, jitter)) for M, d in zip(grams, scales))
+    pivots = np.concatenate([np.diagonal(L) for L in factors]) ** 2
     diag = PseudoinverseDiag(
         rank=pivots.size,
         sv_max=float(pivots.max(initial=0.0)),
@@ -438,8 +369,9 @@ def posterior_covariance(
         truncated_count=0,
     )
     prior = blocks.x_test.size * blocks.spec.variance
-    J = prior - sum(float(np.sum(U * U)) for U, _ in factors)
-    return PosteriorSummary(J, diag, tuple(factors), scales, blocks)
+    Us = map(_downdate, factors, blocks.parts, scales)  # one at a time, squared in place
+    J = prior - sum(map(lambda U: float(np.sum(np.square(U, out=U))), Us))
+    return PosteriorSummary(J, diag, factors, scales, blocks)
 
 
 def sample_posterior(
@@ -460,25 +392,22 @@ def sample_posterior(
     eigenvalue the posterior is one function and the residual is near 0;
     away from one the sample leaves that direction (see README).
 
-    cov is never formed: its halves K_tt,h - U_h U_h^T, from the `_fold`
-    of K_tt by the test grid's reversal and the summary's `factors`, are
-    eigendecomposed one after the other (one block, K_tt - U U^T, when
-    `blocks.mirror` is None).  The k-th normal of a draw scales the k-th
-    smallest eigenvalue's direction, as with one full `eigh`; mirror samples
-    differ bitwise from its, not in distribution.  An eigenproblem's mean is
-    zeros read off the rhs, so no U or W is unfolded.
+    cov is never formed: its parts K_tt,h - U_h U_h^T (`K_tt_parts`,
+    `U_parts`; one, K_tt - U U^T, with no mirror) are eigendecomposed one
+    after the other.  The k-th normal of a draw scales the k-th smallest
+    eigenvalue's direction, as with one full `eigh`; mirror samples differ
+    bitwise from its, not in distribution.  An eigenproblem's mean is zeros
+    read off the rhs, so no U or W is unfolded.
     """
     count, seed = _count("count", count, 1), _count("seed", seed, 0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    mirror = _test_mirror(summary.blocks)
-    halves = [K_tt - U @ U.T for K_tt, (U, _) in
-              zip(_fold(summary.blocks.K_tt, mirror, mirror), summary.factors)]
+    halves = [K_tt - U @ U.T for K_tt, U in zip(summary.blocks.K_tt_parts, summary.U_parts)]
     if not all(np.all(np.isfinite(half)) for half in halves):
         raise DecompositionError("covariance has non-finite entries")
     eighs = [_eigh(half) for half in halves]
     w = np.concatenate([w_h for w_h, _ in eighs])
-    V = _unfold([Y for _, Y in eighs], mirror)
+    V = _unfold([Y for _, Y in eighs], summary.blocks.test_pairs)
     # permute xi and scale V in place, copying no N_t x N_t array; a copy
     # of eigh's own V would move an unsplit problem's draws by roundoff
     order = np.argsort(w, kind="stable")

@@ -230,8 +230,10 @@ def _polish(problem, pts, cap: int):
     points of which one lay within 100 REFINE_RTOL of the best: a parabola
     through points far out on the flanks, where J's background bends 1/J,
     moves little from a biased vertex and proves nothing.  It also stops at
-    a step onto a λ already evaluated and, one-sided, once the vertex lies
-    at or beyond the window end, where no peak inside the window is left.
+    a step onto a λ already evaluated and, one-sided, when the vertex lies
+    at or beyond the window end, where no peak inside the window is left;
+    the first step probes the end cell's midpoint instead, since a cell as
+    wide as a coarse grid's can hide a mode that its end points do not show.
     Returns (pts, evaluations): the peak is interior when the middle point
     is the best.  Evaluation errors propagate.
     """
@@ -245,7 +247,9 @@ def _polish(problem, pts, cap: int):
         else:
             inner = pts[1][0]
             if x is not None and (x - best) * (best - inner) >= 0:
-                break
+                if evaluations:
+                    break
+                x = None  # the first step probes the end cell's midpoint
             if x is None or not min(inner, best) < x < max(inner, best):
                 x = 0.5 * (inner + best)
         if any(x == lam for lam, _ in pts):

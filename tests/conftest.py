@@ -71,8 +71,8 @@ def laplace_desk():
 
 @pytest.fixture(scope="session")
 def laplace_paper():
-    # The full-size run is slow on one core, so only the dominant peaks
-    # get Brent refinement; the rest stay at grid resolution.
+    # The full-size run is slow on one core: every peak is polished by the
+    # scan, and only the six tallest get the refinement's further steps.
     return _scan_and_refine(g.laplace_dirichlet(scale="paper"), refine_top=6)
 
 
@@ -111,3 +111,46 @@ def match_references(refined, refs, rel_tol):
         else:
             unmatched.append(p)
     return matched, unmatched
+
+
+def dense_blocks(problem, lam, spec=None):
+    """K_tC and K_CC of `problem` at λ in row order (interior, then sites),
+    every entry from `apply_bilinear` on its own pair of points: the
+    reference for the assembled blocks.  `spec` defaults to the problem's
+    kernel at λ."""
+    spec = problem.kernel_at(lam) if spec is None else spec
+    groups = [(np.asarray(problem.collocation_grid(), dtype=float), problem.interior_op)]
+    groups += [(np.array([s.location]), s.operator) for s in problem.boundary]
+
+    def block(x, op_x, y, op_y):
+        vals = g.apply_bilinear(op_x, op_y, spec, lam, x[:, None], y[None, :])
+        return np.broadcast_to(vals, (x.size, y.size))
+
+    xt = np.asarray(problem.test_grid(), dtype=float)
+    K_tC = np.hstack([block(xt, g.identity_op(), y, op) for y, op in groups])
+    K_CC = np.block([[block(x, op_x, y, op_y) for y, op_y in groups] for x, op_x in groups])
+    return K_tC, K_CC
+
+
+def parity_pairs(mirror):
+    """Rows p < q = mirror[p] of the involution `mirror`, and its fixed rows."""
+    rows = np.arange(len(mirror))
+    p = rows[mirror > rows]
+    return p, mirror[p], rows[mirror == rows]
+
+
+def row_copy_fold(M, row_mirror, col_mirror):
+    """Even and odd block of M in the parity bases (e_p + e_q)/sqrt2, e_f,
+    (e_p - e_q)/sqrt2 of its row and column involutions, from whole
+    mirrored rows and the means A, B of the direct and crossed quadrants:
+    the reference the assembled halves must match."""
+    (p, q, f), (pc, qc, fc) = parity_pairs(row_mirror), parity_pairs(col_mirror)
+    top, bottom, fixed = M[p], M[q], M[f]
+    A = 0.5 * (top[:, pc] + bottom[:, qc])
+    B = 0.5 * (top[:, qc] + bottom[:, pc])
+    s = np.sqrt(0.5)
+    even = np.block([
+        [A + B, s * (top[:, fc] + bottom[:, fc])],
+        [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
+    ])
+    return even, A - B

@@ -23,12 +23,12 @@ from gpeigen.cli import (
 import gpeigen as g
 import gpeigen.cli
 import gpeigen.scan
-from gpeigen.operators import PoleError, assemble_blocks
+from gpeigen.operators import PoleError
 from gpeigen.posterior import DEFAULT_RCOND, pin_heap
 from gpeigen.problems import references_in_window
 from gpeigen.scan import REFINE_RTOL, SCAN_RCOND, blas_threads
 
-from conftest import run_fresh_interpreter
+from conftest import dense_blocks, run_fresh_interpreter
 
 
 def read_spectrum_csv(path):
@@ -446,7 +446,7 @@ class TestScan:
         with open(tmp_path / "spectrum.csv", newline="") as fh:
             recs = list(csv.DictReader(fh))
         for rec in recs[::4]:
-            K = assemble_blocks(problem, float(rec["lambda"])).K_CC
+            _, K = dense_blocks(problem, float(rec["lambda"]))
             d = 1.0 / np.sqrt(np.diagonal(K))
             ev = np.linalg.eigvalsh(K * np.outer(d, d) + problem.jitter * np.eye(d.size))
             slack = ev.size * np.finfo(float).eps * ev.max()

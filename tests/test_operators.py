@@ -18,6 +18,8 @@ from gpeigen.operators import (
     identity_op,
 )
 
+from conftest import dense_blocks, row_copy_fold
+
 
 def coeff(num, den=(1.0,), lam=0.0):
     return OperatorTermSpec(0, num, den).coeff(lam)
@@ -165,8 +167,9 @@ class TestAssembleBlocks:
         blocks = assemble_blocks(prob, 20.0)
         n_c = prob.N + len(prob.boundary)
         assert blocks.K_tt.shape == (prob.N_t, prob.N_t)
-        assert blocks.K_tC.shape == (prob.N_t, n_c)
-        assert blocks.K_CC.shape == (n_c, n_c)
+        # the even and the odd half: every row pairs with its mirror image
+        half = ((prob.N_t // 2, n_c // 2), (n_c // 2, n_c // 2))
+        assert [(K_tC.shape, K_CC.shape) for K_tC, K_CC in blocks.parts] == [half] * 2
         assert np.allclose(blocks.x_constraint[: prob.N], prob.collocation_grid())
         assert blocks.x_constraint[prob.N :].tolist() == [0.0, 1.0]
         assert blocks.rhs.shape == (n_c,)
@@ -178,15 +181,18 @@ class TestAssembleBlocks:
         ids=["laplace-desk", "laplace-paper", "cantilever-desk"],
     )
     def test_kcc_exactly_symmetric(self, pid, scale):
-        # nothing symmetrizes K_CC after assembly: block and transposed block
-        # sum the same products, in the same order for these operators
+        # nothing symmetrizes K_CC or its halves after assembly: block and
+        # transposed block sum the same products, in the same order for
+        # these operators, and X mirrors the earlier of two row groups
         blocks = assemble_blocks(g.build_preset(pid, scale), 33.0)
-        assert np.array_equal(blocks.K_CC, blocks.K_CC.T)
+        assert len(blocks.parts) == (1 if pid == "cantilever" else 2)
+        for _, K in blocks.parts:
+            assert np.array_equal(K, K.T)
 
     def test_kcc_symmetric_to_roundoff_with_a_rational_boundary_row(self):
         # the loaded string's boundary row sums its two terms in another
         # order than the interior rows do, so K_CC is symmetric to roundoff
-        K = assemble_blocks(g.loaded_string(), 33.0).K_CC
+        ((_, K),) = assemble_blocks(g.loaded_string(), 33.0).parts
         assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
 
     @pytest.mark.parametrize(
@@ -202,20 +208,23 @@ class TestAssembleBlocks:
         ids=["laplace", "cantilever", "loaded-string", "dense-tc", "poisson-demo"],
     )
     def test_interior_block_matches_bilinear(self, case):
-        # lag-assembled blocks against dense evaluation on all pairs
+        # lag-assembled blocks, or halves, against dense evaluation on all
+        # pairs, folded into the parity bases where there is a mirror
         prob, lam = case
         blocks = assemble_blocks(prob, lam)
         spec = prob.kernel_at(lam)
-        xt, xc = prob.test_grid(), prob.collocation_grid()
-        op = prob.interior_op
+        xt = prob.test_grid()
 
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        raw = apply_bilinear(op, op, spec, lam, xc[:, None], xc[None, :])
-        assert close(blocks.K_CC[: prob.N, : prob.N], 0.5 * (raw + raw.T))
-        want_tc = apply_bilinear(identity_op(), op, spec, lam, xt[:, None], xc[None, :])
-        assert close(blocks.K_tC[:, : prob.N], want_tc)
+        want = [(M,) for M in dense_blocks(prob, lam)]
+        if blocks.mirror is not None:
+            mt = np.arange(prob.N_t)[::-1]
+            want = [row_copy_fold(M, rows, blocks.mirror) for M, rows in
+                    zip(dense_blocks(prob, lam), (mt, blocks.mirror))]
+        for k, part in enumerate(blocks.parts):
+            assert close(part[0], want[0][k]) and close(part[1], want[1][k])
         assert close(blocks.K_tt, kernel_mixed_derivative(spec, (0, 0), xt[:, None], xt[None, :]))
         # a read-only view of the lags: its one reader forms a new array
         assert not blocks.K_tt.flags.owndata and not blocks.K_tt.flags.writeable
@@ -285,8 +294,8 @@ class TestAssembleBlocks:
         assert first.K_tt is first.K_tt  # built once, on first access
         assert len(calls) == 3
         # the layout is shared, the blocks are not
-        assert not np.shares_memory(first.K_CC, second.K_CC)
-        assert not np.shares_memory(first.K_tC, second.K_tC)
+        for part, part2 in zip(first.parts, second.parts):
+            assert not any(np.shares_memory(K, K2) for K, K2 in zip(part, part2))
 
     def test_layout_is_decided_once(self, monkeypatch):
         calls = []
@@ -321,14 +330,16 @@ class TestAssembleBlocks:
     def test_symmetric_problems_get_a_mirror(self, prob, lam):
         blocks = assemble_blocks(prob, lam)
         m, n = blocks.mirror, prob.N
-        assert np.array_equal(m[m], np.arange(blocks.K_CC.shape[0]))
+        assert np.array_equal(m[m], np.arange(blocks.x_constraint.size))
         assert np.array_equal(m[:n], np.arange(n)[::-1])
         assert m[n:].tolist() == [n + 1, n]  # the sites at 0 and 1 swap
+        p, q, f = blocks.pairs
+        assert np.array_equal(q, m[p]) and np.all(p < q) and np.array_equal(m[f], f)
         # the involution reflects the constraint locations and leaves K_CC
-        # unchanged up to the roundoff of assembly
+        # unchanged up to the roundoff of evaluation
         xc = blocks.x_constraint
         assert np.max(np.abs(xc[m] - (1.0 - xc))) <= 1e-15
-        K = blocks.K_CC
+        _, K = dense_blocks(prob, lam)
         assert np.max(np.abs(K[np.ix_(m, m)] - K)) <= 1e-14 * np.max(np.abs(K))
         # the test grid is its own reflection too, so K_tt keeps its reversal
         mt = np.arange(prob.N_t)[::-1]
@@ -407,13 +418,14 @@ class TestAssembleBlocks:
     def test_cross_block_column_for_boundary_row(self):
         prob = g.cantilever()
         blocks = assemble_blocks(prob, 100.0)
-        assert blocks.K_CC.shape[0] == prob.N + 4
+        ((K_tC, K_CC),) = blocks.parts
+        assert K_CC.shape[0] == prob.N + 4
         # the clamped-end value row at x = 0 is a plain kernel column
         spec = prob.kernel_at(100.0)
         want = kernel_mixed_derivative(
             spec, (0, 0), blocks.x_test, np.zeros_like(blocks.x_test)
         )
-        assert np.allclose(blocks.K_tC[:, prob.N], want, rtol=1e-12)
+        assert np.allclose(K_tC[:, prob.N], want, rtol=1e-12)
 
     def test_bvp_rhs_layout(self):
         prob = g.poisson_bvp_demo()

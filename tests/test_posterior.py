@@ -23,8 +23,6 @@ from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
     DecompositionError,
     _eigh,
-    _fold,
-    _pairs,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -43,7 +41,7 @@ from gpeigen.scan import (
     scan_spectrum,
 )
 
-from conftest import run_fresh_interpreter
+from conftest import dense_blocks, parity_pairs, row_copy_fold, run_fresh_interpreter
 
 
 def random_psd(rng, n, rank=None):
@@ -119,21 +117,21 @@ class TestRegularizedPseudoinverse:
             regularized_pseudoinverse(M)
 
 
-def _regularized(blocks, jitter):
+def _regularized(K_CC, jitter):
     """K_CC + jitter diag(K_CC), the Gram the conditioning factors, and the
     eigenvalues of its equilibrated form D K_CC D + jitter I."""
-    d = np.diagonal(blocks.K_CC)
+    d = np.diagonal(K_CC)
     D = 1.0 / np.sqrt(d)
-    equilibrated = blocks.K_CC * np.outer(D, D) + jitter * np.eye(d.size)
-    return blocks.K_CC + jitter * np.diag(d), np.linalg.eigvalsh(equilibrated)
+    equilibrated = K_CC * np.outer(D, D) + jitter * np.eye(d.size)
+    return K_CC + jitter * np.diag(d), np.linalg.eigvalsh(equilibrated)
 
 
-def _whitens(W, blocks, jitter):
+def _whitens(W, K_CC, jitter):
     """W^T (K_CC + jitter diag(K_CC)) W is the identity to the roundoff of
     the triangular inverse in W = D L^-T, m eps / lambda_min of the
     equilibrated Gram (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, ch. 8)."""
-    K, ev = _regularized(blocks, jitter)
+    K, ev = _regularized(K_CC, jitter)
     m = ev.size
     return np.max(np.abs(W.T @ K @ W - np.eye(m))) <= m * np.finfo(float).eps / ev.min()
 
@@ -167,12 +165,13 @@ class TestPosteriorCovariance:
         U, W, diag = summary.U, summary.W, summary.diag
         assert "K_tt" not in blocks.__dict__
         assert U.shape == (prob.N_t, diag.rank)
-        assert W.shape == (blocks.K_CC.shape[0], diag.rank)
+        assert W.shape == (blocks.x_constraint.size, diag.rank)
         # U U^T is the downdate of a dense solve with the same Gram
-        K, _ = _regularized(blocks, prob.jitter)
-        want = blocks.K_tC @ np.linalg.solve(K, blocks.K_tC.T)
+        K_tC, K_CC = dense_blocks(prob, 42.0)
+        K, _ = _regularized(K_CC, prob.jitter)
+        want = K_tC @ np.linalg.solve(K, K_tC.T)
         assert np.max(np.abs(U @ U.T - want)) <= 1e-10 * blocks.spec.variance
-        assert _whitens(W, blocks, prob.jitter)
+        assert _whitens(W, K_CC, prob.jitter)
         # the trace, the diagnostics and the mean leave the test Gram unbuilt
         assert np.all(summary.mean == 0.0)
         assert "K_tt" not in blocks.__dict__
@@ -185,25 +184,24 @@ class TestPosteriorCovariance:
         "preset", ["laplace", "cantilever"], ids=["mirror", "unsplit"]
     )
     def test_leaves_the_blocks_bitwise_unmodified(self, preset):
-        # a split shifts the diagonals of its own halves in place; an
-        # unsplit Gram is the caller's array, so it is shifted in a copy
+        # every part is scaled and shifted in a copy, and U is formed anew
         prob = g.build_preset(preset)
         blocks = assemble_blocks(prob, 88.83)
         assert (blocks.mirror is None) == (preset == "cantilever") and prob.jitter > 0
-        K_CC, K_tC = blocks.K_CC.tobytes(), blocks.K_tC.tobytes()
-        posterior_covariance(blocks, prob.jitter)
-        assert blocks.K_CC.tobytes() == K_CC and blocks.K_tC.tobytes() == K_tC
+        before = [K.tobytes() for part in blocks.parts for K in part]
+        posterior_covariance(blocks, prob.jitter).U
+        assert [K.tobytes() for part in blocks.parts for K in part] == before
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_paper_conditioning_peak_memory(self, n):
-        # 6.25 MB while the fold copied whole mirrored rows and eigh copied
-        # the halves again to shift them; 3.4 MB with neither copy
+        # scaled copies of the two Gram halves, their factors and one U at a
+        # time: about 1.5 MiB beyond the assembled halves
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing this process")
         prob = g.laplace_dirichlet(scale="paper")
         blocks = assemble_blocks(prob, (n * np.pi) ** 2)
         assert blocks.mirror is not None
-        posterior_covariance(blocks, prob.jitter)  # caches, the odd-half worker
+        posterior_covariance(blocks, prob.jitter)  # warms the caches
         tracemalloc.start()
         try:
             posterior_covariance(blocks, prob.jitter)
@@ -211,6 +209,22 @@ class TestPosteriorCovariance:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 2**20
+
+    def test_paper_evaluation_holds_less_than_a_full_gram(self):
+        # the halves are assembled directly and conditioned in turn, so one
+        # evaluation holds less than a full K_CC and K_tC together
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing this process")
+        prob = g.laplace_dirichlet(scale="paper")
+        evaluate_trace(prob, 300.0)  # caches the layout
+        tracemalloc.start()
+        try:
+            evaluate_trace(prob, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = prob.N + len(prob.boundary)
+        assert peak < 8 * (m * m + prob.N_t * m)
 
     def test_trace_leaves_the_parity_factors_folded(self):
         # a mirror split keeps U and W per parity half until they are read
@@ -266,7 +280,7 @@ class TestPosteriorCovariance:
             blocks = assemble_blocks(prob, 0.0)
             summary = posterior_covariance(blocks, prob.jitter)
             assert summary.diag.truncated_count == 0
-            K, _ = _regularized(blocks, prob.jitter)
+            K, _ = _regularized(dense_blocks(prob, 0.0)[1], prob.jitter)
             _, logdet = np.linalg.slogdet(K)
             quad = blocks.rhs @ np.linalg.solve(K, blocks.rhs)
             want = 0.5 * (quad + logdet + K.shape[0] * np.log(2.0 * np.pi))
@@ -423,6 +437,11 @@ def _odd_laplace():
     return dataclasses.replace(g.laplace_dirichlet(), N=201)
 
 
+def _midpoint_laplace():
+    prob = g.laplace_dirichlet()
+    return dataclasses.replace(prob, boundary=prob.boundary + (g.ConstraintSite(0.5, g.identity_op()),))
+
+
 class TestEighJitter:
     @pytest.mark.parametrize(
         "prob,lam",
@@ -435,7 +454,7 @@ class TestEighJitter:
     )
     def test_diagonal_shift_is_bitwise_the_identity_sum(self, prob, lam):
         # the in-place diagonal shift must give exactly K + jitter*I
-        K = assemble_blocks(prob, lam).K_CC
+        K = assemble_blocks(prob, lam).parts[0][1]
         before = K.copy()
         w, V = _eigh(K, prob.jitter)
         w0, V0 = np.linalg.eigh(K + prob.jitter * np.eye(len(K)))
@@ -457,13 +476,14 @@ def _scaled_site(site, c):
     return dataclasses.replace(site, operator=g.LinearOperatorSpec(terms))
 
 
-def _eigh_trace(blocks, jitter):
-    """J from one eigendecomposition of the equilibrated, shifted Gram,
-    with no cut: U = K_tC D V w^-1/2."""
-    d = 1.0 / np.sqrt(np.diagonal(blocks.K_CC))
-    w, V = np.linalg.eigh(blocks.K_CC * np.outer(d, d) + jitter * np.eye(d.size))
-    U = (blocks.K_tC * d) @ (V / np.sqrt(w))
-    return blocks.x_test.size * blocks.spec.variance - np.sum(U * U)
+def _eigh_trace(prob, lam):
+    """J from one eigendecomposition of the equilibrated, shifted dense
+    Gram, with no cut: U = K_tC D V w^-1/2."""
+    K_tC, K_CC = dense_blocks(prob, lam)
+    d = 1.0 / np.sqrt(np.diagonal(K_CC))
+    w, V = np.linalg.eigh(K_CC * np.outer(d, d) + prob.jitter * np.eye(d.size))
+    U = (K_tC * d) @ (V / np.sqrt(w))
+    return prob.N_t * prob.kernel_at(lam).variance - np.sum(U * U)
 
 
 class TestEquilibratedCholesky:
@@ -521,7 +541,7 @@ class TestEquilibratedCholesky:
         prob = g.build_preset(preset)
         for lam in make_lambda_grid(prob.grid)[::10]:
             J = evaluate_trace(prob, lam)[0]
-            J0 = _eigh_trace(assemble_blocks(prob, lam), prob.jitter)
+            J0 = _eigh_trace(prob, lam)
             assert abs(np.log10(J) - np.log10(J0)) <= 1e-4
 
 
@@ -547,12 +567,14 @@ class TestMirrorSplit:
     def test_split_matches_full_eigh(self, prob, lam):
         blocks = assemble_blocks(prob, lam)
         assert blocks.mirror is not None
-        full = dataclasses.replace(blocks, mirror=None)
+        K_tC, K_CC = dense_blocks(prob, lam)
+        full = dataclasses.replace(blocks, parts=((K_tC, K_CC),), mirror=None,
+                                   pairs=None, test_pairs=None)
         s = posterior_covariance(blocks, prob.jitter)
         s0 = posterior_covariance(full, prob.jitter)
         U, W, J, diag = s.U, s.W, s.trace_J, s.diag
         U0, J0, diag0 = s0.U, s0.trace_J, s0.diag
-        _, ev = _regularized(blocks, prob.jitter)
+        _, ev = _regularized(K_CC, prob.jitter)
         for d in (diag, diag0):
             # every row kept, and the squared pivots within the spectrum of
             # the shifted equilibrated Gram, up to its roundoff
@@ -562,7 +584,7 @@ class TestMirrorSplit:
         variance = blocks.spec.variance
         assert abs(J - J0) <= 1e-6 * prob.N_t * variance
         assert np.max(np.abs(U @ U.T - U0 @ U0.T)) <= 1e-6 * variance
-        assert _whitens(W, blocks, prob.jitter)
+        assert _whitens(W, K_CC, prob.jitter)
 
         nlml, nlml0 = s.neg_log_likelihood, s0.neg_log_likelihood
         if np.any(blocks.rhs):
@@ -575,11 +597,15 @@ class TestMirrorSplit:
             assert abs(nlml - nlml0) <= 0.5 * np.sum(delta / (ev - delta))
 
     def test_eigenpairs_in_row_order(self):
+        # the assembled halves' eigenpairs, unfolded, are the dense K_CC's
         prob = _odd_laplace()
         blocks = assemble_blocks(prob, 50.0)
-        w, V = _split_eigh(blocks.K_CC, blocks.mirror, prob.jitter)
+        eighs = [_eigh(K_CC, prob.jitter) for _, K_CC in blocks.parts]
+        w = np.concatenate([w_h for w_h, _ in eighs])
+        V = _unfold([V_h for _, V_h in eighs], blocks.pairs)
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
-        K = blocks.K_CC + prob.jitter * np.eye(blocks.K_CC.shape[0])
+        _, K_CC = dense_blocks(prob, 50.0)
+        K = K_CC + prob.jitter * np.eye(len(K_CC))
         assert np.max(np.abs(K @ V - V * w)) <= 1e-12 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -597,16 +623,18 @@ class TestMirrorSplit:
         for lam in on + off:
             case = FiniteDimCase(L, K, lam)
             A = case.system_matrix()
-            M = A @ K @ A.T
+            M, rev = A @ K @ A.T, np.arange(n)[::-1]
+            halves = row_copy_fold(K @ A.T, rev, rev), row_copy_fold(0.5 * (M + M.T), rev, rev)
             blocks = AssembledBlocks(
                 lam=lam,
                 spec=spec,
-                K_tC=K @ A.T,
-                K_CC=0.5 * (M + M.T),
+                parts=tuple(zip(*halves)),
                 rhs=np.zeros(n),
                 x_test=x,
                 x_constraint=x,
-                mirror=np.arange(n)[::-1],
+                mirror=rev,
+                pairs=parity_pairs(rev),
+                test_pairs=parity_pairs(rev),
             )
             want = fd_posterior_covariance(case)
             # the truth conditions on the range of a singular Gram (rcond
@@ -621,12 +649,11 @@ class TestMirrorSplit:
                 assert abs(J - np.trace(want)) <= tol * n
 
 
-def _split_eigh(M, mirror, jitter=0.0):
-    """Eigenpairs of both parity halves of M + jitter*I, even ones first,
-    with V unfolded to the original row order."""
-    halves = [half + jitter * np.eye(len(half)) for half in _fold(M, mirror, mirror)]
-    (w_even, Y_even), (w_odd, Y_odd) = [_eigh(half) for half in halves]
-    return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], mirror)
+def _split_eigh(M, mirror):
+    """Eigenpairs of both parity halves of M from the reference fold, even
+    ones first, with V unfolded to the original row order."""
+    (w_even, Y_even), (w_odd, Y_odd) = [_eigh(half) for half in row_copy_fold(M, mirror, mirror)]
+    return np.concatenate([w_even, w_odd]), _unfold([Y_even, Y_odd], parity_pairs(mirror))
 
 
 def _parity_basis(mirror):
@@ -654,7 +681,7 @@ def _cross_blocks(M, row_mirror, col_mirror):
 
 
 class TestFold:
-    """The parity fold of K_CC and K_tC, and its premise."""
+    """The parity halves of K_CC, K_tC and K_tt, and their premise."""
 
     @pytest.mark.parametrize(
         "prob,lam",
@@ -677,8 +704,8 @@ class TestFold:
         blocks = assemble_blocks(prob, lam)
         assert blocks.mirror is not None
         rev = np.arange(blocks.x_test.size)[::-1]
-        scale = np.max(np.abs(blocks.K_tC))
-        assert _cross_blocks(blocks.K_tC, rev, blocks.mirror) <= 1e-12 * scale
+        K_tC, _ = dense_blocks(prob, lam)
+        assert _cross_blocks(K_tC, rev, blocks.mirror) <= 1e-12 * np.max(np.abs(K_tC))
 
     def test_cross_blocks_of_a_made_up_mirror_are_not(self):
         # the beam pins u and u' at 0 but u'' and u''' at 1: no mirror pairs
@@ -687,17 +714,17 @@ class TestFold:
         assert blocks.mirror is None
         made_up = np.concatenate([np.arange(prob.N)[::-1], prob.N + np.array([2, 3, 0, 1])])
         rev = np.arange(prob.N_t)[::-1]
-        scale = np.max(np.abs(blocks.K_tC))
-        assert _cross_blocks(blocks.K_tC, rev, made_up) > 1e-12 * scale
+        ((K_tC, _),) = blocks.parts
+        assert _cross_blocks(K_tC, rev, made_up) > 1e-12 * np.max(np.abs(K_tC))
 
     @pytest.mark.parametrize("rows,cols", [(7, 9), (8, 6), (9, 9), (None, None)])
     def test_fold_and_unfold_are_the_parity_basis(self, rows, cols):
-        # column involutions with a fixed row at the end of the order; with
-        # no involutions a matrix is its own one block
+        # the reference fold and `_unfold`, for column involutions with a
+        # fixed row at the end of the order; with no pairs a matrix is its
+        # own one block
         if rows is None:
             M = np.random.default_rng(0).standard_normal((7, 9))
-            (block,) = _fold(M, None, None)
-            assert block is M and _unfold([M], None) is M
+            assert _unfold([M], None) is M
             return
         rng = np.random.default_rng(rows * cols)
         M = rng.standard_normal((rows, cols))
@@ -705,12 +732,27 @@ class TestFold:
         col_mirror = np.append(np.arange(cols - 1)[::-1], cols - 1)
         (Qr, er), (Qc, ec) = _parity_basis(row_mirror), _parity_basis(col_mirror)
         B = Qr.T @ M @ Qc
-        even, odd = _fold(M, row_mirror, col_mirror)
+        even, odd = row_copy_fold(M, row_mirror, col_mirror)
         assert np.max(np.abs(even - B[:er, :ec])) <= 1e-15 * np.max(np.abs(M))
         assert np.max(np.abs(odd - B[er:, ec:])) <= 1e-15 * np.max(np.abs(M))
         Y_even, Y_odd = rng.standard_normal((er, 3)), rng.standard_normal((rows - er, 2))
         block = np.block([[Y_even, np.zeros((er, 2))], [np.zeros((rows - er, 3)), Y_odd]])
-        assert np.max(np.abs(_unfold([Y_even, Y_odd], row_mirror) - Qr @ block)) <= 1e-15
+        unfolded = _unfold([Y_even, Y_odd], parity_pairs(row_mirror))
+        assert np.max(np.abs(unfolded - Qr @ block)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "prob,lam",
+        [(g.laplace_dirichlet(), lam) for lam in (5.0, np.pi**2, 42.0, 88.83, 400.0, 999.0)]
+        + [(g.laplace_dirichlet(scale="paper"), lam) for lam in (np.pi**2, 88.83)]
+        + [(_odd_laplace(), 50.0), (_midpoint_laplace(), 42.0)]
+        + [(dataclasses.replace(g.poisson_bvp_demo(), N=n), 0.0) for n in (8, 9)],
+        ids=[f"laplace-{i}" for i in range(6)] + ["paper-pi2", "paper-88"]
+        + ["laplace-odd", "laplace-midpoint", "poisson-8", "poisson-9"],
+    )
+    def test_halves_are_the_row_copy_fold_of_the_dense_gram(self, prob, lam):
+        # D + X and D - X from views of the lags are the parity halves of
+        # the Gram evaluated on all pairs, to its roundoff
+        _assert_halves(prob, lam)
 
     @pytest.mark.parametrize(
         "prob,lam",
@@ -722,52 +764,51 @@ class TestFold:
         + ["laplace-odd", "poisson-8", "poisson-9"],
     )
     def test_halves_are_bitwise_the_row_copy_fold(self, prob, lam):
-        # the slices read the same entries and do the same arithmetic as
-        # gathering whole mirrored rows, so the spectra cannot move
+        # K_tt's halves are views of its lags: on an even test grid, whose
+        # rows all pair, mirrored entries read the same lag, so they are the
+        # reference fold of K_tt bit for bit
         blocks = assemble_blocks(prob, lam)
-        mc, mt = blocks.mirror, np.arange(blocks.x_test.size)[::-1]
-        assert mc is not None
-        for M, rows, cols in ((blocks.K_CC, mc, mc), (blocks.K_tC, mt, mc),
-                              (blocks.K_tt, mt, mt)):
-            _assert_bitwise(_fold(M, rows, cols), _row_copy_fold(M, rows, cols))
+        mt = np.arange(blocks.x_test.size)[::-1]
+        assert blocks.mirror is not None and prob.N_t % 2 == 0
+        want = row_copy_fold(np.asarray(blocks.K_tt), mt, mt)
+        for half, half0 in zip(blocks.K_tt_parts, want, strict=True):
+            assert half.shape == half0.shape and half.tobytes() == half0.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_an_involution_of_shuffled_pairs_folds_too(self, seed):
-        # pairs in no reversed prefix, which the fold gathers by index
-        rng = np.random.default_rng(seed)
-        rows, cols = _shuffled_involution(rng, 11), _shuffled_involution(rng, 9)
-        for M, col_mirror in ((rng.standard_normal((11, 9)), cols),
-                              (random_psd(rng, 11), rows)):
-            want = _row_copy_fold(M, rows, col_mirror)
-            _assert_bitwise(_fold(M, rows, col_mirror), want)
+        # boundary sites in a random order pair in no reversed prefix, and a
+        # midpoint site is a fixed row among them
+        prob = g.laplace_dirichlet()
+        second = g.LinearOperatorSpec((g.OperatorTermSpec(2, (1.0,)),))
+        sites = prob.boundary + (
+            g.ConstraintSite(0.25, g.identity_op()), g.ConstraintSite(0.75, g.identity_op()),
+            g.ConstraintSite(0.1, second), g.ConstraintSite(0.9, second),
+            g.ConstraintSite(0.5, second),
+        )
+        order = np.random.default_rng(seed).permutation(len(sites))
+        prob = dataclasses.replace(prob, boundary=tuple(sites[i] for i in order))
+        blocks = _assert_halves(prob, 42.0)
+        assert blocks.pairs[2].tolist() == [prob.N + int(np.flatnonzero(order == 6)[0])]
 
 
-def _row_copy_fold(M, row_mirror, col_mirror):
-    """`_fold` as it was, gathering whole mirrored rows before the quadrants:
-    the reference the sliced fold must match bit for bit."""
-    (p, q, f), (pc, qc, fc) = _pairs(row_mirror), _pairs(col_mirror)
-    top, bottom, fixed = M[p], M[q], M[f]
-    A = 0.5 * (top[:, pc] + bottom[:, qc])
-    B = 0.5 * (top[:, qc] + bottom[:, pc])
-    s = np.sqrt(0.5)
-    even = np.block([
-        [A + B, s * (top[:, fc] + bottom[:, fc])],
-        [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
-    ])
-    return even, A - B
-
-
-def _shuffled_involution(rng, n):
-    """An involution of n (odd) rows: random pairs and one fixed row."""
-    order, mirror = rng.permutation(n), np.arange(n)
-    mirror[order[0:-1:2]], mirror[order[1::2]] = order[1::2], order[0:-1:2]
-    return mirror
-
-
-def _assert_bitwise(halves, want):
-    assert len(halves) == len(want) == 2
-    for half, half0 in zip(halves, want):
-        assert half.shape == half0.shape and half.tobytes() == half0.tobytes()
+def _assert_halves(prob, lam):
+    """Assert that the assembled halves of K_CC, K_tC and K_tt are the
+    reference fold of the dense Gram within 1e-14 of its largest entry, and
+    return the blocks."""
+    blocks = assemble_blocks(prob, lam)
+    mc, mt = blocks.mirror, np.arange(blocks.x_test.size)[::-1]
+    assert mc is not None
+    K_tC, K_CC = dense_blocks(prob, lam)
+    xt = blocks.x_test
+    K_tt = kernel_mixed_derivative(blocks.spec, (0, 0), xt[:, None], xt[None, :])
+    for got, M, rows, cols in (([K for _, K in blocks.parts], K_CC, mc, mc),
+                               ([K for K, _ in blocks.parts], K_tC, mt, mc),
+                               (blocks.K_tt_parts, K_tt, mt, mt)):
+        want = row_copy_fold(M, rows, cols)
+        assert [half.shape for half in got] == [half.shape for half in want]
+        for half, half0 in zip(got, want):
+            assert np.max(np.abs(half - half0)) <= 1e-14 * np.max(np.abs(M))
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -829,16 +870,16 @@ class TestSamplePosterior:
             sample_posterior(peak_summary, 1, seed=0, normalization=normalization)
 
     def test_rejects_nonfinite_cov(self, peak_summary):
-        # the sampler builds the covariance's halves from K_tt and the factors
-        broken = _with_test_gram(peak_summary, peak_summary.blocks.K_tt.copy())
-        broken.blocks.K_tt[0, 0] = np.inf
+        # the sampler builds the covariance's halves from K_tt's and U's parts
+        parts = [K.copy() for K in peak_summary.blocks.K_tt_parts]
+        parts[0][0, 0] = np.inf
         with pytest.raises(DecompositionError):
-            sample_posterior(broken, 1, seed=0)
-        (U, W), *rest = peak_summary.factors
+            sample_posterior(_with_test_parts(peak_summary, parts), 1, seed=0)
+        U, *rest = peak_summary.U_parts
         U = U.copy()
         U[0, 0] = np.nan
         broken = copy.copy(peak_summary)
-        broken.factors = ((U, W), *rest)
+        broken.U_parts = (U, *rest)
         with pytest.raises(DecompositionError):
             sample_posterior(broken, 1, seed=0)
 
@@ -873,11 +914,12 @@ class TestSamplePosterior:
             assert new.residual == old.residual
 
 
-def _with_test_gram(summary, K_tt):
-    """A shallow copy of `summary` whose blocks read K_tt as the test Gram."""
+def _with_test_parts(summary, parts):
+    """A shallow copy of `summary` whose blocks read `parts` as the test
+    Gram's parts."""
     out = copy.copy(summary)
     out.blocks = copy.copy(summary.blocks)
-    out.blocks.K_tt = K_tt  # replaces the cached test Gram
+    out.blocks.K_tt_parts = parts  # replaces the cached parts
     return out
 
 
@@ -942,9 +984,8 @@ class TestSampleSplit:
         turn = 0.0
         if summary.blocks.mirror is not None:
             mt = np.arange(prob.N_t)[::-1]
-            halves = [K - U @ U.T for K, (U, _) in
-                      zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
-            delta = max(np.linalg.norm(h - f, 2) for h, f in zip(halves, _fold(cov, mt, mt)))
+            halves = [K - U @ U.T for K, U in zip(summary.blocks.K_tt_parts, summary.U_parts)]
+            delta = max(np.linalg.norm(h - f, 2) for h, f in zip(halves, row_copy_fold(cov, mt, mt)))
             asym = np.linalg.norm(0.5 * (cov - cov[np.ix_(mt, mt)]), 2)
             turn = (asym + delta) / (w[-1] - w[-2])
         for s in sample_posterior(summary, 4, seed=3, normalization="none"):
@@ -966,7 +1007,7 @@ class TestSampleSplit:
         monkeypatch.setattr(gpeigen.posterior, "_eigh", spy)
         sample_posterior(summary, 1, seed=0)
         mt = np.arange(prob.N_t)[::-1]
-        want = _fold(summary.cov, mt, mt)
+        want = row_copy_fold(summary.cov, mt, mt)
         assert len(halves) == len(want) == 2
         for half, half0 in zip(halves, want):
             assert np.max(np.abs(half - half0)) <= 1e-12 * summary.blocks.spec.variance
@@ -977,13 +1018,12 @@ class TestSampleSplit:
         # formed bit for bit as the sampler forms them
         prob = g.laplace_dirichlet()
         summary = posterior_covariance(assemble_blocks(prob, 50.0), prob.jitter)
-        mt = np.arange(prob.N_t)[::-1]
-        halves = [K - U @ U.T for K, (U, _) in
-                  zip(_fold(summary.blocks.K_tt, mt, mt), summary.factors)]
+        halves = [K - U @ U.T for K, U in zip(summary.blocks.K_tt_parts, summary.U_parts)]
         (w_even, Y_even), (w_odd, Y_odd) = [_eigh(half) for half in halves]
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
-        F = (_unfold([Y_even, Y_odd], mt) * np.sqrt(np.clip(w, 0.0, None)))[:, order]
+        F = _unfold([Y_even, Y_odd], summary.blocks.test_pairs)
+        F = (F * np.sqrt(np.clip(w, 0.0, None)))[:, order]
         samples = sample_posterior(summary, 3, seed=7, normalization="none")
         children = np.random.SeedSequence(7).spawn(3)
         for s, child in zip(samples, children, strict=True):
@@ -992,8 +1032,8 @@ class TestSampleSplit:
             assert np.max(np.abs(s.values - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_residual_of_a_zero_draw_is_zero(self, peak_summary):
-        zero = _with_test_gram(peak_summary, np.zeros_like(peak_summary.blocks.K_tt))
-        zero.factors = tuple((np.zeros_like(U), W) for U, W in peak_summary.factors)
+        zero = _with_test_parts(peak_summary, [np.zeros_like(K) for K in peak_summary.blocks.K_tt_parts])
+        zero.U_parts = tuple(np.zeros_like(U) for U in peak_summary.U_parts)
         (s,) = sample_posterior(zero, 1, seed=0, normalization="none")
         assert not np.any(s.values)
         assert s.residual == 0.0
@@ -1068,23 +1108,23 @@ class TestSolveBvp:
         # once each, and the result is one of them; the golden-section
         # search spends 29 probes to shrink log l's bracket to 1e-5
         grams, specs = [], []
-        checked, assemble = gpeigen.posterior._checked, gpeigen.posterior.assemble_blocks
+        scales, assemble = gpeigen.posterior._scales, gpeigen.posterior.assemble_blocks
 
-        def spy_checked(M, jitter, rcond):
-            grams.append(np.asarray(M).tobytes())
-            return checked(M, jitter, rcond)
+        def spy_scales(parts, pairs):
+            grams.append(b"".join(M.tobytes() for M in parts))
+            return scales(parts, pairs)
 
         def spy_assemble(problem, lam):
             specs.append(problem.fixed_kernel)
             return assemble(problem, lam)
 
-        monkeypatch.setattr(gpeigen.posterior, "_checked", spy_checked)
+        monkeypatch.setattr(gpeigen.posterior, "_scales", spy_scales)
         monkeypatch.setattr(gpeigen.posterior, "assemble_blocks", spy_assemble)
         summary = solve_bvp(g.poisson_bvp_demo(), 8)
         assert 2 < len(grams) == len(specs) <= 32
         assert len(set(grams)) == len(grams)
         assert len(set(specs)) == len(specs)
-        assert summary.blocks.K_CC.tobytes() in grams
+        assert b"".join(K.tobytes() for _, K in summary.blocks.parts) in grams
 
     def test_fit_unchanged_by_the_mirror_split(self):
         prob = g.poisson_bvp_demo()

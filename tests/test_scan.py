@@ -490,6 +490,17 @@ class TestScanSpectrum:
             best = min(peaks, key=lambda p: abs(p.lam_hat - ref))
             assert abs(best.lam_hat - ref) / ref <= 0.05
 
+    def test_a_window_end_cell_is_probed_before_it_is_given_up(self):
+        # at 150 points and hi = 997 the top end stands above its neighbour,
+        # and the parabola through its cell's end points puts the vertex
+        # beyond the window; the first step probes the cell's midpoint and
+        # finds mode 10, (10 pi)^2 = 986.96, inside it
+        prob = g.laplace_dirichlet()
+        prob = dataclasses.replace(prob, grid=dataclasses.replace(prob.grid, count=150, hi=997.0))
+        peaks = detect_peaks(scan_spectrum(prob), prominence_decades=2.0)
+        assert len(peaks) == 10
+        assert abs(peaks[-1].lam_hat - (10 * np.pi) ** 2) <= 1e-4 * (10 * np.pi) ** 2
+
     def test_pole_point_skipped_not_crashed(self):
         prob = g.loaded_string()
         prob = dataclasses.replace(
