@@ -47,6 +47,7 @@ from .scan import (
     fit_decay_slope,
     refine_peak,
     scan_spectrum,
+    sweep_problem,
 )
 
 EXIT_OK = 0
@@ -274,14 +275,18 @@ def cmd_scan(args) -> int:
         }
         if error is not None:
             rec["refine_error"] = error
+        if p.fine_error is not None:
+            rec["fine_error"] = p.fine_error
         if refs:
             nearest = min(refs, key=lambda r: abs(r - p.lam_hat))
             rec["nearest_reference"] = nearest
             rec["relative_error"] = abs(p.lam_hat - nearest) / abs(nearest)
         peak_objs.append(rec)
 
+    sweep = sweep_problem(problem)
     doc = {
         **_provenance(problem, SCAN_RCOND),
+        "sweep_size": {"N": sweep.N, "N_t": sweep.N_t},
         "n_skipped": sum(1 for pt in scan.points if pt.skipped),
         "jobs": args.jobs,
         "refine_iterations": REFINE_ITERATIONS,

@@ -15,7 +15,8 @@ from .scan import HyperSchedule, LambdaGrid, length_scale
 NUGGET = 1e-10
 
 # Desk scale keeps the whole acceptance suite in the minutes range; paper
-# scale reproduces the published grid sizes.
+# scale reproduces the published grid sizes in its λ grid and every peak it
+# reports, while the scan sweeps that grid at desk N (`scan.SWEEP_SIZE`).
 SCALES = {
     "desk": {"N": 200, "N_t": 200, "n_lambda": 300},
     "paper": {"N": 500, "N_t": 500, "n_lambda": 500},

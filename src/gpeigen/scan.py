@@ -40,6 +40,11 @@ REFINE_RTOL = 1e-5
 # The evaluations `scan_spectrum` may spend polishing one grid candidate.
 POLISH_EVALUATIONS = 8
 
+# A sweep runs at N, N_t <= SWEEP_SIZE (the desk size); each peak is then
+# polished at the problem's own N from λ̂(1 ± FINE_STEP) (1e-3 biased it).
+SWEEP_SIZE = 200
+FINE_STEP = 1e-4
+
 GRID_KINDS = ("linear", "log", "power_root")
 
 
@@ -123,8 +128,8 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class PeakRecord:
-    """A peak: the best λ evaluated and its J, the grid candidate it grew
-    from, and the polish state, the nearest evaluated (λ, J) on each side."""
+    """A peak: the best λ evaluated at the problem's own N (see `fine_error`),
+    its J, its grid candidate, and the nearest evaluated (λ, J) on each side."""
 
     lam_hat: float
     J_peak: float
@@ -133,15 +138,17 @@ class PeakRecord:
     evaluations: int = 0  # λ-evaluations refinement spent on this peak
     polish_evaluations: int = 0  # those the scan's polish spent on it
     bracket: tuple = None  # ((λ, J) below, (λ, J) above); None off the polish
+    fine_error: str = None  # why the polish at the problem's N failed (no bracket then)
 
 
 @dataclass
 class SpectralScan:
-    """One J per grid point, and the polished grid candidates of
-    `scan_spectrum` (None for a scan assembled by hand)."""
+    """J per grid point and `scan_spectrum`'s polished candidates (None for a
+    scan made by hand) at `sweep_problem`'s N; `fine`: the problem, if larger."""
 
     points: list
     candidates: list = None
+    fine: object = None
 
 
 def make_lambda_grid(grid: LambdaGrid) -> np.ndarray:
@@ -302,6 +309,13 @@ def _polish_candidates(problem, points) -> list:
     return out
 
 
+def sweep_problem(problem):
+    """`problem` with N and N_t capped at SWEEP_SIZE; itself when neither exceeds it."""
+    if max(problem.N, problem.N_t) <= SWEEP_SIZE:
+        return problem
+    return dataclasses.replace(problem, N=min(problem.N, SWEEP_SIZE), N_t=min(problem.N_t, SWEEP_SIZE))
+
+
 def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     """Evaluate J over the problem's λ grid, then polish every candidate.
 
@@ -311,12 +325,13 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     library's thread count, to roundoff.  Points whose evaluation raises
     one of EVALUATION_ERRORS (coefficient poles, degenerate assemblies, a
     Gram that is not positive definite) are marked skipped with the reason;
-    the scan fails only if every point does.  The candidates
-    (`_polish_candidates`) are polished on this thread.
+    the scan fails only if every point does.  The sweep and the polish of
+    the candidates (`_polish_candidates`, on this thread) run on `sweep_problem(problem)`.
     """
     jobs = _count("jobs", jobs, 1)
     lams = make_lambda_grid(problem.grid)
-    evaluate = functools.partial(_scan_one, problem)
+    sweep = sweep_problem(problem)
+    evaluate = functools.partial(_scan_one, sweep)
     # fork starts every worker at the first submit: no more than there are λ
     workers = min(jobs, len(lams))
     if workers > 1:
@@ -331,7 +346,24 @@ def scan_spectrum(problem, jobs: int = 1) -> SpectralScan:
     if all(p.skipped for p in points):
         reasons = {p.reason for p in points}
         raise ScanError(f"all {len(points)} grid points failed: {sorted(reasons)}")
-    return SpectralScan(points, _polish_candidates(problem, points))
+    return SpectralScan(points, _polish_candidates(sweep, points), None if sweep is problem else problem)
+
+
+def _fine_polish(problem, peak: PeakRecord) -> PeakRecord:
+    """`peak`, found on a smaller sweep, polished at `problem`'s N from λ̂ and
+    λ̂(1 ± FINE_STEP).  If that raises one of EVALUATION_ERRORS or ends at a
+    bracket end, the peak is kept without a bracket, and says why."""
+    lam, step = peak.lam_hat, FINE_STEP * abs(peak.lam_hat)
+    try:
+        pts = [(x, evaluate_trace(problem, x)[0]) for x in (lam - step, lam, lam + step)]
+        pts, n = _polish(problem, pts, POLISH_EVALUATIONS)
+    except EVALUATION_ERRORS as exc:
+        return dataclasses.replace(peak, bracket=None, fine_error=f"{type(exc).__name__}: {exc}")
+    k, n = _best(pts), peak.polish_evaluations + 3 + n
+    error = None if k == 1 else f"no maximum within {lam!r} (1 ± {FINE_STEP:g})"
+    bracket = (pts[0], pts[2]) if k == 1 else None
+    return dataclasses.replace(peak, lam_hat=pts[k][0], J_peak=pts[k][1], polish_evaluations=n,
+                               bracket=bracket, fine_error=error)
 
 
 def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
@@ -339,7 +371,8 @@ def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
     over the median of the scan's log10 J.
 
     The candidates are `scan.candidates`, polished by `scan_spectrum`, so
-    both the floor and any ranking by `J_peak` see polished heights.  A
+    both the floor and any ranking by `J_peak` see polished heights (with
+    `scan.fine`, each peak over the floor is polished again at its N).  A
     scan without them offers the interior strict local maxima of its grid's
     log10 J as they stand.  Skipped points are dropped before neighbor
     comparison, so a peak's neighbors are the nearest evaluated points.
@@ -361,7 +394,8 @@ def detect_peaks(scan: SpectralScan, prominence_decades: float = 2.0):
             PeakRecord(lam_hat=live[k][1].lam, J_peak=live[k][1].J, grid_index=live[k][0])
             for k in _maxima(logJ, ends=False)
         ]
-    return [p for p in peaks if np.log10(max(p.J_peak, 1e-300)) >= floor]
+    peaks = [p for p in peaks if np.log10(max(p.J_peak, 1e-300)) >= floor]
+    return peaks if scan.fine is None else [_fine_polish(scan.fine, p) for p in peaks]
 
 
 def refine_peak(problem, peak: PeakRecord, iterations: int) -> PeakRecord:

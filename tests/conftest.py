@@ -71,8 +71,9 @@ def laplace_desk():
 
 @pytest.fixture(scope="session")
 def laplace_paper():
-    # The full-size run is slow on one core: every peak is polished by the
-    # scan, and only the six tallest get the refinement's further steps.
+    # Paper size: the sweep and its candidates' polish run at the desk size,
+    # N = N_t = 200, and each peak over the floor is polished again at 500;
+    # only the six tallest get the refinement's further steps.
     return _scan_and_refine(g.laplace_dirichlet(scale="paper"), refine_top=6)
 
 

@@ -410,6 +410,7 @@ class TestScan:
             else:
                 assert rec["relative_error"] <= 0.05
         assert doc["rcond"] == SCAN_RCOND
+        assert doc["sweep_size"] == {"N": 60, "N_t": 60}
         assert doc["evaluations"] == {
             "sweep": 24,
             "refine": sum(rec["evaluations"] for rec in doc["peaks"]),
@@ -434,6 +435,31 @@ class TestScan:
             lam = float(rec["lambda"])
             assert float(rec["length_scale"]) == scanned.kernel_at(lam).length_scale
             assert int(rec["truncated"]) + int(rec["rank"]) == 62  # N + 2 rows
+
+    def test_peaks_json_records_the_sweep_size(self, tmp_path):
+        # above the desk size the grid is swept at N = N_t = 200; spec keeps
+        # the problem as given, at whose N every peak is polished
+        cfg = write_config(tmp_path, {
+            "problem": "laplace", "N": 260, "N_t": 240,
+            "grid": {"kind": "log", "lo": 5.0, "hi": 120.0, "count": 40},
+        })
+        assert main(["scan", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        assert doc["sweep_size"] == {"N": 200, "N_t": 200}
+        prob = problem_from_obj(doc["spec"])
+        assert (prob.N, prob.N_t) == (260, 240)
+        sweep = dataclasses.replace(prob, N=200, N_t=200)
+        with open(tmp_path / "spectrum.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert len(recs) == 40
+        for rec in recs:
+            assert float(rec["length_scale"]) == sweep.kernel_at(float(rec["lambda"])).length_scale
+            assert int(rec["rank"]) == 202  # the sweep's N + 2 rows
+        assert len(doc["peaks"]) == 3
+        for rec in doc["peaks"]:
+            assert "fine_error" not in rec and rec["refined"]
+            assert rec["relative_error"] <= 1e-6
+            assert rec["J_peak"] == gpeigen.scan.evaluate_trace(prob, rec["lambda_hat"])[0]
 
     def test_spectrum_diagnostics_bound_the_factored_gram(self, tmp_path):
         # no cut: rank is the row count and truncated 0 at every λ; sv_max
@@ -572,6 +598,35 @@ class TestScan:
         assert rest and all(rec["refined"] for rec in rest)
         assert all("refine_error" not in rec for rec in rest)
         assert "not refined: PoleError" in capsys.readouterr().out
+
+    def test_failed_fine_polish_keeps_the_peak_and_says_why(self, tmp_path, monkeypatch):
+        # N = 210 sweeps at 200; the first evaluation after the sweep, in
+        # the first peak's polish at N = 210, hits a pole: that peak stays,
+        # unbracketed, says why, and is refined from its grid neighbours
+        inner_scan, inner_eval = gpeigen.cli.scan_spectrum, gpeigen.scan.evaluate_trace
+        calls = []
+
+        def failing_eval(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise PoleError("coefficient denominator vanishes")
+            return inner_eval(*args, **kwargs)
+
+        def scan_then_fail(*args, **kwargs):
+            scan = inner_scan(*args, **kwargs)
+            monkeypatch.setattr(gpeigen.scan, "evaluate_trace", failing_eval)
+            return scan
+
+        monkeypatch.setattr(gpeigen.cli, "scan_spectrum", scan_then_fail)
+        cfg = write_config(tmp_path, {**SMALL_SCAN, "N": 210})
+        assert main(["scan", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        assert doc["sweep_size"] == {"N": 200, "N_t": 60}
+        first, *rest = doc["peaks"]
+        assert first["fine_error"] == "PoleError: coefficient denominator vanishes"
+        assert first["refined"] and "refine_error" not in first
+        assert first["relative_error"] <= 1e-6
+        assert rest and all("fine_error" not in rec for rec in rest)
 
     def test_desk_scan_recovers_laplace_spectrum(self, tmp_path):
         code = main(["scan", "laplace", "--jobs", "4", "--out-dir", str(tmp_path)])

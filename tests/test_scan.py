@@ -28,9 +28,12 @@ from gpeigen.scan import (
     make_lambda_grid,
     refine_peak,
     scan_spectrum,
+    sweep_problem,
 )
+from gpeigen.operators import PoleError
+from gpeigen.problems import build_preset, references_in_window
 
-from conftest import match_references, run_fresh_interpreter
+from conftest import _scan_and_refine, match_references, run_fresh_interpreter
 
 
 class TestLambdaGrid:
@@ -558,3 +561,93 @@ class TestScanSpectrum:
         J, diag = evaluate_trace(prob, 42.0)
         assert J >= 0.0
         assert diag.rank >= 1
+
+
+def displaced_candidate(problem, lam):
+    """A hand-made scan of `problem` whose one candidate, at `lam` with a
+    sweep's J of 1, stands far over the floor and waits for the polish at
+    `problem`'s own N; its grid index is the grid point nearest `lam`."""
+    scan = synthetic_scan([1e-6] * 5)
+    gi = int(np.argmin(np.abs(make_lambda_grid(problem.grid) - lam)))
+    bracket = ((lam * 0.99, 0.5), (lam * 1.01, 0.5))
+    scan.candidates = [PeakRecord(lam, 1.0, gi, polish_evaluations=4, bracket=bracket)]
+    scan.fine = problem
+    return scan
+
+
+class TestTwoGridScan:
+    def test_sweep_problem_caps_only_what_exceeds_the_desk_size(self):
+        paper = g.laplace_dirichlet("paper")
+        assert sweep_problem(paper) == dataclasses.replace(paper, N=200, N_t=200)
+        odd = dataclasses.replace(paper, N=150)
+        assert sweep_problem(odd) == dataclasses.replace(odd, N_t=200)
+        desk = g.laplace_dirichlet()
+        assert sweep_problem(desk) is desk
+
+    @pytest.mark.parametrize("pid", ["laplace", "cantilever", "loaded-string"])
+    def test_desk_scan_evaluates_only_the_problem_it_was_given(self, monkeypatch, pid):
+        # a desk scan takes the one-grid path: every evaluation of the sweep
+        # and the polish is of the problem itself, and detection makes none
+        prob = build_preset(pid)
+        prob = dataclasses.replace(prob, grid=dataclasses.replace(prob.grid, count=100))
+        seen, inner = [], gpeigen.scan.evaluate_trace
+
+        def spy(problem, lam):
+            seen.append(problem)
+            return inner(problem, lam)
+
+        monkeypatch.setattr(gpeigen.scan, "evaluate_trace", spy)
+        scan = scan_spectrum(prob)
+        n = len(seen)
+        assert detect_peaks(scan) and scan.fine is None
+        assert len(seen) == n > 100
+        assert all(p is prob for p in seen)
+
+    def test_every_paper_laplace_peak_is_at_the_problems_own_N(self, laplace_paper):
+        prob = laplace_paper.problem
+        assert laplace_paper.scan.fine is prob
+        for p in laplace_paper.peaks + laplace_paper.refined:
+            assert p.fine_error is None
+            assert p.J_peak == evaluate_trace(prob, p.lam_hat)[0]
+        for p in laplace_paper.peaks:
+            assert all(J == evaluate_trace(prob, lam)[0] for lam, J in p.bracket)
+
+    def test_paper_cantilever_lands_within_1e_6(self):
+        # the beam is the preset whose sweep-size polish is furthest off
+        # (5.8e-5); the polish at N = 500 must remove that error
+        run = _scan_and_refine(g.cantilever(scale="paper"))
+        grid = run.problem.grid
+        refs = references_in_window("cantilever", grid.lo, grid.hi)
+        for peaks in (run.peaks, run.refined):
+            matched, unmatched = match_references(peaks, refs, 0.02)
+            assert sorted(matched) == list(range(5)) and not unmatched
+            worst = max(abs(p.lam_hat - refs[k]) / refs[k] for k, p in matched.items())
+            assert worst <= 1e-6
+
+    @pytest.mark.parametrize("shift", [3e-4, -3e-4])
+    def test_a_peak_displaced_beyond_its_fine_bracket_comes_back(self, shift):
+        # the mode pi^2 lies outside the bracket lam (1 +- 1e-4): the polish
+        # ends at the bracket end toward it, and the peak is kept unbracketed
+        prob, mode = g.laplace_dirichlet(), np.pi**2
+        lam = mode * (1 + shift)
+        (peak,) = detect_peaks(displaced_candidate(prob, lam), prominence_decades=2.0)
+        assert peak.fine_error == f"no maximum within {lam!r} (1 ± 0.0001)"
+        assert peak.bracket is None and peak.polish_evaluations > 4 + 3
+        assert abs(peak.lam_hat - lam) == pytest.approx(1e-4 * lam)
+        assert (peak.lam_hat - lam) * shift < 0
+        assert peak.J_peak == evaluate_trace(prob, peak.lam_hat)[0]
+        # refinement brackets it by its grid neighbours, and finds the mode
+        out = refine_peak(prob, peak, iterations=20)
+        assert abs(out.lam_hat - mode) <= 1e-6 * mode
+
+    def test_a_peak_whose_fine_evaluation_fails_comes_back(self, monkeypatch):
+        def pole(problem, lam):
+            raise PoleError("coefficient denominator vanishes")
+
+        prob, lam = g.laplace_dirichlet(), np.pi**2
+        scan = displaced_candidate(prob, lam)
+        monkeypatch.setattr(gpeigen.scan, "evaluate_trace", pole)
+        (peak,) = detect_peaks(scan, prominence_decades=2.0)
+        assert peak.fine_error == "PoleError: coefficient denominator vanishes"
+        assert (peak.lam_hat, peak.J_peak, peak.bracket) == (lam, 1.0, None)
+        assert peak.polish_evaluations == 4
