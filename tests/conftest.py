@@ -49,9 +49,11 @@ def _scan_and_refine(problem, refine_top=None):
     else:
         by_height = sorted(range(len(peaks)), key=lambda i: -peaks[i].J_peak)
         chosen = set(by_height[:refine_top])
+    # a polished peak carries its bracket, even at a window end; one without
+    # needs a grid neighbour on each side, as `refine_peak` decides
     refined = [
         g.refine_peak(problem, p, iterations=20)
-        if i in chosen and 0 < p.grid_index < n - 1
+        if i in chosen and (p.bracket is not None or 0 < p.grid_index < n - 1)
         else p
         for i, p in enumerate(peaks)
     ]

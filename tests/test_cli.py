@@ -953,4 +953,9 @@ class TestProblemSerialization:
             "rhs": 0.0,
         }
         grid = problem_to_obj(g.laplace_dirichlet())["grid"]
-        assert grid == {"kind": "log", "lo": 1.0, "hi": 1000.0, "count": 300}
+        assert grid == {"kind": "log", "lo": 1.0, "hi": 1000.0, "count": 150}
+        # a config written for the former 300-point desk grid keeps its grid
+        old = {**problem_to_obj(g.laplace_dirichlet()), "grid": {**grid, "count": 300}}
+        prob = problem_from_obj(json.loads(json.dumps(old)))
+        assert prob.grid == g.LambdaGrid("log", 1.0, 1000.0, 300)
+        assert problem_to_obj(prob) == old

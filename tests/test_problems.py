@@ -53,7 +53,7 @@ class TestPresets:
         prob = g.laplace_dirichlet()
         assert prob.N == 200
         assert prob.N_t == 200
-        assert prob.grid.count == 300
+        assert prob.grid.count == 150
 
     def test_paper_scale_sizes(self):
         prob = g.laplace_dirichlet(scale="paper")
@@ -67,7 +67,7 @@ class TestPresets:
 
     def test_laplace_grid_and_jitter(self):
         prob = g.laplace_dirichlet()
-        assert prob.grid == LambdaGrid("log", 1.0, 1000.0, 300)
+        assert prob.grid == LambdaGrid("log", 1.0, 1000.0, 150)
         assert prob.jitter == NUGGET == 1e-10
         assert prob.schedule == HyperSchedule(C=150.0, p=0.5, variance=1.0)
 

@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import dataclasses
+import json
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import gpeigen as g
+import gpeigen.cli
 import gpeigen.scan
 from gpeigen.operators import assemble_blocks
 from gpeigen.scan import (
@@ -418,7 +420,7 @@ class TestScanSpectrum:
         # scan_spectrum imports the process pool only when jobs > 1 starts it
         proc = run_fresh_interpreter(["-c", SERIAL_SCAN], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["300", "False"]
+        assert proc.stdout.split() == ["150", "False"]
 
     def test_serial_scan_never_loads_concurrent_futures(self, tmp_path):
         # the conditioning and the sampling run their halves on this thread;
@@ -573,6 +575,30 @@ def displaced_candidate(problem, lam):
     scan.candidates = [PeakRecord(lam, 1.0, gi, polish_evaluations=4, bracket=bracket)]
     scan.fine = problem
     return scan
+
+
+class TestDeskGrid:
+    @pytest.mark.parametrize("shift", [-0.005, 0.005])
+    @pytest.mark.parametrize("pid", ["laplace", "cantilever", "loaded-string"])
+    def test_window_shift_keeps_every_mode(self, pid, shift):
+        # the bench's seeds move each window end by up to 0.5%; on the
+        # 150-point desk grid every mode still has its peak, and none is spurious
+        prob = build_preset(pid)
+        grid = dataclasses.replace(prob.grid, lo=prob.grid.lo * (1 + shift),
+                                   hi=prob.grid.hi * (1 + shift))
+        peaks = detect_peaks(scan_spectrum(dataclasses.replace(prob, grid=grid)))
+        refs = references_in_window(pid, grid.lo, grid.hi)
+        matched, unmatched = match_references(peaks, refs, 0.02)
+        assert sorted(matched) == list(range(len(refs))) and not unmatched
+
+    def test_laplace_scan_budget(self, tmp_path):
+        # one evaluation per grid point, then the polish and refinement of
+        # ten peaks (44 + 10 evaluations): a polish regression shows here
+        assert gpeigen.cli.main(["scan", "laplace", "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "peaks.json").read_text())
+        assert doc["evaluations"]["sweep"] == 150
+        polish = sum(rec["polish_evaluations"] for rec in doc["peaks"])
+        assert polish + doc["evaluations"]["refine"] <= 60
 
 
 class TestTwoGridScan:
