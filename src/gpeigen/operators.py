@@ -21,31 +21,39 @@ boundary sites.  Each λ makes one `radial_profile_derivatives` call over those
 arguments and forms every block from it exactly as `apply_bilinear` would.
 
 The layout also decides once, from the problem's structure alone, whether
-the reflection x -> c - x maps the constraint rows and the test grid onto
-themselves, where c is the smallest plus the largest constraint location.
-The interior grid and the test grid must each be their own reversal to a
-few ulps, the interior operator must have only even-order terms, and every
-boundary site must pair with a site at its reflected location with an
-identical even-order operator (a site at the midpoint pairs with itself).
-Then k(c - x, c - y) = k(x, y) and even-order derivatives keep their sign
-under the reflection, so K_CC is unchanged by permuting its rows and
-columns with the row involution of the reflection, recorded as
-`AssembledBlocks.mirror`, and K_tC and K_tt by reversing the test rows and
-mirroring the columns at once.  In the parity basis (e_p + e_q)/sqrt2, e_f,
-(e_p - e_q)/sqrt2 of rows paired p < q and fixed rows f, each is block
-diagonal (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288), and
-`assemble_blocks` forms the two blocks, the halves, directly.  With D the
-block between the half rows (rows p, then rows f) and themselves, and X
-that between the half rows and their mirror images, the even half is D + X
-with rows and columns f weighted by sqrt(1/2), and the odd half D - X on
-rows p.  Each block is evaluated once, and D and X are two views of it:
-a block with the interior's columns is evaluated on the whole interior,
-whose reversed columns give X, a Hankel view of the Toeplitz lags t,
-X[i, j] = t(i + j - (N - 1)); any other block also on the mirror images
-of the band of rows or columns that comes first in K_CC (the columns in
-K_tC).  No matrix is inspected numerically for the symmetry: K_CC's
-entries carry the grid's ulp-level asymmetry amplified by r / l^2, so a
-tolerance test would flip from one λ to the next.
+the reflection x -> c - x maps the interior rows and the test grid onto
+themselves, where c is the smallest plus the largest interior location (of
+the boundary sites' when there is no interior).  The interior grid and the
+test grid must each be their own reversal to a few ulps, and the interior
+operator must have only even-order terms.  A boundary site pairs with a
+site at its reflected location with an identical even-order operator (a
+site at the midpoint pairs with itself); a site with no such twin, or with
+an odd-order term, is a border row.  Then k(c - x, c - y) = k(x, y) and
+even-order derivatives keep their sign under the reflection, so K_CC less
+its border rows and columns is unchanged by permuting its rows and columns
+with the row involution of the reflection, recorded as
+`AssembledBlocks.mirror` with -1 at a border row, and K_tC less its border
+columns and K_tt by reversing the test rows and mirroring the columns at
+once.  In the parity basis (e_p + e_q)/sqrt2, e_f, e_b, (e_p - e_q)/sqrt2
+of rows paired p < q, fixed rows f and border rows b, each is block
+diagonal but for the border (Cantoni & Butler, Linear Algebra Appl. 13
+(1976) 275-288), and `assemble_blocks` forms the two blocks, the halves,
+directly: the even half on rows and columns p, f, b, and the odd half on
+rows p and columns p, b, whose border columns are the coupling Y.  K_tC's
+halves take the border columns likewise.  With D the block between the
+half rows (rows p, then rows f and b) and themselves, and X that between
+the half rows and their mirror images (a border row is its own), the even
+half is D + X with rows and columns f and b weighted by sqrt(1/2), and the
+odd half D - X on rows p, its border columns weighted so too.  Each block
+is evaluated once, and D and X are two views of it: a block with the
+interior's columns is evaluated on the whole interior, whose reversed
+columns give X, a Hankel view of the Toeplitz lags t, X[i, j] = t(i + j -
+(N - 1)); a block with a border row's column also on the mirror images of
+its rows; any other block also on the mirror images of the band of rows
+or columns that comes first in K_CC (the columns in K_tC).  No matrix is
+inspected numerically for the symmetry: K_CC's entries carry the grid's
+ulp-level asymmetry amplified by r / l^2, so a tolerance test would flip
+from one λ to the next.
 
 Nothing is symmetrized: the profile derivatives are exactly even or odd in
 r, and X mirrors the earlier of a block's two row groups, so a block and
@@ -172,11 +180,14 @@ class AssembledBlocks:
     rows are ordered interior-first, then boundary sites; rhs stacks the
     same way.  `parts` holds (K_tC, K_CC), or when `mirror`, the row
     involution of the reflection (see the module docstring), is set, the
-    even and the odd half's pair.  `pairs` and `test_pairs` are then the
-    rows p < q = mirror[p] and fixed rows f of it and of the test grid's
-    reversal: the even half's rows are p then f, the odd half's p.  K_tt is
-    built on first access, as a read-only view of its lags, and from it
-    `K_tt_parts`, the sampler's (K_tt,) or halves.
+    even and the odd half's pair.  A border row has no image: mirror[b] is
+    -1.  `pairs` and `test_pairs` are then the rows p < q = mirror[p] and
+    the single rows of it and of the test grid's reversal, fixed rows f and
+    after them the border rows b: the even half's rows and columns are p, f
+    then b, the odd half's rows p and its columns p then b.  K_tt is built
+    on first access, as a read-only view of its lags, and from it
+    `K_tt_parts`, the sampler's halves, or (K_tt,) when there is no mirror
+    or a border couples the halves.
     """
 
     lam: float
@@ -195,9 +206,14 @@ class AssembledBlocks:
         k = radial_profile_derivatives(self.spec, 0, r)[0]  # identity pair: g itself
         return _expand(k, toeplitz, self.x_test.size)
 
+    @property
+    def border(self) -> int:
+        """The number of border rows, the odd half's trailing columns."""
+        return 0 if self.mirror is None else int(np.sum(self.mirror < 0))
+
     @functools.cached_property
     def K_tt_parts(self) -> tuple:
-        if self.mirror is None:
+        if self.mirror is None or self.border:
             return (self.K_tt,)
         h = self.test_pairs[0].size
         c = self.x_test.size - h
@@ -279,31 +295,35 @@ def _even_order(op: LinearOperatorSpec) -> bool:
 
 def _mirror(xt: np.ndarray, x_constraint: np.ndarray, interior_op, sites):
     """Row involution of the reflection that maps the constraint rows and the
-    test grid onto themselves, or None; rows ordered as in `assemble_blocks`."""
+    test grid onto themselves, -1 at a border row, or None; rows ordered as
+    in `assemble_blocks`."""
     n = x_constraint.size - len(sites)
-    xi = x_constraint[:n]
-    lo, hi = x_constraint.min(), x_constraint.max()
+    xi = x_constraint[:n] if n else x_constraint
+    lo, hi = xi.min(), xi.max()
     c, tol = lo + hi, _ulps(lo, hi)
     if (n and not _even_order(interior_op)) or any(
-        np.max(np.abs(x + x[::-1] - c), initial=0.0) > tol for x in (xi, xt)
+        np.max(np.abs(x + x[::-1] - c), initial=0.0) > tol for x in (x_constraint[:n], xt)
     ):
         return None
     perm = np.arange(x_constraint.size)
     perm[:n] = perm[:n][::-1]
     unpaired = list(range(len(sites)))
     while unpaired:
-        s = sites[unpaired[0]]
+        i, s = unpaired[0], sites[unpaired[0]]
         twins = [
             j
             for j in unpaired
             if abs(sites[j].location - (c - s.location)) <= tol
             and sites[j].operator == s.operator
         ]
-        if not _even_order(s.operator) or not twins:
-            return None
-        i, j = unpaired[0], twins[0]  # i == j for a site at the midpoint
-        perm[n + i], perm[n + j] = n + j, n + i
+        if _even_order(s.operator) and twins:
+            j = twins[0]  # i itself for a site at the midpoint
+            perm[n + i], perm[n + j] = n + j, n + i
+        else:  # no image: a border row
+            j, perm[n + i] = i, -1
         unpaired = [k for k in unpaired if k not in (i, j)]
+    if not np.any(perm > np.arange(perm.size)):
+        return None  # no pair: the odd half would be empty
     perm.flags.writeable = False  # cached with the layout
     return perm
 
@@ -316,11 +336,11 @@ def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
     Rows come in bands, band i with operator ops[i]: the test rows, the
     interior's and one band per other constraint row; each constraint band
     is also a band of columns.  With a mirror, the bands hold the even
-    half's rows, p then f of `pairs` and `test_pairs`.  A block is (left,
-    right, rows, cols, corner, span of r, Toeplitz, width, views), left 0
-    being K_tC's: `views` index D and, with a mirror, X in the evaluated
-    block, and `corner` their part in the odd half, or is None.  `shapes`
-    are the parts'."""
+    half's rows, p then f of `pairs` and `test_pairs`, border rows last.  A
+    block is (left, right, rows, cols, odd, span of r, Toeplitz, width,
+    views), left 0 being K_tC's: `views` index D and, with a mirror, X in
+    the evaluated block, and `odd` is None or (corner of D and X, its rows
+    and columns in the odd half).  `shapes` are the parts'."""
     xt, xi = np.frombuffer(xt_bytes), np.frombuffer(xi_bytes)
     n = xi.size
     x_constraint = np.concatenate([xi, [s.location for s in sites]])
@@ -330,39 +350,49 @@ def _layout(xt_bytes: bytes, xi_bytes: bytes, interior_op, sites):
     order, image, run, h, pairs, test_pairs = rows, rows, n, 0, None, None
     if mirror is not None:
         p, t, h = rows[mirror > rows], np.arange(xt.size), xt.size // 2
-        pairs = (p, mirror[p], rows[mirror == rows])
+        pairs = (p, mirror[p], np.concatenate([rows[mirror == rows], rows[mirror < 0]]))
         test_pairs = (t[:h], t[::-1][:h], t[h : t.size - h])
         for a in pairs + test_pairs:
             a.flags.writeable = False  # cached with the layout
-        order, image, run = np.concatenate([p, pairs[2]]), mirror, n // 2
-    # (points, their mirror images, operator, rows in the odd half)
-    bands = [(xt[: xt.size - h], xt[::-1][: xt.size - h], identity_op(), h)]
+        order, image, run = np.concatenate([p, pairs[2]]), np.where(mirror < 0, rows, mirror), n // 2
+    # (points, their mirror images, operator, rows in the odd half, border)
+    bands = [(xt[: xt.size - h], xt[::-1][: xt.size - h], identity_op(), h, False)]
     for k in [order[:run]] * bool(run) + [order[i : i + 1] for i in range(run, order.size)]:
         op = interior_op if k[0] < n else sites[k[0] - n].operator
-        bands.append((x_constraint[k], x_constraint[image[k]], op, int(np.sum(image[k] != k))))
-    sizes = [x.size for x, *_ in bands]
-    ends = np.cumsum([0] + sizes[1:]).tolist()
-    place = [slice(0, sizes[0])] + [slice(a, b) for a, b in zip(ends, ends[1:])]
-    blocks, lags, at = [], [], 0
-    for i, (x, xm, _, odd_rows) in enumerate(bands):
-        for j, (x2, x2m, _, odd_cols) in enumerate(bands[1:], 1):
+        border = mirror is not None and mirror[k[0]] < 0
+        bands.append((x_constraint[k], x_constraint[image[k]], op, int(np.sum(image[k] != k)), border))
+    # places in the even half; in the odd half rows p keep theirs, and the
+    # border's columns follow them
+    P = sum(band[3] for band in bands[1:])
+    place, odd_place, at, odd_at = [slice(0, bands[0][0].size)], [slice(0, h)], 0, P
+    for x, _, _, odd_rows, border in bands[1:]:
+        place.append(slice(at, at + x.size))
+        odd_place.append(slice(odd_at, odd_at + x.size) if border else slice(at, at + odd_rows))
+        at, odd_at = at + x.size, odd_at + x.size * border
+    blocks, lags, start = [], [], 0
+    for i, (x, xm, _, odd_rows, _) in enumerate(bands):
+        for j, (x2, x2m, _, _, border) in enumerate(bands[1:], 1):
             if mirror is None:
                 xr, xc, views = x, x2, [np.s_[:, :]]
             elif j == 1 and run:  # the interior's X: its block with all of xi, reversed
                 xr, xc, views = x, xi, [np.s_[:, :run], np.s_[:, n - 1 : n - 1 - run : -1]]
-            elif 0 < i <= j:  # X mirrors the earlier band, so the halves are symmetric
+            elif 0 < i <= j or border:  # X mirrors the earlier band, or the border's rows
                 xr, xc, views = np.concatenate([x, xm]), x2, [np.s_[: x.size], np.s_[x.size :]]
             else:  # X mirrors the columns
                 xr, xc = x, np.concatenate([x2, x2m])
                 views = [np.s_[:, : x2.size], np.s_[:, x2.size :]]
             r, toeplitz = _lags(xr, xc)
-            corner = np.s_[:odd_rows, :odd_cols] if odd_rows and odd_cols else None
-            span = slice(at, at + r.size)
-            blocks.append((i, j, place[i], place[j], corner, span, toeplitz, xc.size, views))
+            odd_cols = odd_place[j].stop - odd_place[j].start
+            odd = None
+            if odd_rows and odd_cols:
+                odd = (np.s_[:odd_rows, :odd_cols], odd_place[i], odd_place[j])
+            span = slice(start, start + r.size)
+            blocks.append((i, j, place[i], place[j], odd, span, toeplitz, xc.size, views))
             lags.append(r)
-            at += r.size
-    m, P = ends[-1], sum(band[3] for band in bands[1:])
-    shapes = [((sizes[0], m), (m, m)), ((h, P), (P, P))][: 1 + (mirror is not None)]
+            start += r.size
+    nb = odd_at - P
+    shapes = [((place[0].stop, at), (at, at)), ((h, P + nb), (P, P + nb))]
+    shapes = shapes[: 1 + (mirror is not None)]
     ops = tuple(band[2] for band in bands)
     n_max = max(ops[i].max_order + ops[j].max_order for i, j, *_ in blocks)
     r = np.concatenate(lags)
@@ -376,7 +406,8 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     in eigen mode), the boundary constraint sites, the right-hand side, and
     the kernel hyperparameters at this λ.  Rows group as N interior
     collocation rows followed by one row per boundary site.  With a mirror,
-    each block of a half is D + X or D - X of two views of one evaluation.
+    each block of a half is D + X or D - X of two views of one evaluation,
+    border rows included.
     """
     spec = problem.kernel_at(lam)
     xt = np.asarray(problem.test_grid(), dtype=float)
@@ -393,19 +424,22 @@ def assemble_blocks(problem, lam: float) -> AssembledBlocks:
     coeffs = [_coeffs(op, lam) for op in ops]
     stack = radial_profile_derivatives(spec, n_max, r)
     parts = [tuple(np.empty(shape) for shape in part) for part in shapes]
-    for left, right, rows, cols, corner, span, toeplitz, width, views in layout:
+    for left, right, rows, cols, odd, span, toeplitz, width, views in layout:
         B = _expand(_combine(coeffs[left], coeffs[right], stack[:, span]), toeplitz, width)
         if len(views) == 1:
             parts[0][left > 0][rows, cols] = B
             continue
         D, X = B[views[0]], B[views[1]]
         np.add(D, X, out=parts[0][left > 0][rows, cols])
-        if corner:  # the odd half's rows p come first, in the even half's places
-            np.subtract(D[corner], X[corner], out=parts[1][left > 0][rows, cols][corner])
-    if mirror is not None:  # rows and columns f: e_f has one entry, not two
+        if odd:
+            corner, odd_rows, odd_cols = odd
+            np.subtract(D[corner], X[corner], out=parts[1][left > 0][odd_rows, odd_cols])
+    if mirror is not None:  # rows and columns f and b: e_f and e_b have one entry, not two
+        P = len(parts[1][1])
         for even, odd in zip(*parts):
             even[len(odd) :] *= np.sqrt(0.5)
-            even[:, odd.shape[1] :] *= np.sqrt(0.5)
+            even[:, P:] *= np.sqrt(0.5)
+            odd[:, P:] *= np.sqrt(0.5)
 
     rhs_parts = []
     if xi.size:

@@ -8,7 +8,9 @@ Conditioning the zero-mean GP prior on the assembled constraint rows gives
 computed on the Jacobi-equilibrated Gram D K_CC D + jitter I, D =
 diag(K_CC)^-1/2, through its Cholesky factor and held as the square-root
 factor U of the downdate (see `posterior_covariance`), per parity half when
-the problem is symmetric under reflection.  For eigenproblems the rhs is
+the problem is symmetric under reflection, its border rows (boundary sites
+without a mirror twin) a Schur-complement corner of the even half's factor.
+For eigenproblems the rhs is
 zero, the mean vanishes identically, and all information sits in the
 covariance: its trace J(λ) stays near zero away from eigenvalues and peaks
 when λ hits one.
@@ -112,15 +114,25 @@ def _trsm():
 
 
 def _right_solve(L, B):
-    """B L^-T for the lower-triangular L, in B's own memory when the loaded
-    OpenBLAS has a dtrsm; else by `numpy.linalg.solve`, correct and slower."""
-    trsm = _trsm()
-    if trsm is None or B.size == 0:
-        return np.linalg.solve(L, B.T).T
-    L, B = np.ascontiguousarray(L), np.ascontiguousarray(B)
+    """B L^-T for the lower-triangular L, returned: written over B when its
+    rows have unit stride (always so for a column slice of a C-order
+    array), else over a copy; by the loaded OpenBLAS's dtrsm, or where there
+    is none by `numpy.linalg.solve`, correct and slower."""
     m, n = B.shape
+    if B.size == 0:
+        return B
+    # dtrsm reads row i at B[i * ldb], so it needs ldb >= n; numpy leaves
+    # the stride of a length-1 axis arbitrary (a transposed column's is 8)
+    ldb = B.strides[0] // B.itemsize if m > 1 else n
+    if (n > 1 and B.strides[1] != B.itemsize) or ldb < n:
+        B, ldb = B.copy(), n
+    trsm = _trsm()
+    if trsm is None:
+        B[...] = np.linalg.solve(L, B.T).T
+        return B
+    L = np.ascontiguousarray(L)
     # row major, L on the right, lower, transposed, non-unit diagonal
-    trsm(101, 142, 122, 112, 131, m, n, 1.0, L.ctypes.data, n, B.ctypes.data, n)
+    trsm(101, 142, 122, 112, 131, m, n, 1.0, L.ctypes.data, n, B.ctypes.data, ldb)
     return B
 
 
@@ -144,8 +156,10 @@ class PseudoinverseDiag:
     From `regularized_pseudoinverse`: the kept rank, the largest and the
     smallest kept eigenvalue magnitude, and the count the cut dropped.  From
     `posterior_covariance`, which cuts nothing: the row count, the largest
-    and the smallest squared Cholesky pivot diag(L)^2 (both lie within the
-    eigenvalues of the shifted, equilibrated Gram), and 0.
+    and the smallest squared pivot diag(L)^2 of its block factor (both lie
+    within the eigenvalues of the shifted, equilibrated Gram, whose Cholesky
+    factor in the parity basis, odd rows first and border rows last, it
+    is), and 0.
     """
 
     rank: int
@@ -160,10 +174,14 @@ class PosteriorSummary:
 
     `factors` holds the Cholesky factors L of `posterior_covariance`, one
     per part of `blocks.parts` (for a mirror split, the even and the odd
-    half's), and `scales` the matching Jacobi scales D.  The parts' U
-    (`U_parts`), U and W in row order, `cov`, `mean` and
-    `neg_log_likelihood` are formed on first read and cached, so a caller
-    that reads only `trace_J` and `diag` never builds an N_t x N_t matrix.
+    half's), and `scales` the matching Jacobi scales D, a border row's in
+    the even half's.  `coupling` is None with no split, and for a split
+    (Z^T, D_b, L_s): the odd half's coupling to the border rows, their
+    scales and their corner of the even half's factor, empty when there are
+    none (see `posterior_covariance`).  The parts' U (`U_parts`), U and W
+    in row order, `cov`, `mean` and `neg_log_likelihood` are formed on first
+    read and cached, so a caller that reads only `trace_J` and `diag` never
+    builds an N_t x N_t matrix.
     The mean of an all-zero rhs (every eigenproblem) is exact zeros, with U
     and W left unformed, so `sample_posterior`, which reads `U_parts` and
     `mean`, caches none of U, W and `cov` for an eigenproblem.
@@ -174,25 +192,30 @@ class PosteriorSummary:
     factors: tuple = field(repr=False)
     scales: tuple = field(repr=False)
     blocks: AssembledBlocks = field(repr=False)
+    coupling: tuple = field(default=None, repr=False)
 
     @property
     def x_test(self) -> np.ndarray:
         return self.blocks.x_test
 
+    def _solve(self, rows):
+        """R D L^-T of the block factor for each part's rows R, one at a time."""
+        return map(_downdate, rows, self.scales, self.factors, (None, self.coupling))
+
     @functools.cached_property
     def U_parts(self) -> tuple:
-        return tuple(map(_downdate, self.factors, self.blocks.parts, self.scales))
+        return tuple(self._solve(K_tC for K_tC, _ in self.blocks.parts))
 
     @functools.cached_property
     def U(self) -> np.ndarray:
-        return _unfold(self.U_parts, self.blocks.test_pairs)
+        return _unfold(self.U_parts, self.blocks.test_pairs, self.blocks.border)
 
     @functools.cached_property
     def W(self) -> np.ndarray:
-        """D L^-T per part in row order, so that U = K_tC W and W^T rhs is
-        the whitened rhs L^-1 D rhs."""
-        parts = [_right_solve(L, np.diag(d)) for L, d in zip(self.factors, self.scales)]
-        return _unfold(parts, self.blocks.pairs)
+        """D L^-T of the block factor in row order, so that U = K_tC W and
+        W^T rhs is the whitened rhs L^-1 D rhs."""
+        parts = tuple(self._solve(np.eye(*K_CC.shape) for _, K_CC in self.blocks.parts))
+        return _unfold(parts, self.blocks.pairs, self.blocks.border)
 
     @functools.cached_property
     def cov(self) -> np.ndarray:
@@ -286,19 +309,25 @@ def regularized_pseudoinverse(M, jitter: float = 0.0, rcond: float = DEFAULT_RCO
     return P, _diagnostics(w, keep)
 
 
-def _unfold(parts, pairs):
+def _unfold(parts, pairs, border: int = 0):
     """The even half's columns, then the odd half's, in the row order of
     `pairs`, the rows (p, q, f) of an involution: the parity basis undone on
-    the rows.  With no pairs, `parts` holds one block, returned as it is."""
+    the rows.  The odd half's last `border` columns are the even half's
+    last ones, and add to them.  With no pairs, `parts` holds one block,
+    returned as it is."""
     if pairs is None:
         return parts[0]
     (even, odd), (p, q, f) = parts, pairs
-    n = even.shape[1]
-    out = np.zeros((p.size + q.size + f.size, n + odd.shape[1]))  # odd columns vanish on f
+    n, k = even.shape[1], odd.shape[1] - border
+    out = np.zeros((p.size + q.size + f.size, n + k))  # odd columns vanish on f
     out[p, :n] = out[q, :n] = np.sqrt(0.5) * even[: p.size]
     out[f, :n] = even[p.size :]
-    out[p, n:] = np.sqrt(0.5) * odd
+    out[p, n:] = np.sqrt(0.5) * odd[:, :k]
     out[q, n:] = -out[p, n:]
+    if border:
+        shared = np.sqrt(0.5) * odd[:, k:]
+        out[p, n - border : n] += shared
+        out[q, n - border : n] -= shared
     return out
 
 
@@ -326,9 +355,29 @@ def _equilibrated(M, d, jitter: float):
     return M
 
 
-def _downdate(L, part, d):
-    """U = K_tC D L^-T of one part (K_tC, K_CC), a new array."""
-    return _right_solve(L, part[0] * d)
+def _downdate(R, d, L, coupling=None):
+    """R D L^-T of one part, for rows R in its K_CC's columns, a new array.
+    With the odd half's `coupling` (Z^T, D_b, L_s), R's columns past L's
+    are the border's, and their solve is (R_b D_b - X Z) L_s^-T, X = R D
+    L^-T of the part's own columns."""
+    if coupling is None:
+        return _right_solve(L, R * d)
+    Zt, d_b, L_s = coupling
+    U = np.multiply(R, np.concatenate([d, d_b]), order="C")  # each slice solves in place
+    X = _right_solve(L, U[:, : len(L)])
+    U[:, len(L) :] -= X @ Zt.T
+    _right_solve(L_s, U[:, len(L) :])
+    return U
+
+
+def _factor(M, d, jitter: float, downdate=None):
+    """Cholesky factor of D M D + jitter I, less `downdate` in its trailing
+    corner (which may be empty); the scaled copy is freed on return."""
+    M = _equilibrated(M, d, jitter)
+    if downdate is not None:
+        k = len(M) - len(downdate)
+        M[k:, k:] -= downdate
+    return np.linalg.cholesky(M)
 
 
 def posterior_covariance(
@@ -356,11 +405,28 @@ def posterior_covariance(
     turn; ||U||_F^2 sums the parts'.  Each U is squared in place and summed,
     and formed again only when read (`PosteriorSummary.U_parts`), so the
     blocks are left as they are and little more than the factors is held.
+
+    Border rows make this a block factor of the whole Gram in the parity
+    basis, odd rows first and border rows last: the odd half is factored
+    first, L_o, its coupling to the border Y gives Z = L_o^-1 D_o Y D_b,
+    Z^T Z comes off the even half's border corner, and the even half is
+    factored, L_e, with the border corner L_s.  The test grid's even rows then give U_e =
+    K_tC,e D L_e^-T, and its odd rows U_o = K_tC,o D L_o^-T and, from their
+    border columns B_o, (B_o D_b - U_o Z) L_s^-T, the odd half's last
+    columns.  With no border rows Z, D_b and L_s are empty, and the halves'
+    factors are independent.
     """
     pin_heap()
-    grams = [_checked(K_CC, jitter, rcond) for _, K_CC in blocks.parts]
+    grams = [_checked(K_CC[:, : len(K_CC)], jitter, rcond) for _, K_CC in blocks.parts]
     scales = _scales(grams, blocks.pairs)
-    factors = tuple(np.linalg.cholesky(_equilibrated(M, d, jitter)) for M, d in zip(grams, scales))
+    if blocks.pairs is None:
+        factors, coupling = (_factor(grams[0], scales[0], jitter),), None
+    else:  # the odd half first: its coupling to the border enters the even half's corner
+        (even, odd), (d_e, d_o), k = grams, scales, len(grams[0]) - blocks.border
+        L_o, d_b = _factor(odd, d_o, jitter), d_e[k:]
+        Zt = _right_solve(L_o, (blocks.parts[1][1][:, len(L_o) :] * d_o[:, None] * d_b).T)
+        L_e = _factor(even, d_e, jitter, Zt @ Zt.T)
+        factors, coupling = (L_e, L_o), (Zt, d_b, L_e[k:, k:])
     pivots = np.concatenate([np.diagonal(L) for L in factors]) ** 2
     diag = PseudoinverseDiag(
         rank=pivots.size,
@@ -368,10 +434,11 @@ def posterior_covariance(
         sv_min_kept=float(pivots.min()) if pivots.size else 0.0,
         truncated_count=0,
     )
+    summary = PosteriorSummary(0.0, diag, factors, scales, blocks, coupling)
     prior = blocks.x_test.size * blocks.spec.variance
-    Us = map(_downdate, factors, blocks.parts, scales)  # one at a time, squared in place
-    J = prior - sum(map(lambda U: float(np.sum(np.square(U, out=U))), Us))
-    return PosteriorSummary(J, diag, factors, scales, blocks)
+    Us = summary._solve(K_tC for K_tC, _ in blocks.parts)  # one at a time, squared in place
+    summary.trace_J = prior - sum(map(lambda U: float(np.sum(np.square(U, out=U))), Us))
+    return summary
 
 
 def sample_posterior(
@@ -393,8 +460,9 @@ def sample_posterior(
     away from one the sample leaves that direction (see README).
 
     cov is never formed: its parts K_tt,h - U_h U_h^T (`K_tt_parts`,
-    `U_parts`; one, K_tt - U U^T, with no mirror) are eigendecomposed one
-    after the other.  The k-th normal of a draw scales the k-th smallest
+    `U_parts`; one, K_tt - U U^T, with no mirror or with border rows, whose
+    columns of U couple the halves) are eigendecomposed one after the
+    other.  The k-th normal of a draw scales the k-th smallest
     eigenvalue's direction, as with one full `eigh`; mirror samples differ
     bitwise from its, not in distribution.  An eigenproblem's mean is zeros
     read off the rhs, so no U or W is unfolded.
@@ -402,12 +470,15 @@ def sample_posterior(
     count, seed = _count("count", count, 1), _count("seed", seed, 0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    halves = [K_tt - U @ U.T for K_tt, U in zip(summary.blocks.K_tt_parts, summary.U_parts)]
+    blocks, Us = summary.blocks, summary.U_parts
+    if len(blocks.K_tt_parts) < len(Us):  # a border couples the halves
+        Us = (_unfold(Us, blocks.test_pairs, blocks.border),)
+    halves = [K_tt - U @ U.T for K_tt, U in zip(blocks.K_tt_parts, Us)]
     if not all(np.all(np.isfinite(half)) for half in halves):
         raise DecompositionError("covariance has non-finite entries")
     eighs = [_eigh(half) for half in halves]
     w = np.concatenate([w_h for w_h, _ in eighs])
-    V = _unfold([Y for _, Y in eighs], summary.blocks.test_pairs)
+    V = _unfold([Y for _, Y in eighs], blocks.test_pairs if len(eighs) > 1 else None)
     # permute xi and scale V in place, copying no N_t x N_t array; a copy
     # of eigh's own V would move an unsplit problem's draws by roundoff
     order = np.argsort(w, kind="stable")

@@ -10,7 +10,7 @@ from .kernel import KernelSpec, _count
 from .operators import ConstraintSite, LinearOperatorSpec, OperatorTermSpec, identity_op
 from .scan import HyperSchedule, LambdaGrid, length_scale
 
-# The relative nugget of every eigenproblem: conditioning adds it to the
+# The relative nugget of every preset: conditioning adds it to the
 # equilibrated Gram's unit diagonal (see `posterior.posterior_covariance`).
 NUGGET = 1e-10
 
@@ -198,7 +198,7 @@ def poisson_bvp_demo() -> ProblemSpec:
         ),
         N=8,
         N_t=200,
-        jitter=0.0,
+        jitter=NUGGET,
         fixed_kernel=KernelSpec(variance=1.0, length_scale=0.2),
         rhs_const=10.0,
     )

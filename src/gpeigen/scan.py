@@ -231,8 +231,13 @@ def _polish(problem, pts, cap: int):
     vertex of the parabola through 1/J at the three points or, when that
     parabola opens downward or its vertex leaves the bracket, halfway from
     the best point toward its higher neighbour (its one neighbour, at a
-    window end).  The best of the four points then keeps its nearest
-    evaluated neighbour on each side (its two nearest, at a window end).
+    window end).  A step that lands within REFINE_RTOL of |λ| of the best
+    point while no other point lies within 100 REFINE_RTOL is lengthened to
+    REFINE_RTOL: the parabola through far flanks puts its vertex back where
+    it was, and J's roundoff cannot order two points that close on a flat
+    peak (as Brent's method keeps its steps at least a tolerance long).
+    The best of the four points then keeps its nearest evaluated neighbour
+    on each side (its two nearest, at a window end).
     The polish stops after a step of at most REFINE_RTOL of |λ| from three
     points of which one lay within 100 REFINE_RTOL of the best: a parabola
     through points far out on the flanks, where J's background bends 1/J,
@@ -263,6 +268,8 @@ def _polish(problem, pts, cap: int):
             break
         tol = REFINE_RTOL * abs(best)
         near = min(abs(lam - best) for lam, _ in pts if lam != best) <= 100 * tol
+        if not near and abs(x - best) < tol:
+            x = best + math.copysign(tol, x - best)
         four = sorted(pts + [(x, evaluate_trace(problem, x)[0])])
         evaluations += 1
         start = 0 if _best(four) <= 1 else 1

@@ -136,17 +136,19 @@ def dense_blocks(problem, lam, spec=None):
 
 
 def parity_pairs(mirror):
-    """Rows p < q = mirror[p] of the involution `mirror`, and its fixed rows."""
+    """Rows p < q = mirror[p] of the involution `mirror`, and its single
+    rows: the fixed ones, then the border rows, where mirror is -1."""
     rows = np.arange(len(mirror))
     p = rows[mirror > rows]
-    return p, mirror[p], rows[mirror == rows]
+    return p, mirror[p], np.concatenate([rows[mirror == rows], rows[mirror < 0]])
 
 
 def row_copy_fold(M, row_mirror, col_mirror):
     """Even and odd block of M in the parity bases (e_p + e_q)/sqrt2, e_f,
-    (e_p - e_q)/sqrt2 of its row and column involutions, from whole
+    e_b, (e_p - e_q)/sqrt2 of its row and column involutions, from whole
     mirrored rows and the means A, B of the direct and crossed quadrants:
-    the reference the assembled halves must match."""
+    the reference the assembled halves must match.  The odd block's rows
+    are the odd rows, its columns the odd ones, then the border's."""
     (p, q, f), (pc, qc, fc) = parity_pairs(row_mirror), parity_pairs(col_mirror)
     top, bottom, fixed = M[p], M[q], M[f]
     A = 0.5 * (top[:, pc] + bottom[:, qc])
@@ -156,4 +158,7 @@ def row_copy_fold(M, row_mirror, col_mirror):
         [A + B, s * (top[:, fc] + bottom[:, fc])],
         [s * (fixed[:, pc] + fixed[:, qc]), fixed[:, fc]],
     ])
+    bc = np.flatnonzero(col_mirror < 0)
+    if bc.size:
+        return even, np.hstack([A - B, s * (top[:, bc] - bottom[:, bc])])
     return even, A - B

@@ -181,18 +181,21 @@ class TestAssembleBlocks:
         ids=["laplace-desk", "laplace-paper", "cantilever-desk"],
     )
     def test_kcc_exactly_symmetric(self, pid, scale):
-        # nothing symmetrizes K_CC or its halves after assembly: block and
+        # nothing symmetrizes K_CC's halves after assembly: block and
         # transposed block sum the same products, in the same order for
-        # these operators, and X mirrors the earlier of two row groups
+        # these operators, and X mirrors the earlier of two row groups.  The
+        # odd half's trailing columns are the cantilever's border
         blocks = assemble_blocks(g.build_preset(pid, scale), 33.0)
-        assert len(blocks.parts) == (1 if pid == "cantilever" else 2)
+        assert len(blocks.parts) == 2
         for _, K in blocks.parts:
+            K = K[:, : len(K)]
             assert np.array_equal(K, K.T)
 
     def test_kcc_symmetric_to_roundoff_with_a_rational_boundary_row(self):
         # the loaded string's boundary row sums its two terms in another
-        # order than the interior rows do, so K_CC is symmetric to roundoff
-        ((_, K),) = assemble_blocks(g.loaded_string(), 33.0).parts
+        # order than the interior rows do, so the even half, which holds it
+        # as a border row, is symmetric to roundoff
+        (_, K), _ = assemble_blocks(g.loaded_string(), 33.0).parts
         assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
 
     @pytest.mark.parametrize(
@@ -351,8 +354,20 @@ class TestAssembleBlocks:
         "prob", [g.cantilever(), g.loaded_string()], ids=["cantilever", "loaded-string"]
     )
     def test_asymmetric_boundaries_get_none(self, prob):
+        # no site has a twin with its operator: each gets no image and is a
+        # border row, after the interior's pairs in the even half
         blocks = assemble_blocks(prob, 100.0)
-        assert blocks.mirror is None
+        n, m = prob.N, blocks.mirror
+        assert np.array_equal(m[:n], np.arange(n)[::-1])
+        assert m[n:].tolist() == [-1] * len(prob.boundary) and blocks.border == len(prob.boundary)
+        p, q, f = blocks.pairs
+        assert np.array_equal(p, np.arange(n // 2)) and f.tolist() == list(range(n, m.size))
+        even, odd = blocks.parts
+        size = n // 2 + len(prob.boundary)
+        assert [K.shape for K in even] == [(prob.N_t // 2, size), (size, size)]
+        assert [K.shape for K in odd] == [(prob.N_t // 2, size), (n // 2, size)]
+        # the border couples the halves, so the sampler takes K_tt whole
+        assert blocks.K_tt_parts == (blocks.K_tt,)
 
     def test_unreflected_test_grid_gets_no_mirror(self):
         # symmetric constraint rows under a test grid that does not reflect:
@@ -382,7 +397,8 @@ class TestAssembleBlocks:
     def test_one_decision_covers_both_grids(self, pid, scale):
         prob = g.build_preset(pid, scale)
         blocks = assemble_blocks(prob, 42.0 if prob.mode == "eigen" else 0.0)
-        assert (blocks.mirror is not None) == (pid in ("laplace", "poisson-demo"))
+        assert blocks.mirror is not None
+        assert blocks.border == (0 if pid in ("laplace", "poisson-demo") else len(prob.boundary))
         # a mirror on the constraint rows means the test grid reflects too,
         # about the same centre, so the sampler may split by its reversal
         if blocks.mirror is not None:
@@ -403,9 +419,32 @@ class TestAssembleBlocks:
         assert m[prob.N :].tolist() == [prob.N + 1, prob.N, prob.N + 2]
 
     def test_one_sided_boundary_gets_none(self):
+        # the site at 0 has no twin at 1: it gets no image, a border row
         prob = g.laplace_dirichlet()
         left_only = dataclasses.replace(prob, boundary=prob.boundary[:1])
-        assert assemble_blocks(left_only, 42.0).mirror is None
+        m = assemble_blocks(left_only, 42.0).mirror
+        assert m[prob.N :].tolist() == [-1]
+        assert np.array_equal(m[: prob.N], np.arange(prob.N)[::-1])
+
+    def test_odd_order_twins_are_border_rows(self):
+        # u' at 0 and at 1 change sign under the reflection: no pair
+        prob = g.laplace_dirichlet()
+        first = g.LinearOperatorSpec((OperatorTermSpec(1, (1.0,)),))
+        sites = (g.ConstraintSite(0.0, first), g.ConstraintSite(1.0, first))
+        blocks = assemble_blocks(dataclasses.replace(prob, boundary=sites), 42.0)
+        assert blocks.mirror[prob.N :].tolist() == [-1, -1] and blocks.border == 2
+
+    def test_no_pair_gets_none(self):
+        # a lone site and no interior: the odd half would be empty
+        stub = SimpleNamespace(
+            kernel_at=g.laplace_dirichlet().kernel_at,
+            test_grid=lambda: np.linspace(0.0, 1.0, 20),
+            collocation_grid=lambda: np.array([]),
+            boundary=(g.ConstraintSite(0.0, identity_op()),),
+            interior_op=g.laplace_dirichlet().interior_op,
+            rhs_at=lambda x: np.zeros(np.shape(x)),
+        )
+        assert assemble_blocks(stub, 42.0).mirror is None
 
     def test_first_order_interior_term_gets_none(self):
         prob = g.laplace_dirichlet()
@@ -418,14 +457,20 @@ class TestAssembleBlocks:
     def test_cross_block_column_for_boundary_row(self):
         prob = g.cantilever()
         blocks = assemble_blocks(prob, 100.0)
-        ((K_tC, K_CC),) = blocks.parts
-        assert K_CC.shape[0] == prob.N + 4
-        # the clamped-end value row at x = 0 is a plain kernel column
+        (K_tC, K_CC), (K_tC_odd, K_CC_odd) = blocks.parts
+        assert len(K_CC) + len(K_CC_odd) == prob.N + 4
+        # the clamped-end value row at x = 0, a border row, is a plain
+        # kernel column, split into the test grid's even and odd halves
         spec = prob.kernel_at(100.0)
         want = kernel_mixed_derivative(
             spec, (0, 0), blocks.x_test, np.zeros_like(blocks.x_test)
         )
-        assert np.allclose(K_tC[:, prob.N], want, rtol=1e-12)
+        h, s = prob.N_t // 2, np.sqrt(0.5)
+        p, _, f = blocks.pairs
+        at = f.tolist().index(prob.N)  # among the single rows: fixed, then border
+        even_col, odd_col = p.size + at, p.size + at - (f.size - blocks.border)
+        assert np.allclose(K_tC[:, even_col], s * (want[:h] + want[::-1][:h]), rtol=1e-12)
+        assert np.allclose(K_tC_odd[:, odd_col], s * (want[:h] - want[::-1][:h]), rtol=1e-12)
 
     def test_bvp_rhs_layout(self):
         prob = g.poisson_bvp_demo()

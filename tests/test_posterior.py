@@ -23,6 +23,7 @@ from gpeigen.posterior import (
     BVP_LENGTH_BRACKET,
     DecompositionError,
     _eigh,
+    _right_solve,
     _unfold,
     pin_heap,
     regularized_pseudoinverse,
@@ -136,6 +137,20 @@ def _whitens(W, K_CC, jitter):
     return np.max(np.abs(W.T @ K @ W - np.eye(m))) <= m * np.finfo(float).eps / ev.min()
 
 
+def _drift_laplace():
+    """Laplace with a first-order interior term: no mirror, one block."""
+    prob = g.laplace_dirichlet()
+    drift = g.LinearOperatorSpec(prob.interior_op.terms + (g.OperatorTermSpec(1, (0.5,)),))
+    return dataclasses.replace(prob, interior_op=drift)
+
+
+_ONE_PATH_EACH = pytest.mark.parametrize(
+    "prob",
+    [g.laplace_dirichlet(), _drift_laplace(), g.cantilever()],
+    ids=["mirror", "unsplit", "border"],
+)
+
+
 class TestPosteriorCovariance:
     @pytest.mark.parametrize(
         "preset,lam", [("laplace", 42.0), ("cantilever", 500.0), ("loaded-string", 42.0)]
@@ -180,16 +195,14 @@ class TestPosteriorCovariance:
         assert blocks.__dict__["K_tt"] is blocks.K_tt
         assert summary.cov is cov
 
-    @pytest.mark.parametrize(
-        "preset", ["laplace", "cantilever"], ids=["mirror", "unsplit"]
-    )
-    def test_leaves_the_blocks_bitwise_unmodified(self, preset):
-        # every part is scaled and shifted in a copy, and U is formed anew
-        prob = g.build_preset(preset)
+    @_ONE_PATH_EACH
+    def test_leaves_the_blocks_bitwise_unmodified(self, prob):
+        # every part is scaled and shifted in a copy, and U and W are formed anew
         blocks = assemble_blocks(prob, 88.83)
-        assert (blocks.mirror is None) == (preset == "cantilever") and prob.jitter > 0
+        assert len(blocks.parts) == 1 + (blocks.mirror is not None) and prob.jitter > 0
         before = [K.tobytes() for part in blocks.parts for K in part]
-        posterior_covariance(blocks, prob.jitter).U
+        summary = posterior_covariance(blocks, prob.jitter)
+        summary.U, summary.W
         assert [K.tobytes() for part in blocks.parts for K in part] == before
 
     @pytest.mark.parametrize("n", [1, 5, 10])
@@ -216,6 +229,22 @@ class TestPosteriorCovariance:
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing this process")
         prob = g.laplace_dirichlet(scale="paper")
+        evaluate_trace(prob, 300.0)  # caches the layout
+        tracemalloc.start()
+        try:
+            evaluate_trace(prob, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = prob.N + len(prob.boundary)
+        assert peak < 8 * (m * m + prob.N_t * m)
+
+    def test_paper_cantilever_evaluation_holds_less_than_a_full_gram(self):
+        # the beam's four sites are border rows, so its halves are assembled
+        # and conditioned in turn too
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing this process")
+        prob = g.cantilever(scale="paper")
         evaluate_trace(prob, 300.0)  # caches the layout
         tracemalloc.start()
         try:
@@ -504,17 +533,37 @@ class TestEquilibratedCholesky:
             for lam, J0 in zip(lams, want):
                 assert _same_J(evaluate_trace(scaled, lam)[0], J0, 1e-8, prior)
 
-    @pytest.mark.parametrize("preset", ["laplace", "cantilever"], ids=["mirror", "unsplit"])
-    def test_solve_fallback_gives_the_same_J(self, monkeypatch, preset):
+    @_ONE_PATH_EACH
+    def test_solve_fallback_gives_the_same_J(self, monkeypatch, prob):
         # no dtrsm found: numpy.linalg.solve on the same factor
-        prob = g.build_preset(preset)
         prior = prob.N_t * prob.schedule.variance
         lams = list(make_lambda_grid(prob.grid)[::60])
-        lams += references_in_window(preset, prob.grid.lo, prob.grid.hi)[:5]
+        lams += references_in_window(prob.problem_id, prob.grid.lo, prob.grid.hi)[:5]
         want = [evaluate_trace(prob, lam)[0] for lam in lams]
         monkeypatch.setattr(gpeigen.posterior, "_trsm", lambda: None)
         for lam, J0 in zip(lams, want):
             assert _same_J(evaluate_trace(prob, lam)[0], J0, 1e-10, prior)
+
+    @pytest.mark.parametrize("layout", ["rows", "column-slice", "one-row-transposed",
+                                        "one-column-slice", "fortran"])
+    @pytest.mark.parametrize("trsm", [True, False])
+    def test_right_solve_takes_any_strides(self, monkeypatch, layout, trsm):
+        # B L^-T for any view B; one whose rows are not contiguous is
+        # solved in a copy, and the rest in place
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6))
+        L = np.linalg.cholesky(A @ A.T + 6.0 * np.eye(6))
+        full = rng.standard_normal((4, 9))
+        B = {"rows": full[:, :6].copy(), "column-slice": full[:, 2:8],
+             "one-row-transposed": full[:1, :6].T.copy().T,
+             "one-column-slice": full[:, 3:4], "fortran": np.asfortranarray(full[:, :6])}[layout]
+        L = L if B.shape[1] == 6 else L[:1, :1]
+        want = np.linalg.solve(L, B.T).T
+        if not trsm:
+            monkeypatch.setattr(gpeigen.posterior, "_trsm", lambda: None)
+        got = _right_solve(L, B)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert (got is B) == (layout != "fortran")
 
     def test_a_gram_that_is_not_positive_definite_is_a_skipped_point(self):
         # a duplicated row and no nugget: Cholesky meets a zero pivot
@@ -708,14 +757,23 @@ class TestFold:
         assert _cross_blocks(K_tC, rev, blocks.mirror) <= 1e-12 * np.max(np.abs(K_tC))
 
     def test_cross_blocks_of_a_made_up_mirror_are_not(self):
-        # the beam pins u and u' at 0 but u'' and u''' at 1: no mirror pairs
+        # the beam pins u and u' at 0 but u'' and u''' at 1: no sites pair,
+        # and pairing them anyway leaves cross blocks far above roundoff.  So
+        # the four sites are border rows; their columns are the only ones
+        # with a part in both of the test grid's halves
         prob = g.cantilever()
         blocks = assemble_blocks(prob, 500.0)
-        assert blocks.mirror is None
+        assert blocks.mirror[prob.N :].tolist() == [-1] * 4
         made_up = np.concatenate([np.arange(prob.N)[::-1], prob.N + np.array([2, 3, 0, 1])])
         rev = np.arange(prob.N_t)[::-1]
-        ((K_tC, _),) = blocks.parts
-        assert _cross_blocks(K_tC, rev, made_up) > 1e-12 * np.max(np.abs(K_tC))
+        K_tC, _ = dense_blocks(prob, 500.0)
+        scale = np.max(np.abs(K_tC))
+        assert _cross_blocks(K_tC, rev, made_up) > 1e-12 * scale
+        interior = K_tC[:, : prob.N]
+        assert _cross_blocks(interior, rev, blocks.mirror[: prob.N]) <= 1e-12 * scale
+        (K_tC_even, _), (K_tC_odd, _) = blocks.parts
+        for half in (K_tC_even, K_tC_odd):
+            assert np.all(np.max(np.abs(half[:, -4:]), axis=0) > 1e-12 * scale)
 
     @pytest.mark.parametrize("rows,cols", [(7, 9), (8, 6), (9, 9), (None, None)])
     def test_fold_and_unfold_are_the_parity_basis(self, rows, cols):
@@ -982,7 +1040,7 @@ class TestSampleSplit:
         w, V = np.linalg.eigh(cov)
         v1 = V[:, -1]
         turn = 0.0
-        if summary.blocks.mirror is not None:
+        if len(summary.blocks.K_tt_parts) == 2:
             mt = np.arange(prob.N_t)[::-1]
             halves = [K - U @ U.T for K, U in zip(summary.blocks.K_tt_parts, summary.U_parts)]
             delta = max(np.linalg.norm(h - f, 2) for h, f in zip(halves, row_copy_fold(cov, mt, mt)))
@@ -1058,9 +1116,10 @@ class TestSampleSplit:
         ids=["cantilever", "loaded-string"],
     )
     def test_unmirrored_samples_are_the_full_eigh_draws(self, prob, lam):
-        # no test mirror: one full eigh and F @ xi per sample, bit for bit
+        # a border couples the test grid's halves: one full eigh and F @ xi
+        # per sample, bit for bit
         summary = posterior_covariance(assemble_blocks(prob, lam), prob.jitter)
-        assert summary.blocks.mirror is None
+        assert summary.blocks.border and len(summary.blocks.K_tt_parts) == 1
         w, V = np.linalg.eigh(summary.cov)
         F = V * np.sqrt(np.clip(w, 0.0, None))
         samples = sample_posterior(summary, 3, seed=7, normalization="none")
@@ -1068,6 +1127,100 @@ class TestSampleSplit:
         for s, child in zip(samples, children, strict=True):
             xi = np.random.default_rng(child).standard_normal(w.size)
             assert np.array_equal(s.values, summary.mean + F @ xi)
+
+
+def _dense(blocks, prob):
+    """`blocks` with the one dense part (K_tC, K_CC) of `dense_blocks` and no
+    mirror: the conditioning with no split, the block factor's reference."""
+    K_tC, K_CC = dense_blocks(prob, blocks.lam, blocks.spec)
+    return dataclasses.replace(blocks, parts=((K_tC, K_CC),), mirror=None, pairs=None,
+                               test_pairs=None)
+
+
+def _neumann_demo(n_f):
+    """-u'' = 10 with u(0) = 0 and u'(1) = 0, exact u = -5x^2 + 10x: the
+    site at 0 has no twin and u' is odd, so both are border rows."""
+    prob = g.poisson_bvp_demo()
+    slope = g.LinearOperatorSpec((g.OperatorTermSpec(1, (1.0,)),))
+    return dataclasses.replace(prob, N=n_f, boundary=(prob.boundary[0], g.ConstraintSite(1.0, slope)))
+
+
+class TestBorder:
+    """The block factor of a split with border rows against the one dense
+    block of the same Gram."""
+
+    @pytest.mark.parametrize("n_f,ell,err", [(8, 0.3795, 1e-2), (15, 0.3930, 1e-4)])
+    def test_neumann_fit_matches_a_dense_reference(self, monkeypatch, n_f, ell, err):
+        prob = _neumann_demo(n_f)
+        summary = solve_bvp(prob, n_f)
+        blocks = summary.blocks
+        assert blocks.border == 2 and prob.jitter == NUGGET
+        # the same fit through the dense block
+        assemble = gpeigen.posterior.assemble_blocks
+        monkeypatch.setattr(gpeigen.posterior, "assemble_blocks",
+                            lambda p, lam: _dense(assemble(p, lam), p))
+        ell0 = solve_bvp(prob, n_f).blocks.spec.length_scale
+        monkeypatch.undo()
+        assert round(ell0, 4) == ell
+        assert abs(np.log(blocks.spec.length_scale / ell0)) <= 1e-4
+        # at the fitted kernel, mean, W and the likelihood agree to the
+        # roundoff of the Gram, m eps / lambda_min of its equilibrated form
+        ref = posterior_covariance(_dense(blocks, prob), prob.jitter)
+        K_tC, K_CC = ref.blocks.parts[0]
+        _, ev = _regularized(K_CC, prob.jitter)
+        tol = ev.size * np.finfo(float).eps / ev.min()
+        assert np.max(np.abs(summary.mean - ref.mean)) <= tol * np.max(np.abs(ref.mean))
+        assert np.max(np.abs(K_tC @ summary.W - summary.U)) <= tol * np.max(np.abs(summary.U))
+        assert _whitens(summary.W, K_CC, prob.jitter)
+        nll, nll0 = summary.neg_log_likelihood, ref.neg_log_likelihood
+        assert abs(nll - nll0) <= tol * abs(nll0)
+        x = summary.x_test
+        assert np.max(np.abs(summary.mean - (-5.0 * x**2 + 10.0 * x))) < err
+
+    @pytest.mark.parametrize("case", ["laplace-u(0)", "demo-u'(0.5)"])
+    def test_one_border_row_matches_the_dense_block(self, case):
+        # one border row makes the odd half's coupling a single column, whose
+        # transpose numpy strides (8, 8): a solve that took that row stride
+        # for dtrsm's leading dimension left the coupling unsolved
+        if case == "laplace-u(0)":
+            prob, lam = g.laplace_dirichlet(), 30.0
+            prob = dataclasses.replace(prob, boundary=prob.boundary[:1])
+        else:  # u'(0.5) = 0 holds for the exact -5x^2 + 5x
+            prob, lam = g.poisson_bvp_demo(), 0.0
+            slope = g.LinearOperatorSpec((g.OperatorTermSpec(1, (1.0,)),))
+            prob = dataclasses.replace(prob, N=8, boundary=prob.boundary + (g.ConstraintSite(0.5, slope),))
+        blocks = assemble_blocks(prob, lam)
+        assert blocks.border == 1
+        summary = posterior_covariance(blocks, prob.jitter)
+        ref = posterior_covariance(_dense(blocks, prob), prob.jitter)
+        K_tC, K_CC = ref.blocks.parts[0]
+        _, ev = _regularized(K_CC, prob.jitter)
+        tol = ev.size * np.finfo(float).eps / ev.min()
+        assert abs(summary.trace_J - ref.trace_J) <= tol * ref.trace_J
+        assert np.max(np.abs(summary.cov - ref.cov)) <= tol * np.max(np.abs(ref.cov))
+        assert np.max(np.abs(K_tC @ summary.W - summary.U)) <= tol * np.max(np.abs(summary.U))
+        assert _whitens(summary.W, K_CC, prob.jitter)
+        assert np.max(np.abs(summary.mean - ref.mean)) <= tol * np.max(np.abs(ref.mean))
+        nll, nll0 = summary.neg_log_likelihood, ref.neg_log_likelihood
+        assert abs(nll - nll0) <= tol * abs(nll0)
+
+    @pytest.mark.parametrize("preset", ["cantilever", "loaded-string"])
+    def test_cov_at_the_first_eigenvalue_is_the_dense_one(self, preset):
+        prob = g.build_preset(preset)
+        lam = references_in_window(preset, prob.grid.lo, prob.grid.hi)[0]
+        blocks = assemble_blocks(prob, lam)
+        summary = posterior_covariance(blocks, prob.jitter)
+        ref = posterior_covariance(_dense(blocks, prob), prob.jitter)
+        # both factor a Gram whose equilibrated form has eigenvalues down to
+        # the nugget; they differ by 1.7e-6 of max|cov| on the beam and by
+        # 3.6e-8 on the string
+        assert np.max(np.abs(summary.cov - ref.cov)) <= 1e-5 * np.max(np.abs(ref.cov))
+        # the sampler decomposes the whole covariance, as with no split: the
+        # draws lie close to one function, as the dense draws do
+        got = [s.residual for s in sample_posterior(summary, 5, seed=0)]
+        want = [s.residual for s in sample_posterior(ref, 5, seed=0)]
+        assert max(got) < 0.05
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-5
 
 
 class TestSolveBvp:
@@ -1137,7 +1290,7 @@ class TestSolveBvp:
     def test_probes_that_do_not_factor_score_worst(self, monkeypatch):
         # at N_f = 15, jitter 0, some length scales of the bracket give a
         # Gram that does not factor; the fit steps past them
-        prob = g.poisson_bvp_demo()
+        prob = dataclasses.replace(g.poisson_bvp_demo(), jitter=0.0)
         failed, inner = [], gpeigen.posterior.posterior_covariance
 
         def spy(blocks, jitter):

@@ -254,6 +254,26 @@ class TestRefinePeak:
         assert 0 < out.evaluations <= 31
         assert all(0 < p.evaluations <= 31 for p in laplace_desk.refined)
 
+    def test_a_short_step_between_far_neighbours_is_lengthened(self, monkeypatch):
+        # 1/J is a parabola with its vertex 3e-6 (relative) right of the best
+        # point, and both neighbours lie far out: a step that short could not
+        # be ordered against the best by J's roundoff on a flat peak, so the
+        # first probe lies REFINE_RTOL away, and the second on the vertex
+        c, w = 100.0003, 10.0
+        seen = []
+
+        def lorentzian(problem, lam):
+            seen.append(lam)
+            return 1.0 / (1.0 + ((lam - c) / w) ** 2), None
+
+        monkeypatch.setattr(gpeigen.scan, "evaluate_trace", lorentzian)
+        left, best, right = ((lam, lorentzian(None, lam)[0]) for lam in (50.0, 100.0, 150.0))
+        seen.clear()
+        out = refine_peak(None, PeakRecord(*best, 1, bracket=(left, right)), iterations=20)
+        assert seen[0] == 100.0 * (1.0 + REFINE_RTOL)
+        assert out.evaluations == len(seen) == 2
+        assert out.lam_hat == pytest.approx(c, abs=1e-9)
+
     def test_stops_at_relative_tolerance(self, laplace_desk):
         # 2**-60 of the bracket asks for far less than J can resolve; the
         # search stops at REFINE_RTOL of λ instead, near the 20-step result
